@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .scalars import GroupElement, Scalar, ScalarField
 
-__all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
+__all__ = ["Signature", "OrderWeights", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
 
 
 @dataclass(frozen=True)
@@ -64,28 +65,37 @@ class Signature:
             raise SignatureMismatch("t-shift deformation requires an hbar order")
 
 
+@dataclass(frozen=True)
+class OrderWeights:
+    """Per-symbol-class weights for the filtration; defaults give |a|+|b|+|c|+d."""
+
+    tower: int = 1
+    exponential: int = 1
+    power: int = 1
+    derivative: int = 1
+
+
+_DEFAULT_WEIGHTS = OrderWeights()
+
+
 class Monomial:
     """Exponent data of one normally-ordered monomial (immutable by convention).
 
-    Slots: E powers a, exponential lattice rows beta, power lattice rows gamma,
-    derivative powers d.  The hash is cached because monomials are used as dict
-    keys throughout the multiplication kernel.
+    One flat int tuple ``exps`` holds, for n variables and lattice rank r, the
+    slots in the order a | beta rows | gamma rows | d: E powers a, exponential
+    lattice rows beta, power lattice rows gamma, derivative powers d.  The
+    graded algebra uses the same monomials with d read as the commuting y.
+    ``a``, ``beta``, ``gamma`` and ``d`` are read-only views.  The hash is
+    cached because monomials are used as dict keys throughout the
+    multiplication kernel.
     """
 
-    __slots__ = ("a", "beta", "gamma", "d", "_hash")
+    __slots__ = ("exps", "n", "_hash")
 
-    def __init__(
-        self,
-        a: tuple[int, ...],
-        beta: tuple[tuple[int, ...], ...],
-        gamma: tuple[tuple[int, ...], ...],
-        d: tuple[int, ...],
-    ):
-        self.a = a
-        self.beta = beta
-        self.gamma = gamma
-        self.d = d
-        self._hash = hash((a, beta, gamma, d))
+    def __init__(self, exps: tuple[int, ...], n: int):
+        self.exps = exps
+        self.n = n
+        self._hash = hash(exps)
 
     def __hash__(self):
         return self._hash
@@ -93,16 +103,33 @@ class Monomial:
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.a == other.a
-            and self.beta == other.beta
-            and self.gamma == other.gamma
-            and self.d == other.d
-        )
+        return self._hash == other._hash and self.exps == other.exps and self.n == other.n
 
     def __repr__(self):
         return f"Monomial(a={self.a}, beta={self.beta}, gamma={self.gamma}, d={self.d})"
+
+    def _rows(self, part: int) -> tuple[tuple[int, ...], ...]:
+        # part 0 is beta, part 1 is gamma
+        n, e = self.n, self.exps
+        r = len(e) // (2 * n) - 1
+        start = n + part * n * r
+        return tuple(e[start + i * r : start + (i + 1) * r] for i in range(n))
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return self.exps[: self.n]
+
+    @property
+    def beta(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows(0)
+
+    @property
+    def gamma(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows(1)
+
+    @property
+    def d(self) -> tuple[int, ...]:
+        return self.exps[-self.n :]
 
     @property
     def is_function(self) -> bool:
@@ -111,22 +138,36 @@ class Monomial:
     def function_part(self) -> "Monomial":
         if self.is_function:
             return self
-        return Monomial(self.a, self.beta, self.gamma, (0,) * len(self.d))
+        return Monomial(self.exps[: -self.n] + (0,) * self.n, self.n)
 
-    def filtration_order(self) -> int:
+    def shift(self, delta: Sequence[int], d: tuple[int, ...] | None = None) -> "Monomial":
+        """The monomial with exponents exps + delta; a given d replaces the d part.
+
+        This is the only exponent addition: products, derivative shifts and
+        the module action all go through it.
+        """
+        if d is None:
+            return Monomial(tuple(map(add, self.exps, delta)), self.n)
+        return Monomial(tuple(map(add, self.exps, delta[: -self.n])) + d, self.n)
+
+    def filtration_order(self, w: OrderWeights = _DEFAULT_WEIGHTS) -> int:
+        """Weighted |a| + l1(beta) + l1(gamma) + d."""
+        e, n = self.exps, self.n
+        gamma0 = len(e) // 2
         return (
-            sum(abs(ai) for ai in self.a)
-            + sum(sum(abs(c) for c in b) for b in self.beta)
-            + sum(sum(abs(c) for c in g) for g in self.gamma)
-            + sum(self.d)
+            w.tower * sum(map(abs, e[:n]))
+            + w.exponential * sum(map(abs, e[n:gamma0]))
+            + w.power * sum(map(abs, e[gamma0:-n]))
+            + w.derivative * sum(e[-n:])
         )
 
 
 def monomial_sort_key(m: Monomial):
-    """Graded-lex order used for canonical printing and reports."""
-    flat_gamma = tuple(c for g in m.gamma for c in g)
-    flat_beta = tuple(c for b in m.beta for c in b)
-    return (m.filtration_order(), m.d, flat_gamma, flat_beta, m.a)
+    """Graded-lex order used for canonical printing and reports:
+    order, then d, the gamma rows, the beta rows and a."""
+    e, n = m.exps, m.n
+    gamma0 = len(e) // 2
+    return (m.filtration_order(), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
 
 
 class Element:
@@ -153,14 +194,14 @@ class Element:
 
     def constant_coefficient(self) -> Scalar:
         """Coefficient of the unit monomial."""
-        return self.terms.get(self.algebra._unit_monomial, self.algebra.field.zero)
+        return self.terms.get(self.algebra.one_monomial, self.algebra.field.zero)
 
     def as_scalar(self) -> Scalar | None:
         """The element as a scalar if it is one, else None."""
         if self.is_zero:
             return self.algebra.field.zero
-        if len(self.terms) == 1 and self.algebra._unit_monomial in self.terms:
-            return self.terms[self.algebra._unit_monomial]
+        if len(self.terms) == 1 and self.algebra.one_monomial in self.terms:
+            return self.terms[self.algebra.one_monomial]
         return None
 
     def __bool__(self) -> bool:
@@ -275,18 +316,13 @@ class WeylAlgebra:
             _field = ScalarField(signature.rank, signature.hbar_order, signature.names)
         self.field = _field
         n, r = signature.n, signature.rank
-        self._zero_vec = (0,) * r
-        self._zero_mat = ((0,) * r,) * n
-        self._zero_d = (0,) * n
-        self._unit_monomial = Monomial((0,) * n, self._zero_mat, self._zero_mat, self._zero_d)
-        self.one_monomial = self._unit_monomial
+        self.one_monomial = Monomial((0,) * (2 * n * (r + 1)), n)
         self.zero = Element(self, {})
-        self.one = Element(self, {self._unit_monomial: self.field.one})
+        self.one = Element(self, {self.one_monomial: self.field.one})
         self._embed_t = tuple(self.field.embed(GroupElement(ti)) for ti in signature.t)
         self._diff_cache: dict[tuple[int, Monomial], tuple[tuple[Monomial, Scalar], ...]] = {}
         self._diff_pow_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[tuple[Monomial, Scalar], ...]] = {}
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
-        self._int_pay_cache: dict[int, object] = {}
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
         if signature.t_shift:
             N = signature.hbar_order
@@ -299,26 +335,20 @@ class WeylAlgebra:
     # -- deformed twins -------------------------------------------------------
 
     def with_hbar(self, order: int) -> "WeylAlgebra":
-        # twins share the scalar ops so coefficients lift across without
-        # renormalization; cached so repeated calls return the same instance
-        key = ("hbar", order, self.signature.t_shift)
-        twin = self._twin_cache.get(key)
-        if twin is None:
-            sig = self.signature
-            twin = WeylAlgebra(
-                Signature(sig.n, sig.rank, sig.p, sig.t, order, sig.t_shift, sig.names),
-                _field=self.field.with_hbar(order),
-            )
-            self._twin_cache[key] = twin
-        return twin
+        return self._twin(order, self.signature.t_shift)
 
     def with_t_shift(self, order: int) -> "WeylAlgebra":
-        key = ("t_shift", order, True)
+        return self._twin(order, True)
+
+    def _twin(self, order: int, t_shift: bool) -> "WeylAlgebra":
+        # twins share the scalar ops so coefficients lift across without
+        # renormalization; cached so repeated calls return the same instance
+        key = (order, t_shift)
         twin = self._twin_cache.get(key)
         if twin is None:
             sig = self.signature
             twin = WeylAlgebra(
-                Signature(sig.n, sig.rank, sig.p, sig.t, order, True, sig.names),
+                Signature(sig.n, sig.rank, sig.p, sig.t, order, t_shift, sig.names),
                 _field=self.field.with_hbar(order),
             )
             self._twin_cache[key] = twin
@@ -350,52 +380,58 @@ class WeylAlgebra:
             c = self.field.from_rational(c)
         if not isinstance(c, Scalar) or c.field is not self.field:
             raise SignatureMismatch("scalar from a different field")
-        return Element(self, {self._unit_monomial: c})
+        return Element(self, {self.one_monomial: c})
 
     def from_term(self, monomial: Monomial, coeff: Scalar | int = 1) -> Element:
         if isinstance(coeff, (int, Fraction)):
             coeff = self.field.from_rational(coeff)
         return Element(self, {monomial: coeff})
 
-    def _mono_single(self, i: int, *, a: int = 0, beta=None, gamma=None, d: int = 0) -> Monomial:
+    def slot(self, part: str, i0: int) -> int:
+        """Index in Monomial.exps of variable i0's entry in part ("a", "beta",
+        "gamma" or "d"); for a lattice row, of its first coordinate."""
+        n, r = self.signature.n, self.signature.rank
+        starts = {"a": 0, "beta": n, "gamma": n + n * r, "d": n + 2 * n * r}
+        return starts[part] + i0 * (r if part in ("beta", "gamma") else 1)
+
+    def monomial(self, i: int, *, a: int = 0, beta=None, gamma=None, d: int = 0) -> Monomial:
+        """The monomial E_i^a e^{beta x_i} x_i^gamma D_i^d of one variable."""
         i0 = self._var(i)
-        avec = tuple(a if j == i0 else 0 for j in range(self.signature.n))
-        bmat = tuple(
-            (beta.coords if beta is not None else self._zero_vec) if j == i0 else self._zero_vec
-            for j in range(self.signature.n)
-        )
-        gmat = tuple(
-            (gamma.coords if gamma is not None else self._zero_vec) if j == i0 else self._zero_vec
-            for j in range(self.signature.n)
-        )
-        dvec = tuple(d if j == i0 else 0 for j in range(self.signature.n))
-        return Monomial(avec, bmat, gmat, dvec)
+        r = self.signature.rank
+        exps = list(self.one_monomial.exps)
+        exps[self.slot("a", i0)] = a
+        exps[self.slot("d", i0)] = d
+        for part, ge in (("beta", beta), ("gamma", gamma)):
+            if ge is not None:
+                start = self.slot(part, i0)
+                exps[start : start + r] = ge.coords
+        return Monomial(tuple(exps), self.signature.n)
 
     def x(self, i: int, power: int | Sequence[int] | GroupElement = 1) -> Element:
         """x_i^power, power a lattice element (int means a plain power)."""
         ge = self.lattice(power)
         if ge.is_zero:
             return self.one
-        return self.from_term(self._mono_single(i, gamma=ge))
+        return self.from_term(self.monomial(i, gamma=ge))
 
     def D(self, i: int, k: int = 1) -> Element:
         if k < 0:
             raise NegativePower("derivatives have no inverses")
         if k == 0:
             return self.one
-        return self.from_term(self._mono_single(i, d=k))
+        return self.from_term(self.monomial(i, d=k))
 
     def E(self, i: int, k: int = 1) -> Element:
         if k == 0:
             return self.one
-        return self.from_term(self._mono_single(i, a=k))
+        return self.from_term(self.monomial(i, a=k))
 
     def exp_sym(self, i: int, alpha: int | Sequence[int] | GroupElement) -> Element:
         """The exponential symbol e^{alpha x_i}."""
         ge = self.lattice(alpha)
         if ge.is_zero:
             return self.one
-        return self.from_term(self._mono_single(i, beta=ge))
+        return self.from_term(self.monomial(i, beta=ge))
 
     # -- derivative rule --------------------------------------------------------
 
@@ -408,21 +444,18 @@ class WeylAlgebra:
         sig = self.signature
         field = self.field
         out: list[tuple[Monomial, Scalar]] = []
-        a_i = m.a[i0]
-        beta_i = m.beta[i0]
-        gamma_i = m.gamma[i0]
-        t_i = sig.t[i0]
+        r = sig.rank
+        b0, g0 = self.slot("beta", i0), self.slot("gamma", i0)
+        a_i = m.exps[i0]
+        beta_i = m.exps[b0 : b0 + r]
+        gamma_i = m.exps[g0 : g0 + r]
 
         def shifted(dgamma: int, add_t: bool) -> Monomial:
-            g = list(gamma_i)
-            g[0] += dgamma
-            gmat = m.gamma[:i0] + (tuple(g),) + m.gamma[i0 + 1:]
-            if add_t and any(t_i):
-                b = tuple(x + y for x, y in zip(beta_i, t_i))
-                bmat = m.beta[:i0] + (b,) + m.beta[i0 + 1:]
-            else:
-                bmat = m.beta
-            return Monomial(m.a, bmat, gmat, m.d)
+            delta = [0] * len(m.exps)
+            delta[g0] = dgamma
+            if add_t:
+                delta[b0 : b0 + r] = sig.t[i0]
+            return m.shift(delta)
 
         if a_i:
             p_i = sig.p[i0]
@@ -511,111 +544,57 @@ class WeylAlgebra:
         return result
 
     def mul(self, P: Element, Q: Element) -> Element:
+        """Normal-ordered product, accumulated on raw coefficient payloads.
+
+        With one coefficient slot a payload is the slot's value; in an hbar
+        field it is the whole truncated series, multiplied by convolution.
+        """
         self._check(P)
         self._check(Q)
-        if self.field.slots == 1:
-            return self._mul_fast(P, Q)
-        acc: dict[Monomial, Scalar] = {}
-        for mQ, cQ in Q.terms.items():
-            fQ = mQ.function_part()
-            for mP, cP in P.terms.items():
-                self._mul_term(acc, mP, mQ, fQ, cP * cQ)
-        return Element(self, acc)
-
-    def _mul_fast(self, P: Element, Q: Element) -> Element:
-        """Single-slot product accumulating raw payloads (no Scalar wrappers)."""
         field = self.field
-        ops = field._ops
+        one = field.one
+        if field.slots == 1:
+            ops = field._ops
+
+            def pay(s: Scalar):
+                return s.coeffs[0]
+
+            def wrap(c) -> Scalar:
+                return Scalar(field, (c,))
+
+        else:
+            ops = field.series
+
+            def pay(s: Scalar):
+                return s.coeffs
+
+            def wrap(c) -> Scalar:
+                return Scalar(field, c)
+
         pmul = ops.mul
         padd = ops.add
+        left = [(mP, pay(cP), mP.d) for mP, cP in P.terms.items()]
         acc: dict[Monomial, object] = {}
         for mQ, cQ in Q.terms.items():
-            payQ = cQ.coeffs[0]
+            payQ = pay(cQ)
             fQ = mQ.function_part()
             dQ = mQ.d
-            for mP, cP in P.terms.items():
-                pay = pmul(cP.coeffs[0], payQ)
-                d1 = mP.d
+            for mP, payP, d1 in left:
+                c = pmul(payP, payQ)
                 if not any(d1):
-                    mono = Monomial(
-                        tuple(x + y for x, y in zip(mP.a, mQ.a)),
-                        tuple(
-                            tuple(x + y for x, y in zip(bP, bQ))
-                            for bP, bQ in zip(mP.beta, mQ.beta)
-                        ),
-                        tuple(
-                            tuple(x + y for x, y in zip(gP, gQ))
-                            for gP, gQ in zip(mP.gamma, mQ.gamma)
-                        ),
-                        dQ,
-                    )
+                    mono = mP.shift(mQ.exps)
                     cur = acc.get(mono)
-                    acc[mono] = pay if cur is None else padd(cur, pay)
+                    acc[mono] = c if cur is None else padd(cur, c)
                     continue
                 for k, binom in self._kbinom(d1):
-                    cb = pay if binom == 1 else pmul(pay, self._int_payload(binom))
+                    cb = c if binom == 1 else pmul(c, pay(field.from_rational(binom)))
+                    d = tuple(map(add, map(sub, d1, k), dQ))
                     for fm, fc in self._diff_pow_mono(fQ, k):
-                        mono = Monomial(
-                            tuple(x + y for x, y in zip(mP.a, fm.a)),
-                            tuple(
-                                tuple(x + y for x, y in zip(bP, bF))
-                                for bP, bF in zip(mP.beta, fm.beta)
-                            ),
-                            tuple(
-                                tuple(x + y for x, y in zip(gP, gF))
-                                for gP, gF in zip(mP.gamma, fm.gamma)
-                            ),
-                            tuple(di - ki + dQi for di, ki, dQi in zip(d1, k, dQ)),
-                        )
-                        c = pmul(cb, fc.coeffs[0])
+                        mono = mP.shift(fm.exps, d)
+                        v = cb if fc is one else pmul(cb, pay(fc))
                         cur = acc.get(mono)
-                        acc[mono] = c if cur is None else padd(cur, c)
-        return Element(self, {m: Scalar(field, (c,)) for m, c in acc.items()})
-
-    def _int_payload(self, n: int):
-        hit = self._int_pay_cache.get(n)
-        if hit is None:
-            hit = self.field.from_rational(n).coeffs[0]
-            self._int_pay_cache[n] = hit
-        return hit
-
-    def _mul_term(self, acc: dict, mP: Monomial, mQ: Monomial, fQ: Monomial, coeff: Scalar) -> None:
-        d1 = mP.d
-        if not any(d1):
-            mono = Monomial(
-                tuple(x + y for x, y in zip(mP.a, mQ.a)),
-                tuple(
-                    tuple(x + y for x, y in zip(bP, bQ))
-                    for bP, bQ in zip(mP.beta, mQ.beta)
-                ),
-                tuple(
-                    tuple(x + y for x, y in zip(gP, gQ))
-                    for gP, gQ in zip(mP.gamma, mQ.gamma)
-                ),
-                mQ.d,
-            )
-            cur = acc.get(mono)
-            acc[mono] = coeff if cur is None else cur + coeff
-            return
-        one = self.field.one
-        for k, binom in self._kbinom(d1):
-            cbin = coeff if binom == 1 else coeff * binom
-            for fm, fc in self._diff_pow_mono(fQ, k):
-                mono = Monomial(
-                    tuple(x + y for x, y in zip(mP.a, fm.a)),
-                    tuple(
-                        tuple(x + y for x, y in zip(bP, bF))
-                        for bP, bF in zip(mP.beta, fm.beta)
-                    ),
-                    tuple(
-                        tuple(x + y for x, y in zip(gP, gF))
-                        for gP, gF in zip(mP.gamma, fm.gamma)
-                    ),
-                    tuple(di - ki + dQi for di, ki, dQi in zip(d1, k, mQ.d)),
-                )
-                c = cbin if fc is one else cbin * fc
-                cur = acc.get(mono)
-                acc[mono] = c if cur is None else cur + c
+                        acc[mono] = v if cur is None else padd(cur, v)
+        return Element(self, {m: wrap(c) for m, c in acc.items()})
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

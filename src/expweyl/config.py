@@ -13,6 +13,12 @@ __all__ = ["SessionConfig", "load_config", "build_algebra"]
 _FORMATS = ("text", "structured")
 
 
+def _check_int(name: str, value) -> None:
+    # bool is an int subclass, but true/false is never a count or an exponent
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SignatureMismatch(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     n: int = 1
@@ -27,8 +33,23 @@ class SessionConfig:
     def __post_init__(self):
         if self.format not in _FORMATS:
             raise SignatureMismatch(f"format must be one of {_FORMATS}")
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "t", tuple(tuple(int(c) for c in row) for row in self.t))
+        for name in ("n", "rank", "seed"):
+            _check_int(name, getattr(self, name))
+        if self.hbar_order is not None:
+            _check_int("hbar_order", self.hbar_order)
+        if not isinstance(self.t_shift, bool):
+            raise SignatureMismatch("t_shift must be true or false")
+        if not isinstance(self.p, (list, tuple)) or not isinstance(self.t, (list, tuple)):
+            raise SignatureMismatch("p and t must be lists")
+        for v in self.p:
+            _check_int("p", v)
+        for row in self.t:
+            if not isinstance(row, (list, tuple)):
+                raise SignatureMismatch("t must be a list of integer lists")
+            for c in row:
+                _check_int("t", c)
+        object.__setattr__(self, "p", tuple(self.p))
+        object.__setattr__(self, "t", tuple(tuple(row) for row in self.t))
 
     def replace(self, **kw) -> "SessionConfig":
         data = {

@@ -23,14 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, WeylAlgebra
+from .algebra import Element, Monomial, WeylAlgebra
 from .errors import (
     HbarModeOff,
     NotAntisymmetric,
     SignatureMismatch,
     UnsupportedElement,
 )
-from .grading import GrElement, GrMonomial, _gr_of
+from .grading import GrElement
 from .scalars import GroupElement, Scalar
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "lift_symbol",
     "gr_power",
     "gr_hbar_coefficient",
-    "hbar_coefficient_element",
     "contraction_graded_product",
     "DefectReport",
     "star_assoc_check",
@@ -78,14 +77,6 @@ def _check_gen(algebra: WeylAlgebra, gen: tuple) -> None:
         raise SignatureMismatch(f"unknown generator kind {kind!r}")
 
 
-def _dec(t: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return t[:i] + (t[i] - 1,) + t[i + 1 :]
-
-
-def _row_dec(rows: tuple[tuple[int, ...], ...], i: int, j: int):
-    return rows[:i] + (_dec(rows[i], j),) + rows[i + 1 :]
-
-
 def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     """Formal partial derivative of a symbol with respect to one generator.
 
@@ -98,35 +89,22 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     algebra = f.algebra
     _check_gen(algebra, gen)
     field = algebra.field
-    kind, i = gen[0], gen[1]
-    i0 = i - 1
-    out: dict[GrMonomial, Scalar] = {}
+    kind, i0 = gen[0], gen[1] - 1
+    part = {"E": "a", "u": "beta", "x": "gamma", "y": "d"}[kind]
+    pos = algebra.slot(part, i0) + (gen[2] - 1 if kind == "u" else 0)
+    delta = [0] * len(algebra.one_monomial.exps)
+    delta[pos] = -1
+    r = algebra.signature.rank
+    out: dict[Monomial, Scalar] = {}
     for m, c in f.terms.items():
-        if kind == "y":
-            k = m.y[i0]
-            if k == 0:
-                continue
-            coeff = c * field.from_rational(k)
-            mm = GrMonomial(m.a, m.beta, m.gamma, _dec(m.y, i0))
-        elif kind == "E":
-            k = m.a[i0]
-            if k == 0:
-                continue
-            coeff = c * field.from_rational(k)
-            mm = GrMonomial(_dec(m.a, i0), m.beta, m.gamma, m.y)
-        elif kind == "u":
-            j0 = gen[2] - 1
-            k = m.beta[i0][j0]
-            if k == 0:
-                continue
-            coeff = c * field.from_rational(k)
-            mm = GrMonomial(m.a, _row_dec(m.beta, i0, j0), m.gamma, m.y)
+        if kind == "x":
+            expo = field.embed(GroupElement(m.exps[pos : pos + r]))
         else:
-            expo = field.embed(GroupElement(m.gamma[i0]))
-            if expo.is_zero:
-                continue
-            coeff = c * expo
-            mm = GrMonomial(m.a, m.beta, _row_dec(m.gamma, i0, 0), m.y)
+            expo = field.from_rational(m.exps[pos])
+        if expo.is_zero:
+            continue
+        coeff = c * expo
+        mm = m.shift(delta)
         cur = out.get(mm)
         out[mm] = coeff if cur is None else cur + coeff
     return GrElement(algebra, out)
@@ -147,7 +125,7 @@ def _as_gr_coeff(algebra: WeylAlgebra, value) -> GrElement:
         return value
     if not isinstance(value, Scalar):
         value = algebra.field.from_rational(value)
-    return GrElement(algebra, {_gr_of(algebra.one_monomial): value})
+    return GrElement(algebra, {algebra.one_monomial: value})
 
 
 # -- bidifferential operators -------------------------------------------------
@@ -251,15 +229,8 @@ class PolyDiffOp:
 # -- poisson structures -------------------------------------------------------
 
 
-def _gr_one_term(algebra: WeylAlgebra, m: GrMonomial) -> GrElement:
+def _gr_one_term(algebra: WeylAlgebra, m: Monomial) -> GrElement:
     return GrElement(algebra, {m: algebra.field.one})
-
-
-def _gr_E(algebra: WeylAlgebra, i: int) -> GrElement:
-    sig = algebra.signature
-    a = tuple(1 if k == i - 1 else 0 for k in range(sig.n))
-    unit = _gr_of(algebra.one_monomial)
-    return _gr_one_term(algebra, GrMonomial(a, unit.beta, unit.gamma, unit.y))
 
 
 def poisson_std_op(algebra: WeylAlgebra) -> PolyDiffOp:
@@ -275,7 +246,7 @@ def poisson_exp_op(algebra: WeylAlgebra) -> PolyDiffOp:
     """{f,g} = sum_i E_i (df/du_i1 dg/dx_i - df/dx_i dg/du_i1)."""
     terms = []
     for i in range(1, algebra.signature.n + 1):
-        Ei = _gr_E(algebra, i)
+        Ei = _gr_one_term(algebra, algebra.monomial(i, a=1))
         terms.append(((("u", i, 1),), (("x", i),), Ei))
         terms.append(((("x", i),), (("u", i, 1),), -Ei))
     return PolyDiffOp(algebra, terms)
@@ -363,8 +334,9 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
     return out
 
 
-def gr_hbar_coefficient(f: GrElement, k: int, base: WeylAlgebra) -> GrElement:
-    """The hbar^k coefficient of a symbol, over the classical algebra."""
+def gr_hbar_coefficient(f, k: int, base: WeylAlgebra):
+    """The hbar^k coefficient of a symbol (GrElement) or an operator
+    (Element), of the same type, over the classical algebra."""
     if base.field is not f.algebra.field.base:
         raise SignatureMismatch("base algebra does not match the coefficient field")
     out = {}
@@ -372,19 +344,7 @@ def gr_hbar_coefficient(f: GrElement, k: int, base: WeylAlgebra) -> GrElement:
         ck = c.hbar_coefficient(k)
         if not ck.is_zero:
             out[m] = ck
-    return GrElement(base, out)
-
-
-def hbar_coefficient_element(P: Element, k: int, base: WeylAlgebra) -> Element:
-    """The hbar^k coefficient of an operator, over the classical algebra."""
-    if base.field is not P.algebra.field.base:
-        raise SignatureMismatch("base algebra does not match the coefficient field")
-    out = {}
-    for m, c in P.terms.items():
-        ck = c.hbar_coefficient(k)
-        if not ck.is_zero:
-            out[m] = ck
-    return Element(base, out)
+    return type(f)(base, out)
 
 
 # -- operator-level oracle ----------------------------------------------------
@@ -414,7 +374,7 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
         halg = algebra.with_hbar(N)
     hfield = halg.field
     hb = hfield.hbar
-    out: dict[GrMonomial, Scalar] = {}
+    out: dict[Monomial, Scalar] = {}
     for mP, cP in P.terms.items():
         left = algebra.from_term(mP)
         dP = sum(mP.d)
@@ -427,9 +387,8 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
                 if k > N:
                     continue
                 coeff = hfield.lift(cPQ * c) * hb**k
-                gm = _gr_of(m)
-                cur = out.get(gm)
-                out[gm] = coeff if cur is None else cur + coeff
+                cur = out.get(m)
+                out[m] = coeff if cur is None else cur + coeff
     return GrElement(halg, out)
 
 
@@ -548,9 +507,7 @@ def gr_power(algebra: WeylAlgebra, alpha, var: int = 1) -> GrElement:
     ge = _as_group(algebra, alpha)
     if not 1 <= var <= algebra.signature.n:
         raise SignatureMismatch(f"variable index {var} out of range")
-    unit = _gr_of(algebra.one_monomial)
-    gamma = tuple(ge.coords if i == var - 1 else row for i, row in enumerate(unit.gamma))
-    return _gr_one_term(algebra, GrMonomial(unit.a, unit.beta, gamma, unit.y))
+    return _gr_one_term(algebra, algebra.monomial(var, gamma=ge))
 
 
 def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
@@ -565,15 +522,15 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
         raise SignatureMismatch("pairing rank does not match the signature")
     field = algebra.field
 
-    def pure_power(m: GrMonomial) -> GroupElement:
-        if any(m.a) or any(any(row) for row in m.beta) or any(m.y):
+    def pure_power(m: Monomial) -> GroupElement:
+        if any(m.a) or any(any(row) for row in m.beta) or any(m.d):
             raise UnsupportedElement("deformation cochain needs pure power symbols")
         return GroupElement(m.gamma[0])
 
     def m1(f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not algebra or g.algebra is not algebra:
             raise SignatureMismatch("operands live over a different algebra instance")
-        out: dict[GrMonomial, Scalar] = {}
+        out: dict[Monomial, Scalar] = {}
         for mf, cf in f.terms.items():
             alpha = pure_power(mf)
             for mg, cg in g.terms.items():
@@ -582,7 +539,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
                 if pair == 0:
                     continue
                 coeff = cf * cg * field.from_rational(pair)
-                mono = GrMonomial((1,), mf.beta, ((alpha + beta).coords,), mf.y)
+                mono = algebra.monomial(1, a=1, gamma=alpha + beta)
                 cur = out.get(mono)
                 out[mono] = coeff if cur is None else cur + coeff
         return GrElement(algebra, out)
@@ -634,9 +591,9 @@ def t_shift_deform(algebra: WeylAlgebra, N: int, var: int = 1) -> TShiftReport:
         raise HbarModeOff("t-shift deformation needs a truncation order")
     talg = algebra.with_t_shift(N)
     rule = talg.mul(talg.D(var), talg.E(var))
-    classical = hbar_coefficient_element(rule, 0, algebra)
+    classical = gr_hbar_coefficient(rule, 0, algebra)
     if N >= 1:
-        first = hbar_coefficient_element(rule, 1, algebra)
+        first = gr_hbar_coefficient(rule, 1, algebra)
     else:
         first = algebra.zero
     return TShiftReport(N, var, rule, classical, first)

@@ -61,6 +61,11 @@ def _tokenize(src: str):
 
 # -- parser -------------------------------------------------------------------
 
+# Deepest parenthesis nesting parse accepts.  Each level costs the recursive
+# descent several stack frames, so much deeper input would hit Python's
+# recursion limit instead of a ParseError.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str, algebra: WeylAlgebra):
@@ -68,6 +73,7 @@ class _Parser:
         self.algebra = algebra
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -179,9 +185,13 @@ class _Parser:
     def parse_atom(self):
         kind, val, pos = self.peek()
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position=pos)
+            self.depth += 1
             self.advance()
             P = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return ("elt", P)
         if kind == "number":
             self.advance()
@@ -444,12 +454,12 @@ def _term_pieces(c: Scalar, mono: str | None):
     return q < 0, f"{ctext}*{mono}"
 
 
-def _format_terms(sorted_terms, dattr: str, dname: str) -> str:
+def _format_terms(sorted_terms, dname: str) -> str:
     if not sorted_terms:
         return "0"
     out = []
     for m, c in sorted_terms:
-        factors = _monomial_factors(m.a, m.beta, m.gamma, getattr(m, dattr), dname)
+        factors = _monomial_factors(m.a, m.beta, m.gamma, m.d, dname)
         mono = "*".join(factors) if factors else None
         neg, text = _term_pieces(c, mono)
         if not out:
@@ -461,12 +471,12 @@ def _format_terms(sorted_terms, dattr: str, dname: str) -> str:
 
 def format_element(P: Element) -> str:
     """Canonical rendering; the round trip parse(format(P)) returns P."""
-    return _format_terms(P.sorted_terms(), "d", "D")
+    return _format_terms(P.sorted_terms(), "D")
 
 
 def format_gr_element(u) -> str:
-    """Canonical rendering of a graded symbol (derivative symbols print as y_i)."""
-    return _format_terms(u.sorted_terms(), "y", "y")
+    """Canonical rendering of a graded symbol (the d part prints as y_i)."""
+    return _format_terms(u.sorted_terms(), "y")
 
 
 # -- record serialization -----------------------------------------------------
@@ -492,12 +502,8 @@ def element_from_records(algebra: WeylAlgebra, records) -> Element:
     """Rebuild an element from term records (coefficients reparsed)."""
     acc = algebra.zero
     for rec in records:
-        m = Monomial(
-            tuple(rec["a"]),
-            tuple(tuple(r) for r in rec["beta"]),
-            tuple(tuple(r) for r in rec["gamma"]),
-            tuple(rec["d"]),
-        )
+        rows = [c for part in ("beta", "gamma") for r in rec[part] for c in r]
+        m = Monomial((*rec["a"], *rows, *rec["d"]), algebra.signature.n)
         coeff = parse(rec["coeff"], algebra).as_scalar()
         acc = acc + algebra.from_term(m, coeff)
     return acc

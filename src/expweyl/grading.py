@@ -12,13 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, WeylAlgebra
+from .algebra import (
+    _DEFAULT_WEIGHTS,
+    Element,
+    Monomial,
+    OrderWeights,
+    WeylAlgebra,
+    monomial_sort_key,
+)
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
 from .scalars import GroupElement, Scalar
 
 __all__ = [
     "OrderWeights",
-    "GrMonomial",
     "GrElement",
     "order",
     "exp_degree",
@@ -31,33 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderWeights:
-    """Per-symbol-class weights for the filtration; defaults give |a|+|b|+|c|+d."""
-
-    tower: int = 1
-    exponential: int = 1
-    power: int = 1
-    derivative: int = 1
-
-
-_DEFAULT_WEIGHTS = OrderWeights()
-
-
-def _monomial_order(m: Monomial, w: OrderWeights) -> int:
-    return (
-        w.tower * sum(abs(ai) for ai in m.a)
-        + w.exponential * sum(sum(abs(c) for c in row) for row in m.beta)
-        + w.power * sum(sum(abs(c) for c in row) for row in m.gamma)
-        + w.derivative * sum(m.d)
-    )
-
-
 def order(P: Element, weights: OrderWeights = _DEFAULT_WEIGHTS) -> int:
     """Filtration order: maximal weight over the terms of P."""
     if P.is_zero:
         raise ZeroElement("the zero element has no order")
-    return max(_monomial_order(m, weights) for m in P.terms)
+    return max(m.filtration_order(weights) for m in P.terms)
 
 
 def _total_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -84,72 +68,9 @@ def power_degree(P: Element) -> GroupElement:
     return GroupElement(degrees.pop())
 
 
-class GrMonomial:
-    """Commutative monomial: E, exponential, and power data plus y exponents."""
-
-    __slots__ = ("a", "beta", "gamma", "y", "_hash")
-
-    def __init__(
-        self,
-        a: tuple[int, ...],
-        beta: tuple[tuple[int, ...], ...],
-        gamma: tuple[tuple[int, ...], ...],
-        y: tuple[int, ...],
-    ):
-        self.a = a
-        self.beta = beta
-        self.gamma = gamma
-        self.y = y
-        self._hash = hash((a, beta, gamma, y))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, GrMonomial):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.a == other.a
-            and self.beta == other.beta
-            and self.gamma == other.gamma
-            and self.y == other.y
-        )
-
-    def __repr__(self):
-        return f"GrMonomial(a={self.a}, beta={self.beta}, gamma={self.gamma}, y={self.y})"
-
-    def order(self, w: OrderWeights = _DEFAULT_WEIGHTS) -> int:
-        return (
-            w.tower * sum(abs(ai) for ai in self.a)
-            + w.exponential * sum(sum(abs(c) for c in row) for row in self.beta)
-            + w.power * sum(sum(abs(c) for c in row) for row in self.gamma)
-            + w.derivative * sum(self.y)
-        )
-
-    def mul(self, other: "GrMonomial") -> "GrMonomial":
-        return GrMonomial(
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.beta, other.beta)
-            ),
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.gamma, other.gamma)
-            ),
-            tuple(x + y for x, y in zip(self.y, other.y)),
-        )
-
-
-def gr_monomial_sort_key(m: GrMonomial):
-    flat_gamma = tuple(c for g in m.gamma for c in g)
-    flat_beta = tuple(c for b in m.beta for c in b)
-    return (m.order(), m.y, flat_gamma, flat_beta, m.a)
-
-
 class GrElement:
-    """Finite scalar combination of commutative graded monomials."""
+    """Finite scalar combination of monomials read in the commutative graded
+    algebra, where the derivative powers d are the exponents of the y_i."""
 
     __slots__ = ("algebra", "terms")
 
@@ -162,7 +83,7 @@ class GrElement:
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: gr_monomial_sort_key(mc[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda mc: monomial_sort_key(mc[0]), reverse=True)
 
     def __bool__(self):
         return not self.is_zero
@@ -213,37 +134,26 @@ class GrElement:
         return f"GrElement({self.__str__()!r})"
 
 
-def _gr_of(m: Monomial) -> GrMonomial:
-    return GrMonomial(m.a, m.beta, m.gamma, m.d)
-
-
 def symbol(P: Element) -> GrElement:
     """Top-order part of P in the commutative graded algebra (D_i becomes y_i)."""
     if P.is_zero:
         raise ZeroElement("the zero element has no symbol")
     top = order(P)
-    return GrElement(
-        P.algebra,
-        {
-            _gr_of(m): c
-            for m, c in P.terms.items()
-            if _monomial_order(m, _DEFAULT_WEIGHTS) == top
-        },
-    )
+    return GrElement(P.algebra, {m: c for m, c in P.terms.items() if m.filtration_order() == top})
 
 
 def full_symbol(P: Element) -> GrElement:
     """Every term of P mapped into the commutative algebra, not only the top."""
-    return GrElement(P.algebra, {_gr_of(m): c for m, c in P.terms.items()})
+    return GrElement(P.algebra, P.terms)
 
 
 def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
-    acc: dict[GrMonomial, Scalar] = {}
+    acc: dict[Monomial, Scalar] = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
-            m = m1.mul(m2)
+            m = m1.shift(m2.exps)
             c = c1 * c2
             cur = acc.get(m)
             acc[m] = c if cur is None else cur + c
@@ -281,9 +191,9 @@ def filtration_diagnostic(
     strict = ocomm is None or ocomm < op + oq
     witness = None
     if not submult:
-        witness = max(pq.terms, key=lambda m: _monomial_order(m, weights))
+        witness = max(pq.terms, key=lambda m: m.filtration_order(weights))
     elif not strict:
-        witness = max(comm.terms, key=lambda m: _monomial_order(m, weights))
+        witness = max(comm.terms, key=lambda m: m.filtration_order(weights))
     return FiltrationReport(
         ord_p=op,
         ord_q=oq,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, Monomial, WeylAlgebra, monomial_sort_key
+from .algebra import Element, Monomial, WeylAlgebra
 from .errors import (
     NotAFunction,
     SignatureMismatch,
@@ -53,18 +53,7 @@ def act(P: Element, f: Element) -> Element:
             for _ in range(k):
                 g = algebra.diff_function(g, i0 + 1)
         for mg, cg in g.terms.items():
-            mono = Monomial(
-                tuple(x + y for x, y in zip(m.a, mg.a)),
-                tuple(
-                    tuple(x + y for x, y in zip(bm, bg))
-                    for bm, bg in zip(m.beta, mg.beta)
-                ),
-                tuple(
-                    tuple(x + y for x, y in zip(gm, gg))
-                    for gm, gg in zip(m.gamma, mg.gamma)
-                ),
-                mg.d,
-            )
+            mono = m.shift(mg.exps, mg.d)
             v = c * cg
             cur = acc.get(mono)
             acc[mono] = v if cur is None else cur + v
@@ -87,11 +76,15 @@ def faithfulness_probe(P: Element, maxdeg: int) -> ProbeReport:
     """Evaluate P on the power test functions x^g for g in {0..maxdeg}^n.
 
     Test exponents are scanned in ascending graded-lex order and the first
-    non-vanishing value is reported.  zero=False certifies P != 0.  When every
-    derivative multi-index of P is bounded by maxdeg, zero=True certifies
-    P = 0: the matrix of the evaluation map is triangular in the derivative
-    exponents, so all coefficients are recoverable.
+    non-vanishing value is reported.  zero=False certifies P != 0.  zero=True
+    certifies P = 0, and is only reported when every derivative multi-index
+    of P is bounded by maxdeg: the matrix of the evaluation map is then
+    triangular in the derivative exponents, so all coefficients are
+    recoverable.  Without a witness and past that bound the probe raises
+    UnsupportedElement instead.
     """
+    if maxdeg < 0:
+        raise SignatureMismatch("probe degree bound must be >= 0")
     algebra = P.algebra
     n = algebra.signature.n
     grid = sorted(product(range(maxdeg + 1), repeat=n), key=lambda g: (sum(g), g))
@@ -102,6 +95,11 @@ def faithfulness_probe(P: Element, maxdeg: int) -> ProbeReport:
         v = act(P, f)
         if not v.is_zero:
             return ProbeReport(zero=False, witness_input=f, witness_output=v)
+    if any(di > maxdeg for m in P.terms for di in m.d):
+        raise UnsupportedElement(
+            f"no witness up to degree {maxdeg}, but P has a higher derivative"
+            " exponent, so zero is not certified"
+        )
     return ProbeReport(zero=True, witness_input=None, witness_output=None)
 
 

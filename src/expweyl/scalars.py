@@ -8,7 +8,8 @@ off above a fixed order, with componentwise addition, convolution product, and
 division by series with invertible constant term.
 
 Representation: a scalar holds one payload per hbar slot.  At rank 1 a payload
-is a gmpy2 rational; at rank >= 2 it is a reduced numerator/denominator pair of
+is a rational of sympy's QQ domain (its pure-Python PythonMPQ type unless
+gmpy2 is installed); at rank >= 2 it is a reduced numerator/denominator pair of
 polynomials (gcd cancelled, denominator primitive with integer coefficients and
 positive leading coefficient), so structural equality is canonical-form
 equality.  Polynomial arithmetic is delegated to sympy's dense ring elements;
@@ -100,7 +101,7 @@ class GroupElement:
 # ---------------------------------------------------------------------------
 
 class _RationalOps:
-    """Rank-1 payloads: gmpy2 rationals via the QQ domain."""
+    """Rank-1 payloads: rationals of the QQ domain (PythonMPQ without gmpy2)."""
 
     def __init__(self):
         self.zero = QQ.zero
@@ -122,9 +123,6 @@ class _RationalOps:
 
     def is_zero(self, x) -> bool:
         return not x
-
-    def from_mpq(self, q):
-        return q
 
     def gen(self, j: int):
         raise SignatureMismatch("rank-1 field has no symbolic generators")
@@ -160,7 +158,7 @@ class _RatPoly:
 class _RatPolyOps:
     """Rank >= 2 payloads.
 
-    A payload is either a gmpy2 rational (constant values, the common case in
+    A payload is either a QQ rational (constant values, the common case in
     kernel arithmetic) or a reduced _RatPoly pair over Q[g_2..g_r].  Constants
     are always demoted to the rational form, so representations stay canonical
     and the polynomial machinery only runs when symbols are actually present.
@@ -276,11 +274,36 @@ class _RatPolyOps:
             return not x.num
         return not x
 
-    def from_mpq(self, q):
-        return q
-
     def gen(self, j: int) -> _RatPoly:
         return _RatPoly(self.ring.gens[j - 2], self.pone)
+
+
+class _SeriesOps:
+    """Payloads of an hbar field: tuples of slot payloads, truncated series.
+
+    Addition is componentwise and the product is the convolution cut off at
+    the last slot, both over the slot ops.  Scalar products and the product
+    kernel of the algebra both use this one convolution.
+    """
+
+    def __init__(self, ops, slots: int):
+        self.ops = ops
+        self.slots = slots
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.ops.add, x, y))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        ops = self.ops
+        out = []
+        for k in range(self.slots):
+            acc = ops.zero
+            for i in range(k + 1):
+                xi, yj = x[i], y[k - i]
+                if not (ops.is_zero(xi) or ops.is_zero(yj)):
+                    acc = ops.add(acc, ops.mul(xi, yj))
+            out.append(acc)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +338,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ops = self.field._ops
         a, b = self.coeffs, o.coeffs
         if len(a) == 1:
-            return Scalar(self.field, (ops.add(a[0], b[0]),))
-        return Scalar(self.field, tuple(ops.add(x, y) for x, y in zip(a, b)))
+            return Scalar(self.field, (self.field._ops.add(a[0], b[0]),))
+        return Scalar(self.field, self.field.series.add(a, b))
 
     __radd__ = __add__
 
@@ -343,20 +365,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ops = self.field._ops
         a, b = self.coeffs, o.coeffs
-        slots = len(a)
-        if slots == 1:
-            return Scalar(self.field, (ops.mul(a[0], b[0]),))
-        out = []
-        for k in range(slots):
-            acc = ops.zero
-            for i in range(k + 1):
-                ai, bj = a[i], b[k - i]
-                if not (ops.is_zero(ai) or ops.is_zero(bj)):
-                    acc = ops.add(acc, ops.mul(ai, bj))
-            out.append(acc)
-        return Scalar(self.field, tuple(out))
+        if len(a) == 1:
+            return Scalar(self.field, (self.field._ops.mul(a[0], b[0]),))
+        return Scalar(self.field, self.field.series.mul(a, b))
 
     __rmul__ = __mul__
 
@@ -409,6 +421,11 @@ class Scalar:
         return other.field is self.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # agree with __eq__ against ints and Fractions: without an hbar part,
+        # hash the slot-0 payload, which hashes like the equal Fraction
+        ops = self.field._ops
+        if all(ops.is_zero(c) for c in self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __bool__(self):
@@ -500,6 +517,7 @@ class ScalarField:
             self._ops = _RationalOps()
         else:
             self._ops = _RatPolyOps(names[1:])
+        self.series = _SeriesOps(self._ops, self.slots)
         self._base = _base
         self._int_cache: dict[int, Scalar] = {}
         self._embed_cache: dict[tuple[int, ...], Scalar] = {}
@@ -553,7 +571,7 @@ class ScalarField:
             q = QQ(value.numerator, value.denominator)
         else:
             q = QQ.convert(value)
-        coeffs = [self._ops.from_mpq(q)] + [self._ops.zero] * (self.slots - 1)
+        coeffs = [q] + [self._ops.zero] * (self.slots - 1)
         s = Scalar(self, tuple(coeffs))
         if isinstance(value, int) and -64 <= value <= 256:
             self._int_cache[value] = s

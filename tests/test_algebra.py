@@ -215,8 +215,8 @@ def test_t_shift_has_nonzero_order_hbar_term():
 
 
 def test_monomial_identity_and_sorting():
-    m1 = Monomial((1,), ((2,),), ((0,),), (3,))
-    m2 = Monomial((1,), ((2,),), ((0,),), (3,))
+    m1 = Monomial((1, 2, 0, 3), 1)
+    m2 = Monomial((1, 2, 0, 3), 1)
     assert m1 == m2 and hash(m1) == hash(m2)
     assert m1.filtration_order() == 1 + 2 + 0 + 3
     assert m1.function_part().d == (0,)

@@ -79,6 +79,19 @@ def test_bad_config_is_a_stable_error(tmp_path, capsys):
     assert err.startswith("error[SignatureMismatch]:")
 
 
+@pytest.mark.parametrize(
+    "fields", [{"n": "a"}, {"hbar_order": 1.5}, {"p": [1.5]}, {"t_shift": "false"}]
+)
+def test_config_field_types_are_checked(fields, tmp_path, capsys):
+    # strings, floats and bools are refused, never coerced
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(fields))
+    status, out, err = run(capsys, "--config", str(cfg), "comm", "D_1", "E_1")
+    assert status == 1 and out == ""
+    assert err.startswith("error[SignatureMismatch]:")
+    assert "Traceback" not in err
+
+
 # -- structured output ----------------------------------------------------------
 
 
@@ -122,6 +135,13 @@ def test_syntax_error_with_position(capsys):
     assert status == 1 and out == ""
     assert err.startswith("error[SyntaxError]:")
     assert "position 6" in err
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    status, out, err = run(capsys, "normalize", "(" * 5000 + "x_1" + ")" * 5000)
+    assert status == 1 and out == ""
+    assert err.startswith("error[SyntaxError]:")
+    assert "position 100" in err
 
 
 def test_unknown_symbol_error(capsys):
@@ -185,6 +205,16 @@ def test_act_and_probe(capsys):
     assert out.splitlines()[0] == "zero: false"
     assert "witness" in out
     assert run(capsys, "probe", "x_1 - x_1")[1] == "zero: true\n"
+
+
+def test_probe_does_not_certify_past_its_bound(capsys):
+    # D_1^3 kills every x_1^g with g <= 2, so maxdeg 2 cannot certify zero
+    status, out, err = run(capsys, "probe", "D_1^3", "--maxdeg", "2")
+    assert status == 1 and out == ""
+    assert err.startswith("error[UnsupportedElement]:")
+    status, out, err = run(capsys, "probe", "x_1", "--maxdeg", "-1")
+    assert status == 1 and out == ""
+    assert err.startswith("error[SignatureMismatch]:")
 
 
 def test_liebracket(capsys):

@@ -74,7 +74,7 @@ def test_symbol_drops_lower_terms():
     s = symbol(P)
     assert len(s.terms) == 1
     (m, c) = next(iter(s.terms.items()))
-    assert m.y == (1,) and m.gamma == ((1,),)
+    assert m.d == (1,) and m.gamma == ((1,),)
     assert c == A.field.one
 
 

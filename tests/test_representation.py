@@ -57,14 +57,28 @@ def test_act_requires_function():
         act(A.D(1), A.D(1))
 
 
-def test_homomorphism_oracle():
+@pytest.mark.parametrize("twin", ["classical", "hbar", "t_shift"])
+def test_homomorphism_oracle(twin, monkeypatch):
     A = make_algebra(n=2, rank=2, p=(2, 1), t=((1, 0), (0, 1)))
+    if twin == "hbar":
+        A = A.with_hbar(2)
+    elif twin == "t_shift":
+        A = A.with_t_shift(2)
     rng = random.Random(23)
+    cases = []
     for _ in range(25):
         P = random_element(A, rng, max_terms=3, bound=2)
         Q = random_element(A, rng, max_terms=3, bound=2)
         f = random_function_element(A, rng, max_terms=2, bound=2)
-        assert act(A.mul(P, Q), f) == act(P, act(Q, f))
+        cases.append((P, Q, f, A.mul(P, Q)))
+
+    # the action is the oracle for the product, so it must not use it
+    def refuse(*args):
+        raise AssertionError("act called WeylAlgebra.mul")
+
+    monkeypatch.setattr(WeylAlgebra, "mul", refuse)
+    for P, Q, f, PQ in cases:
+        assert act(PQ, f) == act(P, act(Q, f))
 
 
 def test_act_equals_augment_of_mul():

@@ -57,6 +57,14 @@ def test_reduced_fraction_is_canonical():
     assert hash(lhs) == hash(rhs)
 
 
+@pytest.mark.parametrize("field", [F1, F2, FH], ids=["rank1", "rank2", "hbar"])
+def test_hash_agrees_with_rational_equality(field):
+    for q in (3, -1, 0, Fraction(3, 4)):
+        s = field.from_rational(q)
+        assert s == q and hash(s) == hash(q)
+        assert {s: "hit"}[q] == "hit"
+
+
 def test_denominator_sign_is_normalized():
     g2 = F2.generator(2)
     a = F2.one / (1 - g2)

@@ -593,6 +593,9 @@ def main(argv=None) -> int:
     except KernelError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error[{type(exc).__name__}]: input exceeds the interpreter's limits", file=sys.stderr)
+        return 1
     if config.format == "structured":
         doc = {"schema": SCHEMA, "command": args.command}
         doc.update(payload)

@@ -499,11 +499,19 @@ def element_to_records(P: Element) -> list[dict]:
 
 
 def element_from_records(algebra: WeylAlgebra, records) -> Element:
-    """Rebuild an element from term records (coefficients reparsed)."""
+    """Rebuild an element from term records (coefficients reparsed).
+
+    Every record must match the signature: ``a`` and ``d`` of length n,
+    ``beta`` and ``gamma`` of n rows with one entry per lattice rank.
+    """
+    n, rank = algebra.signature.n, algebra.signature.rank
     acc = algebra.zero
     for rec in records:
-        rows = [c for part in ("beta", "gamma") for r in rec[part] for c in r]
-        m = Monomial((*rec["a"], *rows, *rec["d"]), algebra.signature.n)
+        rows = [*rec["beta"], *rec["gamma"]]
+        lengths = [len(rec[part]) for part in ("a", "beta", "gamma", "d")]
+        if lengths != [n] * 4 or any(len(r) != rank for r in rows):
+            raise SignatureMismatch("term record does not match the signature")
+        m = Monomial((*rec["a"], *(c for r in rows for c in r), *rec["d"]), n)
         coeff = parse(rec["coeff"], algebra).as_scalar()
         acc = acc + algebra.from_term(m, coeff)
     return acc

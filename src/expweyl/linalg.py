@@ -2,72 +2,82 @@
 
 Vectors live in free modules indexed by arbitrary hashable keys (monomials,
 tensor tuples, (variable, monomial) pairs) and are stored sparsely as
-mappings.  Everything reduces to fraction-field Gauss-Jordan elimination
-with pivoting by the first nonzero entry; no numerics anywhere.
+mappings.  Elimination works on sparse rows ``{column index: nonzero entry}``:
+each row is folded into a reduced basis keyed by pivot column, so its cost
+follows the nonzeros it touches rather than the width of the matrix.  No
+numerics anywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from .errors import NonInvertibleSeries
 from .scalars import Scalar, ScalarField
 
-
-def key_order(vectors: Sequence[Mapping]) -> list:
-    """All keys appearing in ``vectors``, ordered by first appearance."""
-    keys: list = []
-    seen = set()
-    for v in vectors:
-        for k in v:
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-    return keys
+Row = dict[int, Scalar]
 
 
-def to_rows(vectors: Sequence[Mapping], keys: Sequence, field: ScalarField) -> list[list[Scalar]]:
-    zero = field.zero
-    return [[v.get(k, zero) for k in keys] for v in vectors]
+def to_rows(vectors: Sequence[Mapping]) -> list[Row]:
+    """Sparse rows of ``vectors``; keys become columns in order of first appearance."""
+    index = {k: j for j, k in enumerate(dict.fromkeys(k for v in vectors for k in v))}
+    return [{index[k]: s for k, s in v.items() if not s.is_zero} for v in vectors]
 
 
-def rref(rows: Sequence[Sequence[Scalar]], field: ScalarField) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form, exact.
+def _subtract(row: Row, f: Scalar, other: Row) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    nf = -f
+    for j, x in other.items():
+        y = row.get(j)
+        y = nf * x if y is None else y + nf * x
+        if y.is_zero:
+            row.pop(j, None)
+        else:
+            row[j] = y
 
-    The pivot in each column is the first remaining row with a nonzero
-    entry there.  Returns the reduced matrix (zero rows dropped) and the
-    list of pivot column indices.
+
+def rref(rows: Sequence[Mapping[int, Scalar]], field: ScalarField) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows, exact.
+
+    Each row is reduced against the basis kept so far, one subtraction per
+    pivot it touches (basis rows vanish at every other pivot).  A nonzero
+    remainder is scaled to 1 at its smallest column, which is then cleared
+    from the earlier basis rows.  Returns the reduced rows sorted by pivot
+    and the pivot columns: the unique RREF of the input.
+
+    Over an hbar field a remainder whose leading entry has zero constant
+    term waits for the later rows; a pass that adds no pivot raises
+    NonInvertibleSeries.
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = None
-        for i in range(r, nrows):
-            if not mat[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.one / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not mat[i][c].is_zero:
-                f = mat[i][c]
-                row_i, row_r = mat[i], mat[r]
-                mat[i] = [row_i[j] - f * row_r[j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+    basis: dict[int, Row] = {}
+    pending = list(rows)
+    while pending:
+        waiting = []
+        for row in pending:
+            rem = dict(row)
+            for p in [c for c in row if c in basis]:
+                _subtract(rem, rem[p], basis[p])
+            if not rem:
+                continue
+            c = min(rem)
+            if not rem[c].is_unit:
+                waiting.append(rem)
+                continue
+            inv = field.one / rem[c]
+            rem = {j: inv * x for j, x in rem.items()}
+            for b in basis.values():
+                if c in b:
+                    _subtract(b, b[c], rem)
+            basis[c] = rem
+        if len(waiting) == len(pending):
+            raise NonInvertibleSeries("series has zero constant term")
+        pending = waiting
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
 
 
 def span_rank(vectors: Sequence[Mapping], field: ScalarField) -> int:
-    keys = key_order(vectors)
-    _, pivots = rref(to_rows(vectors, keys, field), field)
+    _, pivots = rref(to_rows(vectors), field)
     return len(pivots)
 
 
@@ -80,46 +90,24 @@ def combination(
 ) -> list[Scalar] | None:
     """Coefficients c with sum(c_i * vectors[i]) = target, or None.
 
-    Solved by eliminating the column matrix [v_1 ... v_m | target]; free
-    columns receive coefficient zero, so the answer is the canonical one
-    relative to the pivot set.
+    Solved by eliminating the column matrix [v_1 ... v_m | target], one
+    sparse row per key; free columns receive coefficient zero, so the answer
+    is the canonical one relative to the pivot set.
     """
-    keys = key_order(list(vectors) + [target])
-    zero = field.zero
+    columns = [*vectors, target]
+    by_key: dict = {k: {} for v in columns for k in v}
+    for i, v in enumerate(columns):
+        for k, s in v.items():
+            if not s.is_zero:
+                by_key[k][i] = s
     m = len(vectors)
-    # column-style matrix: one row per key, one column per vector, then target
-    rows = [[v.get(k, zero) for v in vectors] + [target.get(k, zero)] for k in keys]
-    if not rows:
+    zero = field.zero
+    if not by_key:
         return [zero] * m
-    reduced, pivots = rref(rows, field)
+    reduced, pivots = rref(list(by_key.values()), field)
     if m in pivots:
         return None
     coeffs = [zero] * m
-    for r, c in enumerate(pivots):
-        coeffs[c] = reduced[r][m]
+    for row, c in zip(reduced, pivots):
+        coeffs[c] = row.get(m, zero)
     return coeffs
-
-
-def kernel_basis(vectors: Sequence[Mapping], field: ScalarField) -> list[list[Scalar]]:
-    """Basis of {c : sum(c_i * vectors[i]) = 0}, one generator per free column."""
-    keys = key_order(vectors)
-    zero, one = field.zero, field.one
-    m = len(vectors)
-    rows = [[v.get(k, zero) for v in vectors] for k in keys]
-    if not rows:
-        # every combination vanishes
-        return [
-            [one if j == f else zero for j in range(m)] for f in range(m)
-        ]
-    reduced, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m):
-        if f in pivot_set:
-            continue
-        gen = [zero] * m
-        gen[f] = one
-        for r, c in enumerate(pivots):
-            gen[c] = -reduced[r][f]
-        basis.append(gen)
-    return basis

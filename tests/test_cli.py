@@ -144,6 +144,19 @@ def test_deep_nesting_is_a_syntax_error(capsys):
     assert "position 100" in err
 
 
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_exhaustion_is_an_error_line(capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr("expweyl.cli.parse", exhausted)
+    status, out, err = run(capsys, "normalize", "x_1")
+    assert status == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error[{exc.__name__}]:")
+    assert err.count("\n") == 1
+
+
 def test_unknown_symbol_error(capsys):
     status, _, err = run(capsys, "normalize", "q_7")
     assert status == 1

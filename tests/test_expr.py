@@ -155,3 +155,17 @@ def test_records_round_trip():
         "gamma": [[1, 0], [0, 0]],
         "d": [0, 1],
     }
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"beta": [[1]], "gamma": [[0, 0]], "d": [0]},
+        {"beta": [[1]], "gamma": [[0]], "d": [0, 0]},
+    ],
+)
+def test_records_of_the_wrong_shape_are_refused(shape):
+    A = make_algebra(n=1, rank=2, t=((0, 0),))
+    record = {"a": [0], "coeff": "1", **shape}
+    with pytest.raises(SignatureMismatch):
+        element_from_records(A, [record])

@@ -13,6 +13,7 @@ from .errors import (
     DegreeZero,
     DivisionByZero,
     HbarModeOff,
+    IntegerTooLong,
     IntegrationFailed,
     KernelError,
     NegativePower,
@@ -53,6 +54,7 @@ __all__ = [
     "IntegrationFailed",
     "WindowOverflow",
     "NotAntisymmetric",
+    "IntegerTooLong",
     "ParseError",
     "UnknownSymbol",
 ]

@@ -177,7 +177,15 @@ class Element:
 
     def __init__(self, algebra: "WeylAlgebra", terms: Mapping[Monomial, Scalar]):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def _nonzero(cls, algebra: "WeylAlgebra", terms: dict[Monomial, Scalar]) -> "Element":
+        """An element over terms already known to have no zero coefficient."""
+        e = cls.__new__(cls)
+        e.algebra = algebra
+        e.terms = terms
+        return e
 
     # -- inspection ----------------------------------------------------------
 
@@ -553,30 +561,14 @@ class WeylAlgebra:
         self._check(Q)
         field = self.field
         one = field.one
-        if field.slots == 1:
-            ops = field._ops
-
-            def pay(s: Scalar):
-                return s.coeffs[0]
-
-            def wrap(c) -> Scalar:
-                return Scalar(field, (c,))
-
-        else:
-            ops = field.series
-
-            def pay(s: Scalar):
-                return s.coeffs
-
-            def wrap(c) -> Scalar:
-                return Scalar(field, c)
-
+        single = field.slots == 1
+        ops = field._ops if single else field.series
         pmul = ops.mul
         padd = ops.add
-        left = [(mP, pay(cP), mP.d) for mP, cP in P.terms.items()]
+        left = [(m, c.coeffs[0] if single else c.coeffs, m.d) for m, c in P.terms.items()]
         acc: dict[Monomial, object] = {}
         for mQ, cQ in Q.terms.items():
-            payQ = pay(cQ)
+            payQ = cQ.coeffs[0] if single else cQ.coeffs
             fQ = mQ.function_part()
             dQ = mQ.d
             for mP, payP, d1 in left:
@@ -587,14 +579,23 @@ class WeylAlgebra:
                     acc[mono] = c if cur is None else padd(cur, c)
                     continue
                 for k, binom in self._kbinom(d1):
-                    cb = c if binom == 1 else pmul(c, pay(field.from_rational(binom)))
+                    if binom == 1:
+                        cb = c
+                    else:
+                        pb = field.from_rational(binom).coeffs
+                        cb = pmul(c, pb[0] if single else pb)
                     d = tuple(map(add, map(sub, d1, k), dQ))
                     for fm, fc in self._diff_pow_mono(fQ, k):
                         mono = mP.shift(fm.exps, d)
-                        v = cb if fc is one else pmul(cb, pay(fc))
+                        v = cb if fc is one else pmul(cb, fc.coeffs[0] if single else fc.coeffs)
                         cur = acc.get(mono)
                         acc[mono] = v if cur is None else padd(cur, v)
-        return Element(self, {m: wrap(c) for m, c in acc.items()})
+        # one zero filter, on the payloads; the Element needs no second pass
+        if single:
+            terms = {m: Scalar(field, (c,)) for m, c in acc.items() if c}
+        else:
+            terms = {m: Scalar(field, c) for m, c in acc.items() if any(c)}
+        return Element._nonzero(self, terms)
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

@@ -98,6 +98,12 @@ def _rational_arg(text: str) -> Fraction:
         raise ParseError("expected a rational number", 0)
 
 
+def _triples_arg(count: int) -> int:
+    if count < 0:
+        raise SignatureMismatch("triple count must be >= 0")
+    return count
+
+
 def _parse_chain(algebra, text: str):
     factors = [parse(p, algebra) for p in _split_top(text)]
     return tensor_chain(factors)
@@ -380,13 +386,14 @@ def _cmd_star(ctx, args):
 def _cmd_assoc(ctx, args):
     A = ctx.base
     N = args.order if args.order is not None else ctx.hbar_order(2)
+    count = _triples_arg(args.triples)
     cochains = [star_cochain(A, k) for k in range(1, N + 1)]
     triples = [
         tuple(
             full_symbol(random_element(A, ctx.rng, max_terms=2, bound=2))
             for _ in range(3)
         )
-        for _ in range(args.triples)
+        for _ in range(count)
     ]
     rep = star_assoc_check(cochains, triples)
     payload = {
@@ -440,9 +447,10 @@ def _cmd_tshift(ctx, args):
 
 def _cmd_mc(ctx, args):
     A = ctx.base
+    count = _triples_arg(args.triples)
     m1, m2 = star_cochain(A, 1), star_cochain(A, 2)
     failure = None
-    for idx in range(args.triples):
+    for idx in range(count):
         f, g, h = (
             full_symbol(random_element(A, ctx.rng, max_terms=2, bound=2))
             for _ in range(3)
@@ -452,11 +460,11 @@ def _cmd_mc(ctx, args):
             break
     ok = failure is None
     text = (
-        f"maurer-cartan residual zero on {args.triples} triples"
+        f"maurer-cartan residual zero on {count} triples"
         if ok
         else f"maurer-cartan residual nonzero on triple {failure}"
     )
-    return text, {"triples": args.triples, "residual_zero": ok, "first_failure": failure}
+    return text, {"triples": count, "residual_zero": ok, "first_failure": failure}
 
 
 def _cmd_selftest(ctx, args):

@@ -86,6 +86,11 @@ class NotAntisymmetric(KernelError):
     pass
 
 
+class IntegerTooLong(KernelError):
+    """An integer of the result has more digits than the interpreter converts
+    to text (``sys.get_int_max_str_digits``)."""
+
+
 class ParseError(KernelError):
     """Syntax error in an expression; ``position`` is a 0-based offset."""
 

@@ -12,10 +12,17 @@ scalars with symbolic denominators are not printable.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import Element, Monomial, WeylAlgebra
-from .errors import ParseError, SignatureMismatch, UnknownSymbol, UnsupportedElement
+from .errors import (
+    IntegerTooLong,
+    ParseError,
+    SignatureMismatch,
+    UnknownSymbol,
+    UnsupportedElement,
+)
 from .scalars import GroupElement, Scalar
 
 __all__ = [
@@ -34,9 +41,19 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*^(),]))"
 )
 _INDEXED = re.compile(r"^([xDEg])_(\d+)$")
+_DIGITS = re.compile(r"\d+")
+
+
+def _digit_limit() -> int:
+    """The interpreter's bound on digits in int/str conversion; 0 if none.
+
+    The bound guards against quadratic-time conversion of outside input, so
+    it is respected, never lifted."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _tokenize(src: str):
+    limit = _digit_limit()
     tokens = []
     pos = 0
     n = len(src)
@@ -48,12 +65,12 @@ def _tokenize(src: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", position=at)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        text, start = m.group(kind), m.start(kind)
+        # int() would refuse such a digit run later with a ValueError
+        if limit and len(text) > limit and any(len(d) > limit for d in _DIGITS.findall(text)):
+            raise ParseError(f"integer literal longer than {limit} digits", position=start)
+        tokens.append((kind, text, start))
         pos = m.end()
     tokens.append(("end", "", n))
     return tokens
@@ -360,14 +377,23 @@ def parse(src: str, algebra: WeylAlgebra) -> Element:
 # -- formatter ----------------------------------------------------------------
 
 
+def _int_text(k: int) -> str:
+    """Decimal text of a coefficient or exponent of the result."""
+    try:
+        return str(k)
+    except ValueError:
+        limit = _digit_limit()
+        raise IntegerTooLong(f"an integer in the result has more than {limit} digits") from None
+
+
 def _group_text(coords: tuple[int, ...]) -> str:
     if len(coords) == 1:
-        return str(coords[0])
-    return "(" + ",".join(str(c) for c in coords) + ")"
+        return _int_text(coords[0])
+    return "(" + ",".join(map(_int_text, coords)) + ")"
 
 
 def _power_suffix(k: int) -> str:
-    return "" if k == 1 else f"^{k}"
+    return "" if k == 1 else f"^{_int_text(k)}"
 
 
 def _monomial_factors(a, beta, gamma, d, dname: str):
@@ -381,7 +407,7 @@ def _monomial_factors(a, beta, gamma, d, dname: str):
         row = gamma[i]
         if any(row):
             if any(row[1:]):
-                factors.append(f"x_{v}^({','.join(str(c) for c in row)})")
+                factors.append(f"x_{v}^({','.join(map(_int_text, row))})")
             else:
                 factors.append(f"x_{v}{_power_suffix(row[0])}")
         if d[i]:
@@ -415,7 +441,8 @@ def _scalar_addends(s: Scalar):
 def _addend_text(q: Fraction, exps: tuple[int, ...], k: int) -> str:
     parts = []
     if abs(q) != 1 or (not any(exps) and k == 0):
-        parts.append(str(abs(q)))
+        text = _int_text(abs(q.numerator))
+        parts.append(text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}")
     for j, e in enumerate(exps):
         if e:
             parts.append(f"g_{j + 2}{_power_suffix(e)}")

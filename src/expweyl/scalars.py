@@ -8,12 +8,15 @@ off above a fixed order, with componentwise addition, convolution product, and
 division by series with invertible constant term.
 
 Representation: a scalar holds one payload per hbar slot.  At rank 1 a payload
-is a rational of sympy's QQ domain (its pure-Python PythonMPQ type unless
-gmpy2 is installed); at rank >= 2 it is a reduced numerator/denominator pair of
+is a Python int when the value is integral and otherwise a rational of sympy's
+QQ domain (its pure-Python PythonMPQ type unless gmpy2 is installed); at rank
+>= 2 it is a QQ constant or a reduced numerator/denominator pair of
 polynomials (gcd cancelled, denominator primitive with integer coefficients and
-positive leading coefficient), so structural equality is canonical-form
-equality.  Polynomial arithmetic is delegated to sympy's dense ring elements;
-everything above that layer is defined here.
+positive leading coefficient).  Each value has one payload, so structural
+equality is canonical-form equality, and every zero payload is the falsy zero
+constant of its ops, so a zero test is a truth test.  Polynomial arithmetic is
+delegated to sympy's dense ring elements; everything above that layer is
+defined here.
 """
 
 from __future__ import annotations
@@ -101,28 +104,49 @@ class GroupElement:
 # ---------------------------------------------------------------------------
 
 class _RationalOps:
-    """Rank-1 payloads: rationals of the QQ domain (PythonMPQ without gmpy2)."""
+    """Rank-1 payloads: a Python int when the value is integral, otherwise a
+    rational of the QQ domain (PythonMPQ without gmpy2) with denominator > 1.
 
-    def __init__(self):
-        self.zero = QQ.zero
-        self.one = QQ.one
+    add, mul and div return the int form whenever the denominator is 1, so
+    every value has exactly one payload and == and hash agree.  Zero is the
+    int 0, which is falsy: ``not c`` is the zero test.  Plain integers (the
+    common case: binomials, derivative factors, window-rank coefficients)
+    never pay for a gcd.
+    """
+
+    zero = 0
+    one = 1
 
     def add(self, x, y):
-        return x + y
+        z = x + y
+        if type(z) is int or z.denominator != 1:
+            return z
+        return int(z.numerator)
 
     def neg(self, x):
         return -x
 
     def mul(self, x, y):
-        return x * y
+        z = x * y
+        if type(z) is int or z.denominator != 1:
+            return z
+        return int(z.numerator)
 
     def div(self, x, y):
         if not y:
             raise DivisionByZero("scalar division by zero")
-        return x / y
+        if type(x) is int and type(y) is int:
+            # int / int would be a float
+            return self.rational(x, y)
+        z = x / y
+        if z.denominator != 1:
+            return z
+        return int(z.numerator)
 
-    def is_zero(self, x) -> bool:
-        return not x
+    def rational(self, num: int, den: int):
+        """The payload of num/den (den nonzero)."""
+        q, r = divmod(num, den)
+        return int(q) if not r else QQ(num, den)
 
     def gen(self, j: int):
         raise SignatureMismatch("rank-1 field has no symbolic generators")
@@ -136,6 +160,11 @@ class _RatPoly:
     def __init__(self, num, den):
         self.num = num
         self.den = den
+
+    def __bool__(self):
+        # canonical pairs are never zero (zero demotes to QQ.zero); only the
+        # transient pairs of _RatPolyOps._lift can be
+        return bool(self.num)
 
     def __eq__(self, other):
         return (
@@ -269,10 +298,9 @@ class _RatPolyOps:
             raise DivisionByZero("scalar division by zero")
         return self._new(x.num * y.den, x.den * y.num)
 
-    def is_zero(self, x) -> bool:
-        if isinstance(x, _RatPoly):
-            return not x.num
-        return not x
+    def rational(self, num: int, den: int):
+        """The payload of num/den (den nonzero): always a QQ constant."""
+        return QQ(num, den)
 
     def gen(self, j: int) -> _RatPoly:
         return _RatPoly(self.ring.gens[j - 2], self.pone)
@@ -294,15 +322,18 @@ class _SeriesOps:
         return tuple(map(self.ops.add, x, y))
 
     def mul(self, x: tuple, y: tuple) -> tuple:
+        # pair only the nonzero slots, and stop at the truncation order
         ops = self.ops
-        out = []
-        for k in range(self.slots):
-            acc = ops.zero
-            for i in range(k + 1):
-                xi, yj = x[i], y[k - i]
-                if not (ops.is_zero(xi) or ops.is_zero(yj)):
-                    acc = ops.add(acc, ops.mul(xi, yj))
-            out.append(acc)
+        slots = self.slots
+        out = [ops.zero] * slots
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in ys:
+                    k = i + j
+                    if k >= slots:
+                        break
+                    out[k] = ops.add(out[k], ops.mul(xi, yj))
         return tuple(out)
 
 
@@ -333,58 +364,72 @@ class Scalar:
         return None
 
     # -- arithmetic ---------------------------------------------------------
+    # A Scalar of the same field skips _coerce, and one slot skips the series.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
         if len(a) == 1:
-            return Scalar(self.field, (self.field._ops.add(a[0], b[0]),))
-        return Scalar(self.field, self.field.series.add(a, b))
+            return Scalar(field, (field._ops.add(a[0], b[0]),))
+        return Scalar(field, field.series.add(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ops = self.field._ops
-        return Scalar(self.field, tuple(ops.neg(a) for a in self.coeffs))
+        field = self.field
+        a = self.coeffs
+        if len(a) == 1:
+            return Scalar(field, (field._ops.neg(a[0]),))
+        return Scalar(field, tuple(map(field._ops.neg, a)))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        ops = field._ops
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return Scalar(field, (ops.add(a[0], ops.neg(b[0])),))
+        return Scalar(field, field.series.add(a, tuple(map(ops.neg, b))))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
         if len(a) == 1:
-            return Scalar(self.field, (self.field._ops.mul(a[0], b[0]),))
-        return Scalar(self.field, self.field.series.mul(a, b))
+            return Scalar(field, (field._ops.mul(a[0], b[0]),))
+        return Scalar(field, field.series.mul(a, b))
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "Scalar":
         ops = self.field._ops
         b = self.coeffs
-        if all(ops.is_zero(c) for c in b):
+        if not any(b):
             raise DivisionByZero("scalar division by zero")
-        if ops.is_zero(b[0]):
+        if not b[0]:
             raise NonInvertibleSeries("series has zero constant term")
         slots = len(b)
         inv = [ops.div(ops.one, b[0])]
         for k in range(1, slots):
             acc = ops.zero
             for j in range(1, k + 1):
-                if not ops.is_zero(b[j]):
+                if b[j]:
                     acc = ops.add(acc, ops.mul(b[j], inv[k - j]))
             inv.append(ops.neg(ops.div(acc, b[0])))
         return Scalar(self.field, tuple(inv))
@@ -423,23 +468,24 @@ class Scalar:
     def __hash__(self):
         # agree with __eq__ against ints and Fractions: without an hbar part,
         # hash the slot-0 payload, which hashes like the equal Fraction
-        ops = self.field._ops
-        if all(ops.is_zero(c) for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        if any(self.coeffs[1:]):
+            return hash(self.coeffs)
+        return hash(self.coeffs[0])
+
+    # every zero payload is falsy and every nonzero one truthy, so the zero
+    # tests run at C level
 
     def __bool__(self):
-        return not self.is_zero
+        return any(self.coeffs)
 
     @property
     def is_zero(self) -> bool:
-        ops = self.field._ops
-        return all(ops.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def is_unit(self) -> bool:
         """Invertible: nonzero constant term (equivalently nonzero at rank of 1 slot)."""
-        return not self.field._ops.is_zero(self.coeffs[0])
+        return bool(self.coeffs[0])
 
     def hbar_coefficient(self, k: int) -> "Scalar":
         """Coefficient of hbar^k, as a scalar of the hbar-free base field."""
@@ -449,10 +495,8 @@ class Scalar:
 
     def as_rational(self) -> Fraction | None:
         """The value as a plain rational, if it is one; else None."""
-        ops = self.field._ops
-        for c in self.coeffs[1:]:
-            if not ops.is_zero(c):
-                return None
+        if any(self.coeffs[1:]):
+            return None
         c0 = self.coeffs[0]
         if isinstance(c0, _RatPoly):
             # canonical pairs are never constant (they would be demoted)
@@ -563,15 +607,16 @@ class ScalarField:
             cached = self._int_cache.get(value)
             if cached is not None:
                 return cached
-            q = QQ(value)
+            num, den = value, 1
         elif isinstance(value, str):
             f = Fraction(value)
-            q = QQ(f.numerator, f.denominator)
+            num, den = f.numerator, f.denominator
         elif isinstance(value, Fraction):
-            q = QQ(value.numerator, value.denominator)
+            num, den = value.numerator, value.denominator
         else:
             q = QQ.convert(value)
-        coeffs = [q] + [self._ops.zero] * (self.slots - 1)
+            num, den = int(q.numerator), int(q.denominator)
+        coeffs = [self._ops.rational(num, den)] + [self._ops.zero] * (self.slots - 1)
         s = Scalar(self, tuple(coeffs))
         if isinstance(value, int) and -64 <= value <= 256:
             self._int_cache[value] = s
@@ -661,7 +706,7 @@ def _scalar_text(s: Scalar) -> str:
                 terms.append((k, (), int(c.numerator) * (d // int(c.denominator))))
     else:
         one = ops.pone
-        lifted = [None if ops.is_zero(c) else ops._lift(c) for c in s.coeffs]
+        lifted = [ops._lift(c) if c else None for c in s.coeffs]
         d_poly = one
         for c in lifted:
             if c is not None and c.den != one:

@@ -157,6 +157,37 @@ def test_resource_exhaustion_is_an_error_line(capsys, monkeypatch, exc):
     assert err.count("\n") == 1
 
 
+# 2^15000 has 4516 digits, past the interpreter's default limit of 4300 for
+# integer-to-text conversion
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "2^15000"),
+        ("--format", "structured", "normalize", "2^15000"),
+        ("mul", "D_1^2", "2^15000*x_1"),
+    ],
+    ids=["text", "structured", "mul"],
+)
+def test_overlong_result_integer_is_an_error_line(argv, capsys):
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error[IntegerTooLong]:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "template, position",
+    [("3*{}", 2), ("x_1^{}", 4), ("1/{}", 0), ("x_{}", 0)],
+    ids=["operand", "exponent", "denominator", "index"],
+)
+def test_overlong_integer_literal_is_a_syntax_error(template, position, capsys):
+    status, out, err = run(capsys, "normalize", template.format("7" * 5000))
+    assert status == 1 and out == ""
+    assert err.startswith("error[SyntaxError]:")
+    assert f"position {position})" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_symbol_error(capsys):
     status, _, err = run(capsys, "normalize", "q_7")
     assert status == 1
@@ -228,6 +259,14 @@ def test_probe_does_not_certify_past_its_bound(capsys):
     status, out, err = run(capsys, "probe", "x_1", "--maxdeg", "-1")
     assert status == 1 and out == ""
     assert err.startswith("error[SignatureMismatch]:")
+
+
+@pytest.mark.parametrize("command", ["mc", "assoc"])
+def test_negative_triple_counts_are_refused(command, capsys):
+    status, out, err = run(capsys, command, "--triples", "-3")
+    assert status == 1 and out == ""
+    assert err.startswith("error[SignatureMismatch]:")
+    assert err.count("\n") == 1
 
 
 def test_liebracket(capsys):

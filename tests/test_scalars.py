@@ -167,3 +167,117 @@ def test_text_forms():
     assert (F2.one / (g2 - 1)).to_text() == "(1)/(g_2 - 1)"
     assert (FH.one + FH.hbar * 2).to_text() == "(1 + 2*hbar)"
     assert (FH.hbar * FH.hbar).to_text() == "hbar^2"
+
+
+# -- payload invariants --------------------------------------------------------
+# Rank-1 payloads are ints exactly when the value is integral, every zero
+# payload is falsy, and the hbar convolution skips zero slots.  The oracles
+# below are fractions.Fraction arithmetic, sharing no code with the payloads.
+
+def _payload_fraction(p) -> Fraction:
+    return Fraction(int(p.numerator), int(p.denominator))
+
+
+def _check_rank1(s, expected: Fraction):
+    (p,) = s.coeffs
+    assert _payload_fraction(p) == expected
+    assert (type(p) is int) == (expected.denominator == 1)
+    assert s == expected and hash(s) == hash(expected)
+
+
+def test_rank1_payload_edge_cases():
+    third = F1.from_rational(Fraction(1, 3))
+    half = F1.from_rational(Fraction(1, 2))
+    _check_rank1(third * 3, Fraction(1))
+    _check_rank1(3 * third, Fraction(1))
+    _check_rank1(half + half, Fraction(1))
+    _check_rank1(half - half, Fraction(0))
+    _check_rank1(F1.from_rational(-6) / F1.from_rational(-3), Fraction(2))
+    _check_rank1(F1.from_rational(7) / F1.from_rational(2), Fraction(7, 2))
+    _check_rank1(F1.zero * third, Fraction(0))
+    _check_rank1(F1.from_rational(Fraction(8, 4)), Fraction(2))
+    _check_rank1(F1.from_rational("-9/3"), Fraction(-3))
+    _check_rank1(third ** -2, Fraction(9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals(), rationals(), st.integers(min_value=-3, max_value=3))
+def test_rank1_arithmetic_matches_fractions(x, y, e):
+    a, b = F1.from_rational(x), F1.from_rational(y)
+    _check_rank1(a, x)
+    _check_rank1(a + b, x + y)
+    _check_rank1(a - b, x - y)
+    _check_rank1(a * b, x * y)
+    _check_rank1(-a, -x)
+    _check_rank1(a + y, x + y)
+    _check_rank1(x * b, x * y)
+    if y:
+        _check_rank1(a / b, x / y)
+    else:
+        with pytest.raises(DivisionByZero):
+            a / b
+    if x or e >= 0:
+        _check_rank1(a ** e, x ** e)
+
+
+@pytest.mark.parametrize("field", [F1, F2, FH], ids=["rank1", "rank2", "hbar"])
+def test_zero_tests_agree_with_equality(field):
+    cases = [field.zero, field.one - field.one, field.from_rational(Fraction(1, 2)) * 0]
+    if field.rank >= 2:
+        g2 = field.generator(2)
+        cases += [g2 - g2, g2 * g2 / g2 - g2, g2 + 1]
+    if field.hbar_order is not None:
+        hb = field.hbar
+        cases += [hb - hb, hb ** (field.hbar_order + 1), hb ** field.hbar_order]
+    cases += [field.one, field.from_rational(Fraction(-2, 3))]
+    for s in cases:
+        assert s.is_zero == (s == 0) == (not s)
+        for p in s.coeffs:
+            # a payload without numerator is a polynomial fraction, never zero
+            value_is_zero = hasattr(p, "numerator") and _payload_fraction(p) == 0
+            assert bool(p) == (not value_is_zero)
+        if s.is_zero:
+            assert not any(s.coeffs)
+
+
+def _naive_convolution(x, y, slots):
+    out = [Fraction(0)] * slots
+    for i in range(slots):
+        for j in range(slots - i):
+            out[i + j] += x[i] * y[j]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_series_product_matches_naive_convolution(data):
+    order = data.draw(st.integers(min_value=0, max_value=4))
+    field = F1.with_hbar(order)
+    slot_values = st.one_of(st.just(Fraction(0)), rationals())
+    x = data.draw(st.lists(slot_values, min_size=order + 1, max_size=order + 1))
+    y = data.draw(st.lists(slot_values, min_size=order + 1, max_size=order + 1))
+
+    def payloads(values):
+        return tuple(field.from_rational(v).coeffs[0] for v in values)
+
+    got = field.series.mul(payloads(x), payloads(y))
+    assert [_payload_fraction(p) for p in got] == _naive_convolution(x, y, order + 1)
+    assert all(bool(p) == (_payload_fraction(p) != 0) for p in got)
+
+
+def test_equal_scalars_hash_equal_across_construction_paths():
+    third = F1.from_rational(Fraction(1, 3))
+    rank1 = [F1.from_rational(2), F1.one + F1.one, third * 6, F1.from_rational("4/2"),
+             F1.from_rational(Fraction(10, 5)), F1.from_rational(-4) / F1.from_rational(-2),
+             (third + third) * 3, 2 - F1.zero]
+    g2, g2h = F2.generator(2), FH.generator(2)
+    rank2 = [g2 + 1, (g2 * g2 - 1) / (g2 - 1), g2 * 2 / 2 + F2.from_rational(Fraction(1, 2)) * 2,
+             1 + g2]
+    hb = FH.hbar
+    hbar = [FH.one + g2h * hb, (FH.one + g2h * hb) * (FH.one - hb) / (FH.one - hb),
+            g2h * hb + 1, hb * g2h - FH.zero + FH.one]
+    for group in (rank1, rank2, hbar):
+        for s in group[1:]:
+            assert s == group[0]
+            assert hash(s) == hash(group[0])
+            assert s.coeffs == group[0].coeffs

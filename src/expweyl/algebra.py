@@ -35,7 +35,7 @@ from .errors import (
     NotAFunction,
     SignatureMismatch,
 )
-from .scalars import GroupElement, Scalar, ScalarField
+from .scalars import GroupElement, Scalar, ScalarField, power
 
 __all__ = ["Signature", "OrderWeights", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
 
@@ -170,14 +170,113 @@ def monomial_sort_key(m: Monomial):
     return (m.filtration_order(), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
 
 
-class Element:
+class _Sparse:
+    """A finite sparse combination: ``terms`` maps keys to nonzero values.
+
+    Elements, graded symbols, Hochschild chains, derivations, cochains and
+    bidifferential operators all share this linear structure.  The values
+    are Scalars (graded symbols for PolyDiffOp); only ``+``, unary ``-``,
+    ``*`` and truth are used on them.  A subclass keeps its owner data in its
+    own ``__slots__``; ``_owner()`` names the owner, and two objects combine
+    only when their owners are ``==``; ``_field()`` gives the scalars that
+    ``*`` takes.  By default a combination lives over an algebra, which is
+    its owner and whose field gives the scalars.  A subclass adds its keys,
+    its product and its printing.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, algebra: "WeylAlgebra", terms: Mapping):
+        self.algebra = algebra
+        self._set_terms(terms)
+
+    def _set_terms(self, terms: Mapping) -> None:
+        """The zero filter: keep the terms with a nonzero value."""
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def _owner(self):
+        return self.algebra
+
+    def _field(self) -> ScalarField:
+        return self.algebra.field
+
+    def _with(self, terms: Mapping):
+        """An object with this one's owner data over terms, zeros dropped."""
+        new = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        new._set_terms(terms)
+        return new
+
+    def _check(self, other) -> bool:
+        """Whether other has this type; raises if its owner differs."""
+        if type(other) is not type(self):
+            return False
+        if other._owner() != self._owner():
+            raise SignatureMismatch(f"{type(self).__name__} operands have different owners")
+        return True
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not self._check(other):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if not self._check(other):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            acc = out.get(k)
+            out[k] = v if acc is None else acc + v
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if not self._check(other):
+            return NotImplemented
+        return self + (-other)
+
+    def _coerce_scalar(self, c) -> Scalar | None:
+        if isinstance(c, Scalar):
+            if c.field is not self._field():
+                raise SignatureMismatch("scalar from a different field")
+            return c
+        if isinstance(c, (int, Fraction)):
+            return self._field().from_rational(c)
+        return None
+
+    def __mul__(self, other):
+        c = self._coerce_scalar(other)
+        if c is None:
+            return NotImplemented
+        return self._with({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        """The combination times a scalar c: an int, a Fraction or a Scalar."""
+        out = _Sparse.__mul__(self, c)
+        if out is NotImplemented:
+            raise TypeError(f"cannot scale by {type(c).__name__}")
+        return out
+
+
+class Element(_Sparse):
     """Finite scalar combination of monomials; immutable by convention."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "WeylAlgebra", terms: Mapping[Monomial, Scalar]):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ("algebra",)
 
     @classmethod
     def _nonzero(cls, algebra: "WeylAlgebra", terms: dict[Monomial, Scalar]) -> "Element":
@@ -190,19 +289,11 @@ class Element:
     # -- inspection ----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_function_element(self) -> bool:
         return all(m.is_function for m in self.terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda mc: monomial_sort_key(mc[0]), reverse=True)
-
-    def constant_coefficient(self) -> Scalar:
-        """Coefficient of the unit monomial."""
-        return self.terms.get(self.algebra.one_monomial, self.algebra.field.zero)
 
     def as_scalar(self) -> Scalar | None:
         """The element as a scalar if it is one, else None."""
@@ -212,74 +303,33 @@ class Element:
             return self.terms[self.algebra.one_monomial]
         return None
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce_scalar(self, c) -> Scalar | None:
-        if isinstance(c, Scalar):
-            if c.field is not self.algebra.field:
-                raise SignatureMismatch("scalar from a different field")
-            return c
-        if isinstance(c, (int, Fraction)):
-            return self.algebra.field.from_rational(c)
-        return None
+    def _promote(self, other) -> "Element | None":
+        """other as an element of this algebra: a scalar becomes a constant."""
+        if isinstance(other, Element):
+            return other
+        c = self._coerce_scalar(other)
+        return None if c is None else self.algebra.scalar_element(c)
 
     def __add__(self, other):
-        if isinstance(other, Element):
-            if other.algebra is not self.algebra:
-                raise SignatureMismatch("elements from different algebras")
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                acc = out.get(m)
-                out[m] = c if acc is None else acc + c
-            return Element(self.algebra, out)
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self + self.algebra.scalar_element(c)
+        other = self._promote(other)
+        return NotImplemented if other is None else _Sparse.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, Element):
-            return self + (-other)
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self + self.algebra.scalar_element(-c)
+        other = self._promote(other)
+        return NotImplemented if other is None else _Sparse.__sub__(self, other)
 
     def __rsub__(self, other):
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self.algebra.scalar_element(c) + (-self)
+        other = self._promote(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.mul(self, other)
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return Element(self.algebra, {m: cc * c for m, cc in self.terms.items()})
-
-    def __rmul__(self, other):
-        c = self._coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self * c
+        return _Sparse.__mul__(self, other)
 
     def __truediv__(self, other):
         if isinstance(other, Element):
@@ -297,10 +347,7 @@ class Element:
             return NotImplemented
         if k < 0:
             raise NegativePower("general elements have no negative powers")
-        out = self.algebra.one
-        for _ in range(k):
-            out = self.algebra.mul(out, self)
-        return out
+        return power(self, k, self.algebra.one)
 
     def __str__(self) -> str:
         from .expr import format_element

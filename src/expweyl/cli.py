@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .deformation import (
 )
 from .errors import KernelError, ParseError, SignatureMismatch, UnsupportedElement
 from .expr import (
+    _int_text,
     element_to_records,
     format_element,
     format_gr_element,
@@ -49,7 +51,7 @@ from .grading import (
     symbol,
 )
 from .homology import commutator_span_check, connes_B, hochschild_b, tensor_chain
-from .lie import PRESETS, ce_differential, derivation_from_element, euler_integrate, make_span
+from .lie import PRESETS, LieSpan, ce_differential, derivation_from_element, euler_integrate
 from .representation import act, faithfulness_probe, noetherian_witness
 from .sampling import random_cochain, random_element
 from .selftest import run_selftest
@@ -114,7 +116,7 @@ def _span_arg(algebra, spec: str, grading: int | None):
     if preset is not None:
         return preset(algebra)
     basis = [derivation_from_element(parse(p, algebra)) for p in _split_top(spec)]
-    return make_span(basis, grading=grading)
+    return LieSpan(basis, grading=grading)
 
 
 # -- rendering -----------------------------------------------------------------
@@ -200,15 +202,19 @@ def _cmd_comm(ctx, args):
     return format_element(P), _element_payload(P)
 
 
+# ord, degree and grdiag build the text of their integers in both modes: past
+# Python's digit limit _int_text raises IntegerTooLong, where json.dumps or an
+# f-string would raise ValueError.
 def _cmd_ord(ctx, args):
     k = order(parse(args.expr, ctx.algebra))
-    return str(k), {"order": k}
+    return _int_text(k), {"order": k}
 
 
 def _cmd_degree(ctx, args):
     P = parse(args.expr, ctx.algebra)
     ge = power_degree(P) if args.power else exp_degree(P)
-    return str(ge), {"degree": list(ge.coords), "text": str(ge)}
+    text = "(" + ",".join(map(_int_text, ge.coords)) + ")"
+    return text, {"degree": list(ge.coords), "text": text}
 
 
 def _cmd_symbol(ctx, args):
@@ -222,9 +228,10 @@ def _cmd_grdiag(ctx, args):
     witness = None
     if rep.witness is not None:
         witness = format_element(A.from_term(rep.witness, A.field.one))
+    p, q, pq = map(_int_text, (rep.ord_p, rep.ord_q, rep.ord_pq))
+    comm = "None" if rep.ord_comm is None else _int_text(rep.ord_comm)
     lines = [
-        f"ord_p={rep.ord_p} ord_q={rep.ord_q} ord_pq={rep.ord_pq} "
-        f"ord_comm={rep.ord_comm}",
+        f"ord_p={p} ord_q={q} ord_pq={pq} ord_comm={comm}",
         f"submultiplicative={str(rep.submultiplicative).lower()} "
         f"strict_drop={str(rep.strict_drop).lower()}",
     ]
@@ -497,8 +504,50 @@ class _Context:
         return self.config.hbar_order if self.config.hbar_order is not None else default
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes only whole option names for options.
+
+    argparse reads every argument that starts with "-" as an option, so an
+    expression such as "-x_1" would never reach the expression parser.  The
+    parsers of one command line share ``options``, the option names added to
+    them; ``parse_args`` hides the minus of any other argument that starts
+    with "-" behind a NUL byte, which no command-line argument can hold,
+    until argparse is done.  Negative numbers argparse reads right itself.
+    """
+
+    _HIDE = "\0"
+    _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+    def __init__(self, *args, options: set[str] | None = None, **kwargs):
+        self.options = set() if options is None else options
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options.update(action.option_strings)
+        return action
+
+    def _hide(self, arg: str) -> str:
+        plain = arg[:1] != "-" or arg in ("-", "--") or self._NEGATIVE_NUMBER.fullmatch(arg)
+        return arg if plain or arg.split("=")[0] in self.options else self._HIDE + arg
+
+    def error(self, message):
+        # usage errors quote arguments raw or as repr; neither shows the NUL
+        super().error(message.replace(self._HIDE, "").replace(repr(self._HIDE)[1:-1], ""))
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else argv
+        args = super().parse_args([self._hide(a) for a in argv])
+        for name, value in vars(args).items():
+            if isinstance(value, str):
+                setattr(args, name, value.removeprefix(self._HIDE))
+            elif isinstance(value, list):
+                setattr(args, name, [v.removeprefix(self._HIDE) for v in value])
+        return args
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="expweyl",
         description="exact computation in exponential-polynomial Weyl-type algebras",
     )
@@ -509,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, options=ap.options)
         p.set_defaults(fn=fn)
         return p
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, Monomial, WeylAlgebra
+from .algebra import Element, Monomial, WeylAlgebra, _Sparse
 from .errors import (
     HbarModeOff,
     NotAntisymmetric,
@@ -118,20 +118,10 @@ def _apply_word(f: GrElement, word: tuple) -> GrElement:
     return f
 
 
-def _as_gr_coeff(algebra: WeylAlgebra, value) -> GrElement:
-    if isinstance(value, GrElement):
-        if value.algebra is not algebra:
-            raise SignatureMismatch("coefficient lives over a different algebra")
-        return value
-    if not isinstance(value, Scalar):
-        value = algebra.field.from_rational(value)
-    return GrElement(algebra, {algebra.one_monomial: value})
-
-
 # -- bidifferential operators -------------------------------------------------
 
 
-class PolyDiffOp:
+class PolyDiffOp(_Sparse):
     """Bidifferential operator on symbols: a sum of coeff * (d_wl (x) d_wr).
 
     A word is a tuple of generator tags; partials commute, so words are
@@ -140,10 +130,11 @@ class PolyDiffOp:
     operator on a pair of symbols is bilinear by construction.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: WeylAlgebra, terms):
         items = terms.items() if hasattr(terms, "items") else terms
+        one = _gr_one_term(algebra, algebra.one_monomial)  # times a scalar: a constant
         norm: dict[tuple, GrElement] = {}
         for entry in items:
             if len(entry) == 3:
@@ -154,16 +145,12 @@ class PolyDiffOp:
             wr = tuple(sorted(wr))
             for g in wl + wr:
                 _check_gen(algebra, g)
-            coeff = _as_gr_coeff(algebra, coeff)
+            coeff = one * coeff
             key = (wl, wr)
             cur = norm.get(key)
             norm[key] = coeff if cur is None else cur + coeff
         self.algebra = algebra
-        self.terms = {k: v for k, v in norm.items() if not v.is_zero}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        self._set_terms(norm)
 
     def __call__(self, f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not self.algebra or g.algebra is not self.algebra:
@@ -179,26 +166,6 @@ class PolyDiffOp:
             out = out + coeff * df * dg
         return out
 
-    def __add__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        if other.algebra is not self.algebra:
-            raise SignatureMismatch("operators over different algebras")
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return PolyDiffOp(self.algebra, merged)
-
-    def __neg__(self):
-        return PolyDiffOp(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "PolyDiffOp":
-        cg = _as_gr_coeff(self.algebra, c)
-        return PolyDiffOp(self.algebra, {k: cg * v for k, v in self.terms.items()})
-
     def word_product(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Factor-wise product: words concatenate, coefficients multiply.
 
@@ -212,15 +179,6 @@ class PolyDiffOp:
             for (wl2, wr2), c2 in other.terms.items():
                 terms.append((wl1 + wl2, wr1 + wr2, c1 * c2))
         return PolyDiffOp(self.algebra, terms)
-
-    def records(self):
-        """Deterministic (left word, right word, coefficient) listing."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
 
     def __repr__(self):
         return f"PolyDiffOp({len(self.terms)} words)"
@@ -262,10 +220,7 @@ def poisson_exp(f: GrElement, g: GrElement) -> GrElement:
 
 def lambda_bracket(f: GrElement, g: GrElement, lam) -> GrElement:
     """Interpolated bracket lam*std + (1-lam)*exp; a Poisson bracket for every lam."""
-    field = f.algebra.field
-    if not isinstance(lam, Scalar):
-        lam = field.from_rational(lam)
-    return lam * poisson_std(f, g) + (field.one - lam) * poisson_exp(f, g)
+    return lam * poisson_std(f, g) + (f.algebra.field.one - lam) * poisson_exp(f, g)
 
 
 # -- star product -------------------------------------------------------------
@@ -339,12 +294,7 @@ def gr_hbar_coefficient(f, k: int, base: WeylAlgebra):
     (Element), of the same type, over the classical algebra."""
     if base.field is not f.algebra.field.base:
         raise SignatureMismatch("base algebra does not match the coefficient field")
-    out = {}
-    for m, c in f.terms.items():
-        ck = c.hbar_coefficient(k)
-        if not ck.is_zero:
-            out[m] = ck
-    return type(f)(base, out)
+    return type(f)(base, {m: c.hbar_coefficient(k) for m, c in f.terms.items()})
 
 
 # -- operator-level oracle ----------------------------------------------------
@@ -633,8 +583,6 @@ def hochschild_coboundary(m):
 def mc_residual(m1, m2, f: GrElement, g: GrElement, h: GrElement) -> GrElement:
     """delta m2 + (1/2)[m1,m1] on a triple: the order-2 associativity defect
     of mul + hbar m1 + hbar^2 m2."""
-    field = f.algebra.field
-    half = field.from_rational(Fraction(1, 2))
     cb = hochschild_coboundary(m2)(f, g, h)
     br = gerstenhaber_bracket(m1, m1)(f, g, h)
-    return cb + half * br
+    return cb + br * Fraction(1, 2)

@@ -18,7 +18,7 @@ from .algebra import (
     Monomial,
     OrderWeights,
     WeylAlgebra,
-    monomial_sort_key,
+    _Sparse,
 )
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
 from .scalars import GroupElement, Scalar
@@ -68,62 +68,18 @@ def power_degree(P: Element) -> GroupElement:
     return GroupElement(degrees.pop())
 
 
-class GrElement:
+class GrElement(_Sparse):
     """Finite scalar combination of monomials read in the commutative graded
     algebra, where the derivative powers d are the exponents of the y_i."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
-    def __init__(self, algebra: WeylAlgebra, terms):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: monomial_sort_key(mc[0]), reverse=True)
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, GrElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, GrElement):
-            if other.algebra is not self.algebra:
-                raise SignatureMismatch("graded elements from different algebras")
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                cur = out.get(m)
-                out[m] = c if cur is None else cur + c
-            return GrElement(self.algebra, out)
-        return NotImplemented
-
-    def __neg__(self):
-        return GrElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, GrElement):
-            return self + (-other)
-        return NotImplemented
+    sorted_terms = Element.sorted_terms
 
     def __mul__(self, other):
         if isinstance(other, GrElement):
             return gr_mul(self, other)
-        if isinstance(other, Scalar) or isinstance(other, int):
-            c = other if isinstance(other, Scalar) else self.algebra.field.from_rational(other)
-            return GrElement(self.algebra, {m: cc * c for m, cc in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return _Sparse.__mul__(self, other)
 
     def __str__(self):
         from .expr import format_gr_element

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, WeylAlgebra, monomial_sort_key
+from .algebra import Element, Monomial, WeylAlgebra, _Sparse, monomial_sort_key
 from .errors import DegreeZero, SignatureMismatch, WindowOverflow, ZeroElement
 from .linalg import combination, span_rank
 from .scalars import Scalar
 
 
-class Chain:
+class Chain(_Sparse):
     """Degree-n chain: dict from (n+1)-tuples of Monomials to Scalars."""
 
-    __slots__ = ("algebra", "degree", "terms")
+    __slots__ = ("algebra", "degree")
 
     def __init__(self, algebra: WeylAlgebra, degree: int, terms):
         if degree < 0:
@@ -35,50 +35,15 @@ class Chain:
             key = tuple(key)
             if len(key) != degree + 1:
                 raise SignatureMismatch("tensor length differs from degree + 1")
-            if isinstance(coeff, Scalar) and coeff.is_zero:
-                continue
-            if any(m == unit for m in key[1:]):
-                continue  # degenerate in the normalized model
-            if key in norm:
-                norm[key] = norm[key] + coeff
-            else:
+            # a unit past position 0 is degenerate in the normalized model
+            if all(m != unit for m in key[1:]):
                 norm[key] = coeff
         self.algebra = algebra
         self.degree = degree
-        self.terms = {k: c for k, c in norm.items() if not c.is_zero}
+        self._set_terms(norm)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return (
-            self.algebra.signature == other.algebra.signature
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms)))
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.degree != other.degree:
-            raise SignatureMismatch("chain degrees differ")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        return Chain(self.algebra, self.degree, terms)
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.algebra, self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
-    def scale(self, c) -> "Chain":
-        return Chain(self.algebra, self.degree, {k: v * c for k, v in self.terms.items()})
+    def _owner(self):
+        return (self.algebra.signature, self.degree)
 
     def sorted_terms(self):
         return sorted(

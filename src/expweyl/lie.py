@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Element, WeylAlgebra
+from .algebra import Element, WeylAlgebra, _Sparse
 from .errors import (
     DegreeZero,
     IntegrationFailed,
@@ -34,71 +34,42 @@ from .linalg import combination, independent
 from .scalars import Scalar
 
 
-class DerivationElement:
-    """First-order operator sum(f_i * D_i); ``coeffs[i]`` multiplies D_{i+1}."""
+class DerivationElement(_Sparse):
+    """First-order operator sum(f_i * D_i), keyed by (i, function monomial);
+    ``coeffs[i]`` is the function element that multiplies D_{i+1}."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: WeylAlgebra, coeffs):
         coeffs = tuple(coeffs)
         n = algebra.signature.n
         if len(coeffs) != n:
             raise SignatureMismatch(f"need {n} coefficients, got {len(coeffs)}")
-        for f in coeffs:
+        terms = {}
+        for i, f in enumerate(coeffs):
             if not isinstance(f, Element) or f.algebra.signature != algebra.signature:
                 raise SignatureMismatch("coefficient signature differs from the algebra")
             if not f.is_function_element:
                 raise NotAFunction("derivation coefficients must be derivative free")
+            terms.update(((i, m), c) for m, c in f.terms.items())
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.terms = terms
 
-    def _check(self, other: "DerivationElement") -> None:
-        if self.algebra.signature != other.algebra.signature:
-            raise SignatureMismatch("derivations over different signatures")
-
-    def __add__(self, other: "DerivationElement") -> "DerivationElement":
-        self._check(other)
-        return DerivationElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "DerivationElement") -> "DerivationElement":
-        self._check(other)
-        return DerivationElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "DerivationElement":
-        return DerivationElement(self.algebra, [-a for a in self.coeffs])
-
-    def scale(self, c) -> "DerivationElement":
-        return DerivationElement(self.algebra, [f * c for f in self.coeffs])
-
-    def __rmul__(self, c) -> "DerivationElement":
-        return self.scale(c)
+    def _owner(self):
+        return self.algebra.signature
 
     @property
-    def is_zero(self) -> bool:
-        return all(f.is_zero for f in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DerivationElement):
-            return NotImplemented
-        return (
-            self.algebra.signature == other.algebra.signature
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def coeffs(self) -> tuple[Element, ...]:
+        parts = [{} for _ in range(self.algebra.signature.n)]
+        for (i, m), c in self.terms.items():
+            parts[i][m] = c
+        return tuple(Element._nonzero(self.algebra, p) for p in parts)
 
     def as_element(self) -> Element:
         """The same operator as a plain algebra element sum(f_i * D_i)."""
-        acc = self.algebra.scalar_element(0)
-        for i, f in enumerate(self.coeffs):
-            if not f.is_zero:
-                acc = acc + f * self.algebra.D(i + 1)
-        return acc
+        alg = self.algebra
+        terms = {m.shift(alg.monomial(i + 1, d=1).exps): c for (i, m), c in self.terms.items()}
+        return Element(alg, terms)
 
     def __str__(self) -> str:
         return str(self.as_element())
@@ -122,27 +93,21 @@ def derivation_from_element(P: Element) -> DerivationElement:
 
 def witt_bracket(u: DerivationElement, v: DerivationElement) -> DerivationElement:
     """[f D_i, g D_j] = f (D_i g) D_j - g (D_j f) D_i, expanded per coordinate."""
-    u._check(v)
+    if not u._check(v):
+        raise TypeError("the witt bracket takes two derivations")
     alg = u.algebra
     n = alg.signature.n
+    uc, vc = u.coeffs, v.coeffs
     out = []
     for k in range(n):
         acc = alg.scalar_element(0)
         for i in range(n):
-            if not u.coeffs[i].is_zero:
-                acc = acc + u.coeffs[i] * alg.diff_function(v.coeffs[k], i + 1)
-            if not v.coeffs[i].is_zero:
-                acc = acc - v.coeffs[i] * alg.diff_function(u.coeffs[k], i + 1)
+            if not uc[i].is_zero:
+                acc = acc + uc[i] * alg.diff_function(vc[k], i + 1)
+            if not vc[i].is_zero:
+                acc = acc - vc[i] * alg.diff_function(uc[k], i + 1)
         out.append(acc)
     return DerivationElement(alg, out)
-
-
-def _vectorize(u: DerivationElement) -> dict:
-    vec = {}
-    for i, f in enumerate(u.coeffs):
-        for m, c in f.terms.items():
-            vec[(i, m)] = c
-    return vec
 
 
 class LieSpan:
@@ -160,12 +125,13 @@ class LieSpan:
             raise NotIndependent("empty basis")
         algebra = basis[0].algebra
         for b in basis[1:]:
-            basis[0]._check(b)
+            if not basis[0]._check(b):
+                raise TypeError("a span basis holds derivations only")
         self.algebra = algebra
         self.field = algebra.field
         self.basis = basis
         self.dim = len(basis)
-        self._vectors = [_vectorize(b) for b in basis]
+        self._vectors = [b.terms for b in basis]
         if not independent(self._vectors, self.field):
             raise NotIndependent("basis is linearly dependent")
         self._struct: dict[tuple[int, int], tuple[Scalar, ...]] = {}
@@ -174,7 +140,7 @@ class LieSpan:
                 w = witt_bracket(basis[i], basis[j])
                 if not (w + witt_bracket(basis[j], basis[i])).is_zero:
                     raise KernelError("bracket antisymmetry failed on the basis")
-                coords = combination(self._vectors, _vectorize(w), self.field)
+                coords = combination(self._vectors, w.terms, self.field)
                 if coords is None:
                     raise NotClosed(
                         f"bracket of basis {i} and basis {j} leaves the span",
@@ -236,26 +202,11 @@ class LieSpan:
             raise SignatureMismatch(f"need {self.dim} coordinates, got {len(out)}")
         return tuple(out)
 
-    def add_coords(self, u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    def scale_coords(self, u, c):
-        return tuple(a * c for a in u)
-
     def coordinates(self, u: DerivationElement) -> tuple[Scalar, ...]:
-        coords = combination(self._vectors, _vectorize(u), self.field)
+        coords = combination(self._vectors, u.terms, self.field)
         if coords is None:
             raise NotClosed("element lies outside the span")
         return tuple(coords)
-
-    def element(self, coords) -> DerivationElement:
-        acc = DerivationElement(
-            self.algebra, [self.algebra.scalar_element(0)] * self.algebra.signature.n
-        )
-        for c, b in zip(coords, self.basis):
-            if not (isinstance(c, Scalar) and c.is_zero):
-                acc = acc + b.scale(c)
-        return acc
 
     # bracket in coordinates ----------------------------------------------
 
@@ -266,22 +217,8 @@ class LieSpan:
             return self._struct[(i, j)]
         return tuple(-c for c in self._struct[(j, i)])
 
-    def bracket(self, u, v) -> tuple[Scalar, ...]:
-        acc = list(self.zero_coords)
-        for i in range(self.dim):
-            if u[i].is_zero:
-                continue
-            for j in range(self.dim):
-                if i == j or v[j].is_zero:
-                    continue
-                c = u[i] * v[j]
-                for k, sk in enumerate(self.bracket_coords(i, j)):
-                    if not sk.is_zero:
-                        acc[k] = acc[k] + c * sk
-        return tuple(acc)
-
     def ad(self, i: int, v) -> tuple[Scalar, ...]:
-        """Coordinates of [basis_i, element(v)]."""
+        """Coordinates of [basis_i, sum_j v_j basis_j]."""
         acc = list(self.zero_coords)
         for j in range(self.dim):
             if v[j].is_zero:
@@ -309,11 +246,6 @@ class LieSpan:
         return f"LieSpan(dim={self.dim}, graded={self.degrees is not None})"
 
 
-def make_span(basis, *, grading: int | None = None) -> LieSpan:
-    """Verified bracket-closed span; see LieSpan."""
-    return LieSpan(basis, grading=grading)
-
-
 def _poly_derivation(algebra: WeylAlgebra, power: int, var: int = 1) -> DerivationElement:
     coeffs = [algebra.scalar_element(0)] * algebra.signature.n
     coeffs[var - 1] = algebra.x(var, power) if power else algebra.scalar_element(1)
@@ -322,14 +254,14 @@ def _poly_derivation(algebra: WeylAlgebra, power: int, var: int = 1) -> Derivati
 
 def borel(algebra: WeylAlgebra) -> LieSpan:
     """Span of {D, x D} on variable 1, graded by x D."""
-    return make_span(
+    return LieSpan(
         [_poly_derivation(algebra, 0), _poly_derivation(algebra, 1)], grading=1
     )
 
 
 def sl2like(algebra: WeylAlgebra) -> LieSpan:
     """Span of {D, x D, x^2 D} on variable 1, graded by x D."""
-    return make_span(
+    return LieSpan(
         [_poly_derivation(algebra, k) for k in range(3)], grading=1
     )
 
@@ -356,20 +288,22 @@ def _sorted_key(key: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(items), sign
 
 
-class Cochain:
+class Cochain(_Sparse):
     """Alternating k-linear map on a span, tabulated on basis k-tuples.
 
-    ``table`` maps strictly increasing index tuples to coordinate tuples;
-    degree-0 cochains use the single key ().  Unsorted keys are folded in
-    with the permutation sign.
+    ``terms`` maps (strictly increasing index tuple, output coordinate j) to
+    the nonzero Scalar at that place; degree-0 cochains use the single index
+    tuple ().  The constructor takes a ``table`` from index tuples to
+    coordinate tuples, and unsorted tuples are folded in with the
+    permutation sign; the read-only ``table`` rebuilds that form.
     """
 
-    __slots__ = ("span", "degree", "table")
+    __slots__ = ("span", "degree")
 
     def __init__(self, span: LieSpan, degree: int, table):
         if degree < 0:
             raise SignatureMismatch("cochain degree must be >= 0")
-        norm: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
+        terms: dict[tuple[tuple[int, ...], int], Scalar] = {}
         for key, val in table.items():
             key = tuple(key)
             if len(key) != degree:
@@ -377,7 +311,7 @@ class Cochain:
             coords = span.coords(val)
             skey, sign = _sorted_key(key)
             if skey is None:
-                if any(not c.is_zero for c in coords):
+                if any(coords):
                     raise NotAntisymmetric(
                         "nonzero value on a repeated argument tuple"
                     )
@@ -385,16 +319,27 @@ class Cochain:
             for i in skey:
                 if not 0 <= i < span.dim:
                     raise SignatureMismatch("basis index out of range")
-            if sign < 0:
-                coords = tuple(-c for c in coords)
-            if skey in norm:
-                coords = span.add_coords(norm[skey], coords)
-            norm[skey] = coords
+            for j, c in enumerate(coords):
+                if sign < 0:
+                    c = -c
+                cur = terms.get((skey, j))
+                terms[(skey, j)] = c if cur is None else cur + c
         self.span = span
         self.degree = degree
-        self.table = {
-            k: v for k, v in norm.items() if any(not c.is_zero for c in v)
-        }
+        self._set_terms(terms)
+
+    def _owner(self):
+        return (self.span, self.degree)
+
+    def _field(self):
+        return self.span.field
+
+    @property
+    def table(self) -> dict[tuple[int, ...], tuple[Scalar, ...]]:
+        rows: dict[tuple[int, ...], list[Scalar]] = {}
+        for (key, j), c in self.terms.items():
+            rows.setdefault(key, list(self.span.zero_coords))[j] = c
+        return {key: tuple(row) for key, row in rows.items()}
 
     def value(self, key: tuple[int, ...]) -> tuple[Scalar, ...]:
         """Evaluate on a basis index tuple (any order; repeats give zero)."""
@@ -403,51 +348,9 @@ class Cochain:
         skey, sign = _sorted_key(tuple(key))
         if skey is None:
             return self.span.zero_coords
-        val = self.table.get(skey)
-        if val is None:
-            return self.span.zero_coords
+        zero = self.span.field.zero
+        val = tuple(self.terms.get((skey, j), zero) for j in range(self.span.dim))
         return val if sign > 0 else tuple(-c for c in val)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            self.span is other.span
-            and self.degree == other.degree
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.table))))
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if self.span is not other.span or self.degree != other.degree:
-            raise SignatureMismatch("cochain spans or degrees differ")
-        table = dict(self.table)
-        for k, v in other.table.items():
-            table[k] = self.span.add_coords(table[k], v) if k in table else v
-        return Cochain(self.span, self.degree, table)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.span,
-            self.degree,
-            {k: tuple(-c for c in v) for k, v in self.table.items()},
-        )
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(
-            self.span,
-            self.degree,
-            {k: self.span.scale_coords(v, c) for k, v in self.table.items()},
-        )
 
     def items(self):
         return sorted(self.table.items())
@@ -476,7 +379,7 @@ def ce_differential(omega: Cochain) -> Cochain:
     k = omega.degree
     table = {}
     for idx in combinations(range(span.dim), k + 1):
-        acc = span.zero_coords
+        acc = list(span.zero_coords)
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 # positions a+1, b+1 in the 1-based formula: (-1)^{a+b+2}
@@ -486,17 +389,14 @@ def ce_differential(omega: Cochain) -> Cochain:
                 for m, cm in enumerate(br):
                     if cm.is_zero:
                         continue
-                    val = omega.value((m,) + rest)
                     coeff = cm if sign > 0 else -cm
-                    acc = span.add_coords(acc, span.scale_coords(val, coeff))
+                    for j, v in enumerate(omega.value((m,) + rest)):
+                        acc[j] = acc[j] + v * coeff
             sign = 1 if a % 2 == 0 else -1  # (-1)^{(a+1)+1}
             rest = idx[:a] + idx[a + 1 :]
-            acted = span.ad(idx[a], omega.value(rest))
-            if sign < 0:
-                acted = tuple(-c for c in acted)
-            acc = span.add_coords(acc, acted)
-        if any(not c.is_zero for c in acc):
-            table[idx] = acc
+            for j, v in enumerate(span.ad(idx[a], omega.value(rest))):
+                acc[j] = acc[j] + v if sign > 0 else acc[j] - v
+        table[idx] = acc
     return Cochain(span, k + 1, table)
 
 
@@ -539,24 +439,13 @@ def euler_integrate(omega: Cochain, *, per_degree: bool = False) -> Cochain:
     if d == 0:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
+    if per_degree and d in span.degrees:
+        j = span.degrees.index(d)
+        raise ResonantDegree(f"basis element {j} has degree {d}, the cochain degree")
     table = {}
-    if per_degree:
-        for j, degj in enumerate(span.degrees):
-            if degj == d:
-                raise ResonantDegree(
-                    f"basis element {j} has degree {d}, the cochain degree"
-                )
-        for j in range(span.dim):
-            val = omega.value((h, j))
-            if any(not c.is_zero for c in val):
-                factor = span.field.from_rational(Fraction(1, d - span.degrees[j]))
-                table[(j,)] = span.scale_coords(val, factor)
-    else:
-        factor = span.field.from_rational(Fraction(1, d))
-        for j in range(span.dim):
-            val = omega.value((h, j))
-            if any(not c.is_zero for c in val):
-                table[(j,)] = span.scale_coords(val, factor)
+    for j, degj in enumerate(span.degrees):
+        factor = span.field.from_rational(Fraction(1, d - degj if per_degree else d))
+        table[(j,)] = tuple(c * factor for c in omega.value((h, j)))
     phi = Cochain(span, 1, table)
     residual = ce_differential(phi) - omega
     if not residual.is_zero:

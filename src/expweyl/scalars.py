@@ -337,6 +337,21 @@ class _SeriesOps:
         return tuple(out)
 
 
+def power(x, k: int, one):
+    """x**k for k >= 0 by square-and-multiply: about 2*log2(k) products.
+
+    The products are exact and associative, so the result is the k-fold one.
+    """
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
@@ -451,10 +466,7 @@ class Scalar:
             return NotImplemented
         if e < 0:
             return self._inverse() ** (-e)
-        out = self.field.one
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, self.field.one)
 
     # -- structure ----------------------------------------------------------
 

@@ -230,24 +230,6 @@ def check_derivative_power_ladder(rng):
         assert act(A.D(1, k + 1), A.x(1, k)).is_zero, "D^(n+1) x^n != 0"
 
 
-def check_matrix_trace_obstruction(rng):
-    # no pair of 2x2 matrices satisfies [D, X] = I: the commutator is
-    # always traceless while the identity has trace 2
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-
-    for _ in range(10):
-        a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
-        b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
-        ab, ba = matmul(a, b), matmul(b, a)
-        trace = sum(ab[i][i] - ba[i][i] for i in range(2))
-        assert trace == 0, "matrix commutator acquired a trace"
-    assert sum(1 for _ in range(2)) == 2 != 0, "identity trace degenerated"
-
-
 # -- filtration and symbols ------------------------------------------------------
 
 
@@ -474,7 +456,6 @@ _CHECKS = (
     ("action_homomorphism", check_action_homomorphism),
     ("action_leibniz", check_action_leibniz),
     ("derivative_power_ladder", check_derivative_power_ladder),
-    ("matrix_trace_obstruction", check_matrix_trace_obstruction),
     ("order_filtration_laws", check_order_filtration_laws),
     ("weyl_symbol_multiplicative", check_weyl_symbol_multiplicative),
     ("gr_mul_commutative_associative", check_gr_mul_commutative_associative),

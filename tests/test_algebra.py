@@ -1,5 +1,6 @@
 """Normal-form arithmetic: defining relations, associativity, derivative rules."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -220,3 +221,38 @@ def test_monomial_identity_and_sorting():
     assert m1 == m2 and hash(m1) == hash(m2)
     assert m1.filtration_order() == 1 + 2 + 0 + 3
     assert m1.function_part().d == (0,)
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    A = make_algebra()
+    P = A.x(1) + A.one
+    calls = []
+    mul = WeylAlgebra.mul
+
+    def counted(self, left, right):
+        calls.append(1)
+        return mul(self, left, right)
+
+    monkeypatch.setattr(WeylAlgebra, "mul", counted)
+    Q = P**64
+    assert len(calls) <= 12
+    assert Q == sum((A.x(1, k) * math.comb(64, k) for k in range(65)), A.zero)
+
+
+@pytest.mark.parametrize("kind", ["rank1", "rank2", "hbar"])
+def test_power_matches_repeated_product(kind):
+    A = {
+        "rank1": make_algebra(),
+        "rank2": make_algebra(rank=2),
+        "hbar": make_algebra().with_hbar(2),
+    }[kind]
+    rng = random.Random(f"power:{kind}")
+    P = random_element(A, rng, max_terms=2, bound=1, allow_e=False)
+    s = A.field.generator(A.field.rank) + Fraction(1, 2)
+    if kind == "hbar":
+        s = s + A.field.hbar
+    P_k, s_k = A.one, A.field.one
+    for k in range(10):
+        assert P**k == P_k
+        assert s**k == s_k
+        P_k, s_k = A.mul(P_k, P), s_k * s

@@ -188,6 +188,67 @@ def test_overlong_integer_literal_is_a_syntax_error(template, position, capsys):
     assert err.count("\n") == 1
 
 
+# N has 4300 digits, which the tokenizer takes; the orders and degrees below
+# are 2N, one digit past the limit
+@pytest.mark.parametrize("structured", [False, True], ids=["text", "structured"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ord", "x_1^{N}*x_1^{N}"),
+        ("degree", "exp({N}*x_1)*exp({N}*x_1)"),
+        ("degree", "--power", "x_1^{N}*x_1^{N}"),
+        ("grdiag", "x_1^{N}*x_1^{N}", "1"),
+    ],
+    ids=["ord", "degree", "power-degree", "grdiag"],
+)
+def test_overlong_order_or_degree_is_an_error_line(argv, structured, capsys):
+    N = "9" * 4300
+    fmt = ("--format", "structured") if structured else ()
+    status, out, err = run(capsys, *fmt, *(a.format(N=N) for a in argv))
+    assert status == 1 and out == ""
+    assert err.startswith("error[IntegerTooLong]:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, separated",
+    [
+        (["normalize", "-x_1"], ["normalize", "--", "-x_1"]),
+        (["normalize", "--x_1"], ["normalize", "--", "--x_1"]),
+        (
+            ["--format", "structured", "normalize", "-1/2*D_1"],
+            ["--format", "structured", "normalize", "--", "-1/2*D_1"],
+        ),
+        (
+            ["--hbar-order", "1", "normalize", "-hbar"],
+            ["--hbar-order", "1", "normalize", "--", "-hbar"],
+        ),
+        (["degree", "-x_1", "--power"], ["degree", "--power", "--", "-x_1"]),
+        (["probe", "-D_1", "--maxdeg", "2"], ["probe", "--maxdeg", "2", "--", "-D_1"]),
+        (["--seed", "-3", "mul", "-x_1", "-D_1"], ["--seed", "-3", "mul", "--", "-x_1", "-D_1"]),
+        (["commspan", "-1", "-D_1, x_1"], ["commspan", "--", "-1", "-D_1, x_1"]),
+        (["normalize", "-x_1 +"], ["normalize", "--", "-x_1 +"]),
+    ],
+)
+def test_leading_minus_is_an_expression(argv, separated, capsys):
+    got = run(capsys, *argv)
+    assert got == run(capsys, *separated)
+    assert got[0] == (1 if argv[-1].endswith("+") else 0)
+
+
+def test_options_still_parse_beside_expressions(capsys):
+    expected = (0, "product = x_1^2\ncommutator = 0\n", "")
+    assert run(capsys, "rank2", "1", "1", "--c", "-1/2") == expected
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "normalize", "-x_1", "--maxdeg", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --maxdeg 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "--seed", "-x", "normalize", "1")
+    assert exc.value.code == 2
+    assert "invalid int value: '-x'" in capsys.readouterr().err
+
+
 def test_unknown_symbol_error(capsys):
     status, _, err = run(capsys, "normalize", "q_7")
     assert status == 1

@@ -7,8 +7,8 @@ error paths are drawn too.  Every run must exit 0 or 1, and exit 1 must come
 with exactly one ``error[...]`` line on stderr.
 
 The exponents of one command line share a budget of 12: nested powers such
-as ``((E_1 + D_1)^12)^12`` run that many products in ``Element.__pow__`` and
-take minutes, which is a cost, not a crash.
+as ``((E_1 + D_1)^12)^12`` build elements with so many terms that they take
+minutes, which is a cost, not a crash.
 """
 
 import re
@@ -94,8 +94,7 @@ def test_cli_never_crashes(capsys, data):
     else:
         target, P, Q = (_expression(data, 0, budget) for _ in range(3))
         exprs = [target, f"{P}, {Q}"]
-    # "--" keeps an expression that starts with "-" from reading as an option
-    status = main(argv + [command, "--", *exprs])
+    status = main(argv + [command, *exprs])
     captured = capsys.readouterr()
     assert status in (0, 1), (argv, command, exprs)
     assert "Traceback" not in captured.err

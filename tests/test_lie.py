@@ -20,6 +20,7 @@ from expweyl.errors import (
 from expweyl.lie import (
     Cochain,
     DerivationElement,
+    LieSpan,
     ad_degree,
     borel,
     ce_differential,
@@ -27,7 +28,6 @@ from expweyl.lie import (
     euler_integrate,
     identity_cochain,
     is_cocycle,
-    make_span,
     sl2like,
     witt_bracket,
     zero_cochain,
@@ -109,12 +109,12 @@ def test_span_presets_and_structure():
 def test_span_closure_and_independence_errors():
     A = make_algebra()
     # {x D, x^3 D} closes: [x D, x^3 D] = 2 x^3 D stays inside
-    sp = make_span([xpow_del(A, 1), xpow_del(A, 3)])
+    sp = LieSpan([xpow_del(A, 1), xpow_del(A, 3)])
     assert sp.dim == 2
     with pytest.raises(NotClosed):
-        make_span([xpow_del(A, 0), xpow_del(A, 3)])
+        LieSpan([xpow_del(A, 0), xpow_del(A, 3)])
     with pytest.raises(NotIndependent):
-        make_span([xpow_del(A, 1), 2 * xpow_del(A, 1)])
+        LieSpan([xpow_del(A, 1), 2 * xpow_del(A, 1)])
     with pytest.raises(NotClosed):
         sp.coordinates(xpow_del(A, 2))
 
@@ -206,7 +206,7 @@ def test_euler_integrate_zero_and_degree_zero():
     with pytest.raises(UnsupportedElement):
         euler_integrate(identity_cochain(s))
     with pytest.raises(NotHomogeneous):
-        euler_integrate(zero_cochain(make_span([xpow_del(A, 1)]), 2))
+        euler_integrate(zero_cochain(LieSpan([xpow_del(A, 1)]), 2))
 
 
 def test_euler_per_degree_replay():

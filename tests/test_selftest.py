@@ -18,7 +18,6 @@ def test_one_check_per_module_area():
         "defining_relations",
         "normal_form",
         "action_",
-        "matrix_trace",
         "order_",
         "weyl_symbol",
         "witt_",

@@ -24,10 +24,10 @@ from .errors import (
     NotHomogeneous,
     NotIndependent,
     ParseError,
-    ResonantDegree,
     SignatureMismatch,
     UnknownSymbol,
     UnsupportedElement,
+    UsageError,
     WindowOverflow,
     ZeroElement,
 )
@@ -50,11 +50,11 @@ __all__ = [
     "NotClosed",
     "NotIndependent",
     "DegreeZero",
-    "ResonantDegree",
     "IntegrationFailed",
     "WindowOverflow",
     "NotAntisymmetric",
     "IntegerTooLong",
+    "UsageError",
     "ParseError",
     "UnknownSymbol",
 ]

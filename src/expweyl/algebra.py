@@ -37,7 +37,7 @@ from .errors import (
 )
 from .scalars import GroupElement, Scalar, ScalarField, power
 
-__all__ = ["Signature", "OrderWeights", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
+__all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class Signature:
     t: tuple[tuple[int, ...], ...] = ((0,),)
     hbar_order: int | None = None
     t_shift: bool = False
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,19 +62,6 @@ class Signature:
             raise SignatureMismatch("t must list one lattice element per variable")
         if self.t_shift and self.hbar_order is None:
             raise SignatureMismatch("t-shift deformation requires an hbar order")
-
-
-@dataclass(frozen=True)
-class OrderWeights:
-    """Per-symbol-class weights for the filtration; defaults give |a|+|b|+|c|+d."""
-
-    tower: int = 1
-    exponential: int = 1
-    power: int = 1
-    derivative: int = 1
-
-
-_DEFAULT_WEIGHTS = OrderWeights()
 
 
 class Monomial:
@@ -150,16 +136,10 @@ class Monomial:
             return Monomial(tuple(map(add, self.exps, delta)), self.n)
         return Monomial(tuple(map(add, self.exps, delta[: -self.n])) + d, self.n)
 
-    def filtration_order(self, w: OrderWeights = _DEFAULT_WEIGHTS) -> int:
-        """Weighted |a| + l1(beta) + l1(gamma) + d."""
+    def filtration_order(self) -> int:
+        """|a| + l1(beta) + l1(gamma) + d."""
         e, n = self.exps, self.n
-        gamma0 = len(e) // 2
-        return (
-            w.tower * sum(map(abs, e[:n]))
-            + w.exponential * sum(map(abs, e[n:gamma0]))
-            + w.power * sum(map(abs, e[gamma0:-n]))
-            + w.derivative * sum(e[-n:])
-        )
+        return sum(map(abs, e[:-n])) + sum(e[-n:])
 
 
 def monomial_sort_key(m: Monomial):
@@ -368,7 +348,7 @@ class WeylAlgebra:
             raise TypeError("pass either a signature or keyword fields, not both")
         self.signature = signature
         if _field is None:
-            _field = ScalarField(signature.rank, signature.hbar_order, signature.names)
+            _field = ScalarField(signature.rank, signature.hbar_order)
         self.field = _field
         n, r = signature.n, signature.rank
         self.one_monomial = Monomial((0,) * (2 * n * (r + 1)), n)
@@ -403,7 +383,7 @@ class WeylAlgebra:
         if twin is None:
             sig = self.signature
             twin = WeylAlgebra(
-                Signature(sig.n, sig.rank, sig.p, sig.t, order, t_shift, sig.names),
+                Signature(sig.n, sig.rank, sig.p, sig.t, order, t_shift),
                 _field=self.field.with_hbar(order),
             )
             self._twin_cache[key] = twin

@@ -4,8 +4,9 @@ Every command reads the session signature from ``--config`` (JSON with the
 SessionConfig fields) plus the overriding flags, runs one module operation,
 and prints either plain text or a line of versioned JSON
 (``--format structured``, schema tag ``expweyl/1``).  Kernel errors are
-reported as ``error[Code]: message`` on stderr with exit status 1; success
-exits 0; ``selftest`` exits 1 if any invariant check fails.
+reported as ``error[Code]: message`` on stderr with exit status 1, and so
+is a command line argparse refuses (``error[UsageError]``); success exits
+0; ``selftest`` exits 1 if any invariant check fails.
 
 Deformation commands (star, assoc, rank2, tshift, mc) always work over the
 plain algebra of the session signature and take the truncation order from
@@ -33,7 +34,7 @@ from .deformation import (
     symbol_star,
     t_shift_deform,
 )
-from .errors import KernelError, ParseError, SignatureMismatch, UnsupportedElement
+from .errors import KernelError, ParseError, SignatureMismatch, UnsupportedElement, UsageError
 from .expr import (
     _int_text,
     element_to_records,
@@ -533,7 +534,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # usage errors quote arguments raw or as repr; neither shows the NUL
-        super().error(message.replace(self._HIDE, "").replace(repr(self._HIDE)[1:-1], ""))
+        raise UsageError(message.replace(self._HIDE, "").replace(repr(self._HIDE)[1:-1], ""))
 
     def parse_args(self, argv=None):
         argv = sys.argv[1:] if argv is None else argv
@@ -631,8 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else SessionConfig()
         overrides = {}
         if args.format is not None:

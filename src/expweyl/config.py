@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -52,18 +53,7 @@ class SessionConfig:
         object.__setattr__(self, "t", tuple(tuple(row) for row in self.t))
 
     def replace(self, **kw) -> "SessionConfig":
-        data = {
-            "n": self.n,
-            "rank": self.rank,
-            "p": self.p,
-            "t": self.t,
-            "hbar_order": self.hbar_order,
-            "t_shift": self.t_shift,
-            "format": self.format,
-            "seed": self.seed,
-        }
-        data.update(kw)
-        return SessionConfig(**data)
+        return dataclasses.replace(self, **kw)
 
 
 def load_config(path: str) -> SessionConfig:
@@ -73,11 +63,12 @@ def load_config(path: str) -> SessionConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise SignatureMismatch(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and overlong integer literals
         raise SignatureMismatch(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise SignatureMismatch("config file must hold one JSON object")
-    unknown = set(raw) - {"n", "rank", "p", "t", "hbar_order", "t_shift", "format", "seed"}
+    unknown = set(raw) - {f.name for f in dataclasses.fields(SessionConfig)}
     if unknown:
         raise SignatureMismatch(f"unknown config fields: {sorted(unknown)}")
     return SessionConfig(**raw)

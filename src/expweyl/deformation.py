@@ -368,8 +368,9 @@ class DefectReport:
         )
 
 
-def star_assoc_check(cochains, triples, max_order: int | None = None) -> DefectReport:
-    """Associativity of mul + hbar m_1 + ... order by order on given triples.
+def star_assoc_check(cochains, triples) -> DefectReport:
+    """Associativity of mul + hbar m_1 + ... + hbar^N m_N order by order on
+    given triples.
 
     cochains is the list [m_1, ..., m_N]; each entry is a PolyDiffOp or any
     bilinear callable on symbols.  The order-s defect is
@@ -378,32 +379,20 @@ def star_assoc_check(cochains, triples, max_order: int | None = None) -> DefectR
     triples in the order given.
     """
     cochains = list(cochains)
-    N = len(cochains) if max_order is None else max_order
+    N = len(cochains)
     triples = list(triples)
 
     def ev(k, u, v):
-        if k == 0:
-            return u * v
-        if k <= len(cochains):
-            return cochains[k - 1](u, v)
-        return None
+        return u * v if k == 0 else cochains[k - 1](u, v)
 
     for idx, (f, g, h) in enumerate(triples):
         for s in range(1, N + 1):
             defect = None
             for i in range(s + 1):
-                j = s - i
-                fg = ev(j, f, g)
-                gh = ev(j, g, h)
-                if fg is not None:
-                    left = ev(i, fg, h)
-                    if left is not None:
-                        defect = left if defect is None else defect + left
-                if gh is not None:
-                    right = ev(i, f, gh)
-                    if right is not None:
-                        defect = right if defect is None else defect - right
-            if defect is not None and not defect.is_zero:
+                fg, gh = ev(s - i, f, g), ev(s - i, g, h)
+                left = ev(i, fg, h)
+                defect = (left if defect is None else defect + left) - ev(i, f, gh)
+            if not defect.is_zero:
                 return DefectReport(N, len(triples), s, idx, defect)
     return DefectReport(N, len(triples), None, None, None)
 
@@ -445,19 +434,9 @@ class AntisymMatrix:
         return acc
 
 
-def _as_group(algebra: WeylAlgebra, alpha) -> GroupElement:
-    ge = alpha if isinstance(alpha, GroupElement) else GroupElement(tuple(alpha))
-    if ge.rank != algebra.signature.rank:
-        raise SignatureMismatch("lattice exponent of the wrong rank")
-    return ge
-
-
-def gr_power(algebra: WeylAlgebra, alpha, var: int = 1) -> GrElement:
-    """The symbol x_var^alpha."""
-    ge = _as_group(algebra, alpha)
-    if not 1 <= var <= algebra.signature.n:
-        raise SignatureMismatch(f"variable index {var} out of range")
-    return _gr_one_term(algebra, algebra.monomial(var, gamma=ge))
+def gr_power(algebra: WeylAlgebra, alpha) -> GrElement:
+    """The symbol x_1^alpha."""
+    return _gr_one_term(algebra, algebra.monomial(1, gamma=algebra.lattice(alpha)))
 
 
 def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
@@ -502,8 +481,8 @@ def rank2_product(algebra: WeylAlgebra, c: AntisymMatrix, alpha, beta) -> GrElem
     x^(alpha+beta) + hbar c_{alpha,beta} E x^(alpha+beta)."""
     halg = algebra.with_hbar(1) if algebra.field.hbar_order is None else algebra
     m1 = rank2_cochain(halg, c)
-    f = gr_power(halg, _as_group(algebra, alpha))
-    g = gr_power(halg, _as_group(algebra, beta))
+    f = gr_power(halg, alpha)
+    g = gr_power(halg, beta)
     return f * g + halg.field.hbar * m1(f, g)
 
 

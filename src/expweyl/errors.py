@@ -68,10 +68,6 @@ class DegreeZero(KernelError):
     pass
 
 
-class ResonantDegree(KernelError):
-    pass
-
-
 class IntegrationFailed(KernelError):
     def __init__(self, message: str, residual=None):
         super().__init__(message)
@@ -84,6 +80,10 @@ class WindowOverflow(KernelError):
 
 class NotAntisymmetric(KernelError):
     pass
+
+
+class UsageError(KernelError):
+    """A command line that does not match the command's arguments."""
 
 
 class IntegerTooLong(KernelError):

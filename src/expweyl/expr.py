@@ -212,7 +212,7 @@ class _Parser:
             return ("elt", P)
         if kind == "number":
             self.advance()
-            return ("elt", self.scalar_atom(self.rational(val, pos)))
+            return ("elt", self.algebra.scalar_element(self.rational(val, pos)))
         if kind != "name":
             raise ParseError("expected an atom", position=pos)
         self.advance()
@@ -227,11 +227,8 @@ class _Parser:
             raise UnknownSymbol(f"unknown symbol {val!r}", position=pos)
         letter, idx = m.group(1), int(m.group(2))
         if letter == "g":
-            return ("elt", self.scalar_atom(self.generator_scalar(idx)))
+            return ("elt", self.algebra.scalar_element(self.algebra.field.generator(idx)))
         return (letter, idx)
-
-    def scalar_atom(self, c: Scalar) -> Element:
-        return self.algebra.scalar_element(c)
 
     def rational(self, text: str, pos: int) -> Scalar:
         if "/" in text:
@@ -240,14 +237,6 @@ class _Parser:
                 raise ParseError("zero denominator", position=pos)
             return self.algebra.field.from_rational(Fraction(int(num), int(den)))
         return self.algebra.field.from_rational(int(text))
-
-    def generator_scalar(self, j: int) -> Scalar:
-        field = self.algebra.field
-        if not 1 <= j <= field.rank:
-            raise SignatureMismatch(f"generator index {j} out of range 1..{field.rank}")
-        if j == 1:
-            return field.one
-        return field.generator(j)
 
     # exp '(' alpha '*' x_i ')'
     def parse_exp_atom(self) -> Element:

@@ -12,19 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    _DEFAULT_WEIGHTS,
-    Element,
-    Monomial,
-    OrderWeights,
-    WeylAlgebra,
-    _Sparse,
-)
+from .algebra import Element, Monomial, _Sparse
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
 from .scalars import GroupElement, Scalar
 
 __all__ = [
-    "OrderWeights",
     "GrElement",
     "order",
     "exp_degree",
@@ -37,11 +29,11 @@ __all__ = [
 ]
 
 
-def order(P: Element, weights: OrderWeights = _DEFAULT_WEIGHTS) -> int:
+def order(P: Element) -> int:
     """Filtration order: maximal weight over the terms of P."""
     if P.is_zero:
         raise ZeroElement("the zero element has no order")
-    return max(m.filtration_order(weights) for m in P.terms)
+    return max(m.filtration_order() for m in P.terms)
 
 
 def _total_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -127,9 +119,7 @@ class FiltrationReport:
     witness: Monomial | None
 
 
-def filtration_diagnostic(
-    P: Element, Q: Element, weights: OrderWeights = _DEFAULT_WEIGHTS
-) -> FiltrationReport:
+def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     """Check ord(PQ) <= ord P + ord Q and strict order drop of the commutator.
 
     Violations are reported with the offending top monomial as witness; the
@@ -138,18 +128,18 @@ def filtration_diagnostic(
     if P.is_zero or Q.is_zero:
         raise ZeroElement("diagnostics need nonzero operands")
     algebra = P.algebra
-    op, oq = order(P, weights), order(Q, weights)
+    op, oq = order(P), order(Q)
     pq = algebra.mul(P, Q)
     comm = pq + (-algebra.mul(Q, P))
-    opq = order(pq, weights) if not pq.is_zero else 0
-    ocomm = order(comm, weights) if not comm.is_zero else None
+    opq = order(pq) if not pq.is_zero else 0
+    ocomm = order(comm) if not comm.is_zero else None
     submult = opq <= op + oq
     strict = ocomm is None or ocomm < op + oq
     witness = None
     if not submult:
-        witness = max(pq.terms, key=lambda m: m.filtration_order(weights))
+        witness = max(pq.terms, key=lambda m: m.filtration_order())
     elif not strict:
-        witness = max(comm.terms, key=lambda m: m.filtration_order(weights))
+        witness = max(comm.terms, key=lambda m: m.filtration_order())
     return FiltrationReport(
         ord_p=op,
         ord_q=oq,

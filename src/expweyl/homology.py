@@ -6,9 +6,9 @@ any position >= 1 is degenerate and dropped.  In that model b^2 = 0,
 bB + Bb = 0, and B^2 = 0 hold exactly (B re-inserts the unit in position 0,
 so a second application dies under normalization).
 
-Windows are finite monomial lists giving exact coordinates for elements
-supported on them; ranks computed over a window are window-relative
-truncation numbers, not homology of the full algebra.
+Windows are finite lists of distinct monomials; ranks computed over a
+window are window-relative truncation numbers, not homology of the full
+algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, Monomial, WeylAlgebra, _Sparse, monomial_sort_key
-from .errors import DegreeZero, SignatureMismatch, WindowOverflow, ZeroElement
+from .errors import DegreeZero, SignatureMismatch, WindowOverflow
 from .linalg import combination, span_rank
 from .scalars import Scalar
 
@@ -134,12 +134,6 @@ class Window:
     def __contains__(self, m: Monomial) -> bool:
         return m in self._index
 
-    def coordinates(self, P: Element) -> dict[Monomial, Scalar]:
-        for m in P.terms:
-            if m not in self._index:
-                raise WindowOverflow("element has support outside the window")
-        return dict(P.terms)
-
     @classmethod
     def spanning(cls, algebra: WeylAlgebra, elements) -> "Window":
         """The window of all monomials appearing in the given elements."""
@@ -157,18 +151,11 @@ class SpanCheck:
     combination: tuple[Scalar, ...] | None
 
 
-def commutator_span_check(f: Element, pairs, window: Window | None = None) -> SpanCheck:
-    """Exact membership of f in the span of the commutators [P_i, Q_i].
-
-    With a window given, f and every commutator must be supported on it
-    (WindowOverflow otherwise); without one, the spanning window of the
-    inputs is used.
-    """
+def commutator_span_check(f: Element, pairs) -> SpanCheck:
+    """Exact membership of f in the span of the commutators [P_i, Q_i],
+    over the monomials that f and the commutators use."""
     alg = f.algebra
     comms = [alg.commutator(P, Q) for P, Q in pairs]
-    if window is not None:
-        for e in comms + [f]:
-            window.coordinates(e)
     vectors = [dict(e.terms) for e in comms]
     coeffs = combination(vectors, dict(f.terms), alg.field)
     if coeffs is None:

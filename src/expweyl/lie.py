@@ -5,10 +5,7 @@ coefficients; the bracket is [f D_i, g D_j] = f (D_i g) D_j - g (D_j f) D_i.
 Cohomology is computed on finite bracket-closed spans with adjoint
 coefficients.  On a graded span every 2-cocycle of nonzero ad-degree d has
 the explicit primitive phi = (1/d) * omega(h, -), h the grading element;
-``euler_integrate`` builds it and verifies d(phi) = omega exactly.  The
-per-degree prescription phi(x) = (1/(d - deg x)) * omega(h, x) is kept as
-an opt-in replay; it does not integrate every cocycle, so failures raise
-IntegrationFailed carrying the residual.
+``euler_integrate`` builds it and verifies d(phi) = omega exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from .errors import (
     NotClosed,
     NotHomogeneous,
     NotIndependent,
-    ResonantDegree,
     SignatureMismatch,
     UnsupportedElement,
 )
@@ -419,14 +415,12 @@ def ad_degree(omega: Cochain) -> int | None:
     return d
 
 
-def euler_integrate(omega: Cochain, *, per_degree: bool = False) -> Cochain:
+def euler_integrate(omega: Cochain) -> Cochain:
     """Primitive of a homogeneous 2-cocycle of nonzero ad-degree.
 
-    Default: phi = (1/d) * omega(h, -) with h the grading element, which
-    satisfies d(phi) = omega for every cocycle of ad-degree d != 0.  With
-    ``per_degree=True`` the division is by (d - deg x) per basis element
-    instead; that variant is replayed, not trusted, so the result is
-    verified either way and IntegrationFailed carries the residual.
+    phi = (1/d) * omega(h, -) with h the grading element satisfies
+    d(phi) = omega for every cocycle of ad-degree d != 0.  The result is
+    verified anyway; IntegrationFailed carries the residual.
     """
     span = omega.span
     if omega.degree != 2:
@@ -439,12 +433,9 @@ def euler_integrate(omega: Cochain, *, per_degree: bool = False) -> Cochain:
     if d == 0:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
-    if per_degree and d in span.degrees:
-        j = span.degrees.index(d)
-        raise ResonantDegree(f"basis element {j} has degree {d}, the cochain degree")
+    factor = span.field.from_rational(Fraction(1, d))
     table = {}
-    for j, degj in enumerate(span.degrees):
-        factor = span.field.from_rational(Fraction(1, d - degj if per_degree else d))
+    for j in range(span.dim):
         table[(j,)] = tuple(c * factor for c in omega.value((h, j)))
     phi = Cochain(span, 1, table)
     residual = ce_differential(phi) - omega

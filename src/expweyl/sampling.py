@@ -40,22 +40,19 @@ def random_element(
     bound: int = 3,
     *,
     allow_e: bool = True,
-    allow_exp: bool = True,
-    allow_neg: bool = True,
 ) -> Element:
     """A random element with at most max_terms terms, exponents within bound."""
     n, r = algebra.signature.n, algebra.signature.rank
-    lo = -bound if allow_neg else 0
     out = algebra.zero
     for _ in range(rng.randint(1, max_terms)):
         m = algebra.one
         for i in range(1, n + 1):
             if allow_e and rng.random() < 0.4:
-                m = m * algebra.E(i, rng.randint(lo, bound))
-            if allow_exp and rng.random() < 0.4:
-                m = m * algebra.exp_sym(i, tuple(rng.randint(lo, bound) for _ in range(r)))
+                m = m * algebra.E(i, rng.randint(-bound, bound))
+            if rng.random() < 0.4:
+                m = m * algebra.exp_sym(i, tuple(rng.randint(-bound, bound) for _ in range(r)))
             if rng.random() < 0.6:
-                m = m * algebra.x(i, tuple(rng.randint(lo, bound) for _ in range(r)))
+                m = m * algebra.x(i, tuple(rng.randint(-bound, bound) for _ in range(r)))
             if rng.random() < 0.6:
                 m = m * algebra.D(i, rng.randint(0, bound))
         out = out + m * random_scalar(algebra.field, rng)
@@ -77,56 +74,42 @@ def random_weyl_element(
 
 
 def random_function_element(
-    algebra: WeylAlgebra,
-    rng: random.Random,
-    max_terms: int = 3,
-    bound: int = 2,
-    *,
-    allow_e: bool = True,
-    allow_exp: bool = True,
-    allow_neg: bool = True,
+    algebra: WeylAlgebra, rng: random.Random, max_terms: int = 3, bound: int = 2
 ) -> Element:
     """A random derivative-free element (a member of the function ring)."""
     n, r = algebra.signature.n, algebra.signature.rank
-    lo = -bound if allow_neg else 0
     out = algebra.zero
     for _ in range(rng.randint(1, max_terms)):
         m = algebra.one
         for i in range(1, n + 1):
-            if allow_e and rng.random() < 0.3:
-                m = m * algebra.E(i, rng.randint(lo, bound))
-            if allow_exp and rng.random() < 0.4:
-                m = m * algebra.exp_sym(i, tuple(rng.randint(lo, bound) for _ in range(r)))
+            if rng.random() < 0.3:
+                m = m * algebra.E(i, rng.randint(-bound, bound))
+            if rng.random() < 0.4:
+                m = m * algebra.exp_sym(i, tuple(rng.randint(-bound, bound) for _ in range(r)))
             if rng.random() < 0.7:
-                m = m * algebra.x(i, tuple(rng.randint(lo, bound) for _ in range(r)))
+                m = m * algebra.x(i, tuple(rng.randint(-bound, bound) for _ in range(r)))
         out = out + m * random_scalar(algebra.field, rng)
     return out
 
 
-def random_derivation(
-    algebra: WeylAlgebra, rng: random.Random, max_terms: int = 2, bound: int = 2, **kw
-):
+def random_derivation(algebra: WeylAlgebra, rng: random.Random):
     """Random first-order operator sum(f_i * D_i) with function coefficients."""
     from .lie import DerivationElement
 
     coeffs = [
-        random_function_element(algebra, rng, max_terms, bound, **kw)
-        for _ in range(algebra.signature.n)
+        random_function_element(algebra, rng, max_terms=2) for _ in range(algebra.signature.n)
     ]
     return DerivationElement(algebra, coeffs)
 
 
-def random_chain(
-    algebra: WeylAlgebra, rng: random.Random, degree: int, max_tensors: int = 2, bound: int = 2
-):
-    """Random degree-n chain: a short sum of (n+1)-fold monomial tensors."""
+def random_chain(algebra: WeylAlgebra, rng: random.Random, degree: int):
+    """Random degree-n chain: one or two (n+1)-fold monomial tensors."""
     from .homology import Chain, tensor_chain
 
     acc = Chain(algebra, degree, {})
-    for _ in range(rng.randint(1, max_tensors)):
+    for _ in range(rng.randint(1, 2)):
         factors = [
-            random_element(algebra, rng, max_terms=1, bound=bound)
-            for _ in range(degree + 1)
+            random_element(algebra, rng, max_terms=1, bound=2) for _ in range(degree + 1)
         ]
         acc = acc + tensor_chain(factors, random_scalar(algebra.field, rng))
     return acc

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _sympy_ring
@@ -193,8 +193,8 @@ class _RatPolyOps:
     and the polynomial machinery only runs when symbols are actually present.
     """
 
-    def __init__(self, names: Sequence[str]):
-        created = _sympy_ring(",".join(names), QQ)
+    def __init__(self, rank: int):
+        created = _sympy_ring(",".join(f"g_{j}" for j in range(2, rank + 1)), QQ)
         self.ring = created[0]
         self.zero = QQ.zero
         self.one = QQ.one
@@ -544,13 +544,13 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 class ScalarField:
-    """Context object: rank, generator names, optional hbar truncation order."""
+    """Context object: rank, optional hbar truncation order; the generators
+    are g_1..g_r."""
 
     def __init__(
         self,
         rank: int = 1,
         hbar_order: int | None = None,
-        names: Sequence[str] | None = None,
         _ops=None,
         _base: "ScalarField | None" = None,
     ):
@@ -558,13 +558,7 @@ class ScalarField:
             raise SignatureMismatch("rank must be >= 1")
         if hbar_order is not None and hbar_order < 0:
             raise SignatureMismatch("hbar order must be >= 0")
-        if names is None:
-            names = tuple(f"g_{j}" for j in range(1, rank + 1))
-        names = tuple(names)
-        if len(names) != rank:
-            raise SignatureMismatch("need one generator name per rank")
         self.rank = rank
-        self.names = names
         self.hbar_order = hbar_order
         self.slots = 1 if hbar_order is None else hbar_order + 1
         if _ops is not None:
@@ -572,7 +566,7 @@ class ScalarField:
         elif rank == 1:
             self._ops = _RationalOps()
         else:
-            self._ops = _RatPolyOps(names[1:])
+            self._ops = _RatPolyOps(rank)
         self.series = _SeriesOps(self._ops, self.slots)
         self._base = _base
         self._int_cache: dict[int, Scalar] = {}
@@ -589,12 +583,12 @@ class ScalarField:
         if self.hbar_order is None:
             return self
         if self._base is None:
-            self._base = ScalarField(self.rank, None, self.names, _ops=self._ops)
+            self._base = ScalarField(self.rank, None, _ops=self._ops)
         return self._base
 
     def with_hbar(self, order: int) -> "ScalarField":
         """An hbar-truncated twin of this field (payloads interoperable)."""
-        return ScalarField(self.rank, order, self.names, _ops=self._ops, _base=self.base)
+        return ScalarField(self.rank, order, _ops=self._ops, _base=self.base)
 
     def lift(self, s: Scalar) -> Scalar:
         """Reinterpret a scalar from an ops-sharing twin inside this field."""
@@ -674,11 +668,11 @@ def _poly_terms(p) -> tuple:
     return tuple(out)
 
 
-def _term_text(coeff: int, exps: tuple[int, ...], k: int, names: Sequence[str]) -> str:
+def _term_text(coeff: int, exps: tuple[int, ...], k: int) -> str:
     parts = []
     for j, e in enumerate(exps):
         if e:
-            name = names[j + 1]
+            name = f"g_{j + 2}"
             parts.append(name if e == 1 else f"{name}^{e}")
     if k:
         parts.append("hbar" if k == 1 else f"hbar^{k}")
@@ -745,13 +739,13 @@ def _scalar_text(s: Scalar) -> str:
         else:
             den_terms = [((), tuple(e), int(q) * m) for e, q in d_poly.terms()]
             den_terms.sort(key=lambda t: (sum(t[1]), t[1]), reverse=True)
-            den_text = _join_terms(_term_text(c, e, 0, field.names) for _, e, c in den_terms)
+            den_text = _join_terms(_term_text(c, e, 0) for _, e, c in den_terms)
             terms.sort(key=lambda t: (t[0], -sum(t[1]), tuple(-x for x in t[1])))
-            num_text = _join_terms(_term_text(c, e, k, field.names) for k, e, c in terms)
+            num_text = _join_terms(_term_text(c, e, k) for k, e, c in terms)
             return f"({num_text})/({den_text})"
 
     terms.sort(key=lambda t: (t[0], -sum(t[1]), tuple(-x for x in t[1])))
-    num_text = _join_terms(_term_text(c, e, k, field.names) for k, e, c in terms)
+    num_text = _join_terms(_term_text(c, e, k) for k, e, c in terms)
     symbolic = len(terms) > 1 or terms[0][1] or terms[0][0]
     if d == 1:
         return f"({num_text})" if len(terms) > 1 else num_text

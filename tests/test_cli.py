@@ -80,6 +80,20 @@ def test_bad_config_is_a_stable_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [b'{"n": ' + b"7" * 5000 + b"}", b'\xff\xfe{"n": 1}'],
+    ids=["5000-digit-integer", "invalid-utf8"],
+)
+def test_undecodable_config_is_a_stable_error(raw, tmp_path, capsys):
+    cfg = tmp_path / "raw.json"
+    cfg.write_bytes(raw)
+    status, out, err = run(capsys, "--config", str(cfg), "normalize", "x_1")
+    assert (status, out) == (1, "")
+    assert err.startswith("error[SignatureMismatch]: config file is not valid JSON")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "fields", [{"n": "a"}, {"hbar_order": 1.5}, {"p": [1.5]}, {"t_shift": "false"}]
 )
 def test_config_field_types_are_checked(fields, tmp_path, capsys):
@@ -239,14 +253,36 @@ def test_leading_minus_is_an_expression(argv, separated, capsys):
 def test_options_still_parse_beside_expressions(capsys):
     expected = (0, "product = x_1^2\ncommutator = 0\n", "")
     assert run(capsys, "rank2", "1", "1", "--c", "-1/2") == expected
+    status, _, err = run(capsys, "normalize", "-x_1", "--maxdeg", "2")
+    assert status == 1
+    assert err == "error[UsageError]: unrecognized arguments: --maxdeg 2\n"
+    status, _, err = run(capsys, "--seed", "-x", "normalize", "1")
+    assert status == 1
+    assert err == "error[UsageError]: argument --seed: invalid int value: '-x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "x", "normalize", "1"], "argument --seed: invalid int value: 'x'"),
+        (["normalize", "--"], "the following arguments are required: expr"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-seed", "missing-expression", "unknown-command", "no-command"],
+)
+def test_usage_errors_are_error_lines(argv, message, capsys):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error[UsageError]: {message}")
+    assert err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "normalize", "-x_1", "--maxdeg", "2")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --maxdeg 2" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "--seed", "-x", "normalize", "1")
-    assert exc.value.code == 2
-    assert "invalid int value: '-x'" in capsys.readouterr().err
+        run(capsys, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: expweyl")
 
 
 def test_unknown_symbol_error(capsys):

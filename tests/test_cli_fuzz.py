@@ -1,4 +1,5 @@
-"""CLI fuzz: no drawn command line ends in a traceback or an unqualified exit.
+"""CLI fuzz: no drawn command line or config file ends in a traceback or an
+unqualified exit.
 
 Expressions are built from a token alphabet (atoms, operators, parentheses,
 small numbers, ``1/0``, ``hbar``, ``g_2``, a 5000-digit literal and powers
@@ -9,8 +10,15 @@ with exactly one ``error[...]`` line on stderr.
 The exponents of one command line share a budget of 12: nested powers such
 as ``((E_1 + D_1)^12)^12`` build elements with so many terms that they take
 minutes, which is a cost, not a crash.
+
+Config files are drawn as JSON objects over the config fields and a few
+unknown keys, with values of every JSON type, nested lists and objects;
+some files carry a 5000-digit integer literal or bytes that are not UTF-8.
+``n``, ``rank`` and ``hbar_order`` stay at most 3 when they are integers,
+because a large truncation order allocates that many payload slots.
 """
 
+import json
 import re
 
 from hypothesis import HealthCheck, given, settings
@@ -97,6 +105,78 @@ def test_cli_never_crashes(capsys, data):
     status = main(argv + [command, *exprs])
     captured = capsys.readouterr()
     assert status in (0, 1), (argv, command, exprs)
+    assert "Traceback" not in captured.err
+    if status == 1:
+        assert ERROR_LINE.fullmatch(captured.err), captured.err
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+
+
+CONFIG_FIELDS = ["n", "rank", "p", "t", "hbar_order", "t_shift", "format", "seed"]
+SMALL_FIELDS = {"n", "rank", "hbar_order"}
+UNKNOWN_FIELDS = ["names", "weights", "N", ""]
+LONG_MARK = "@long@"
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["text", "structured", LONG_MARK]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# values of the right shape, so that some drawn configs build an algebra
+SHAPED = {
+    "p": st.lists(st.integers(-1, 4), max_size=3),
+    "t": st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+    "t_shift": st.booleans(),
+    "format": st.sampled_from(["text", "structured"]),
+}
+
+
+def _config_value(data, field):
+    value = data.draw(SHAPED[field] if field in SHAPED and data.draw(st.booleans()) else JSON_VALUES)
+    if field in SMALL_FIELDS and isinstance(value, int) and not isinstance(value, bool):
+        value = min(value, 3)
+    return value
+
+
+def _rare(data) -> bool:
+    return data.draw(st.integers(1, 10)) == 7
+
+
+def _config_bytes(data) -> bytes:
+    if _rare(data):
+        doc = data.draw(JSON_VALUES)
+    else:
+        fields = data.draw(st.lists(st.sampled_from(CONFIG_FIELDS), unique=True, max_size=5))
+        if _rare(data):
+            fields.append(data.draw(st.sampled_from(UNKNOWN_FIELDS)))
+        doc = {field: _config_value(data, field) for field in fields}
+    raw = json.dumps(doc).replace(json.dumps(LONG_MARK), LONG_LITERAL).encode()
+    if _rare(data):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from([b"\xff\xfe", b"\xc3", b"\x80"])) + raw[at:]
+    return raw
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_config_never_crashes(tmp_path, capsys, data):
+    raw = _config_bytes(data)
+    cfg = tmp_path / "drawn.json"
+    cfg.write_bytes(raw)
+    status = main(["--config", str(cfg), "comm", "D_1", "E_1"])
+    captured = capsys.readouterr()
+    assert status in (0, 1), raw
     assert "Traceback" not in captured.err
     if status == 1:
         assert ERROR_LINE.fullmatch(captured.err), captured.err

@@ -7,7 +7,6 @@ import pytest
 from expweyl.algebra import WeylAlgebra
 from expweyl.errors import NotHomogeneous, ZeroElement
 from expweyl.grading import (
-    OrderWeights,
     exp_degree,
     filtration_diagnostic,
     full_symbol,
@@ -137,9 +136,3 @@ def test_diagnostic_equal_arguments_vacuous():
     assert rep.ord_comm is None
     assert rep.strict_drop
 
-
-def test_custom_weights():
-    A = make_algebra()
-    heavy_e = OrderWeights(tower=5)
-    assert order(A.E(1), heavy_e) == 5
-    assert order(A.D(1), heavy_e) == 1

@@ -1,7 +1,6 @@
 """Derivation brackets, spans, the CE differential, and Euler integration."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,6 @@ from expweyl.errors import (
     NotClosed,
     NotHomogeneous,
     NotIndependent,
-    ResonantDegree,
     UnsupportedElement,
 )
 from expweyl.lie import (
@@ -209,26 +207,24 @@ def test_euler_integrate_zero_and_degree_zero():
         euler_integrate(zero_cochain(LieSpan([xpow_del(A, 1)]), 2))
 
 
-def test_euler_per_degree_replay():
-    # the per-degree division scales the primitive off by 2/3 on this input,
-    # leaving residual (2/3 - 1) * omega; the replay must report it
+def test_euler_integrates_a_cocycle_whose_degree_is_a_basis_degree():
+    # ad-degree 1 equals the degree of a basis element of sl2like
     A = make_algebra()
     s = sl2like(A)
-    psi = Cochain(s, 1, {(0,): s.unit_coords(2)})
-    omega = ce_differential(psi)
-    with pytest.raises(IntegrationFailed) as err:
-        euler_integrate(omega, per_degree=True)
-    residual = err.value.residual
-    third = s.field.from_rational(Fraction(2, 3))
-    assert residual.table == {(0, 1): (s.field.zero, s.field.zero, third)}
-    # resonance: ad-degree 1 collides with the degree-1 basis element
     psi1 = Cochain(s, 1, {(1,): s.unit_coords(2)})
     omega1 = ce_differential(psi1)
     assert ad_degree(omega1) == 1
-    with pytest.raises(ResonantDegree):
-        euler_integrate(omega1, per_degree=True)
-    # the uniform default still integrates it
     assert ce_differential(euler_integrate(omega1)) == omega1
+
+
+def test_euler_integrate_refuses_a_non_cocycle():
+    # omega(b0, b1) = b1 has ad-degree 1 but is not closed: no primitive exists
+    s = sl2like(make_algebra())
+    omega = Cochain(s, 2, {(0, 1): s.unit_coords(1)})
+    assert ad_degree(omega) == 1 and not is_cocycle(omega)
+    with pytest.raises(IntegrationFailed) as err:
+        euler_integrate(omega)
+    assert not err.value.residual.is_zero
 
 
 def test_ad_degree_mixed_raises():

@@ -228,17 +228,8 @@ class _Sparse:
             return NotImplemented
         return self + (-other)
 
-    def _coerce_scalar(self, c) -> Scalar | None:
-        if isinstance(c, Scalar):
-            if c.field is not self._field():
-                raise SignatureMismatch("scalar from a different field")
-            return c
-        if isinstance(c, (int, Fraction)):
-            return self._field().from_rational(c)
-        return None
-
     def __mul__(self, other):
-        c = self._coerce_scalar(other)
+        c = self._field().coerce(other)
         if c is None:
             return NotImplemented
         return self._with({k: v * c for k, v in self.terms.items()})
@@ -289,7 +280,7 @@ class Element(_Sparse):
         """other as an element of this algebra: a scalar becomes a constant."""
         if isinstance(other, Element):
             return other
-        c = self._coerce_scalar(other)
+        c = self._field().coerce(other)
         return None if c is None else self.algebra.scalar_element(c)
 
     def __add__(self, other):
@@ -317,7 +308,7 @@ class Element(_Sparse):
             if s is None:
                 raise NotAFunction("division is defined by scalars only")
             other = s
-        c = self._coerce_scalar(other)
+        c = self._field().coerce(other)
         if c is None:
             return NotImplemented
         return self * (self.algebra.field.one / c)
@@ -411,16 +402,13 @@ class WeylAlgebra:
     # -- element constructors --------------------------------------------------
 
     def scalar_element(self, c) -> Element:
-        if isinstance(c, (int, Fraction, str)):
-            c = self.field.from_rational(c)
-        if not isinstance(c, Scalar) or c.field is not self.field:
-            raise SignatureMismatch("scalar from a different field")
-        return Element(self, {self.one_monomial: c})
+        return self.from_term(self.one_monomial, c)
 
     def from_term(self, monomial: Monomial, coeff: Scalar | int = 1) -> Element:
-        if isinstance(coeff, (int, Fraction)):
-            coeff = self.field.from_rational(coeff)
-        return Element(self, {monomial: coeff})
+        c = self.field.coerce(coeff)
+        if c is None:
+            raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
+        return Element(self, {monomial: c})
 
     def slot(self, part: str, i0: int) -> int:
         """Index in Monomial.exps of variable i0's entry in part ("a", "beta",

@@ -123,7 +123,7 @@ def _span_arg(algebra, spec: str, grading: int | None):
 # -- rendering -----------------------------------------------------------------
 
 
-def _scalar_text(s) -> str:
+def _coeff_text(s) -> str:
     text = format_scalar(s)
     if " + " in text or " - " in text:
         return f"({text})"
@@ -142,7 +142,7 @@ def _chain_text(chain) -> str:
         if coeff == one:
             pieces.append(f"[{body}]")
         else:
-            pieces.append(f"{_scalar_text(coeff)} * [{body}]")
+            pieces.append(f"{_coeff_text(coeff)} * [{body}]")
     return " + ".join(pieces)
 
 
@@ -533,8 +533,10 @@ class _Parser(argparse.ArgumentParser):
         return arg if plain or arg.split("=")[0] in self.options else self._HIDE + arg
 
     def error(self, message):
-        # usage errors quote arguments raw or as repr; neither shows the NUL
-        raise UsageError(message.replace(self._HIDE, "").replace(repr(self._HIDE)[1:-1], ""))
+        # usage errors quote arguments raw or as repr; neither shows the NUL,
+        # and an escaped line break keeps the error on one line
+        message = message.replace(self._HIDE, "").replace(repr(self._HIDE)[1:-1], "")
+        raise UsageError(message.replace("\n", "\\n").replace("\r", "\\r"))
 
     def parse_args(self, argv=None):
         argv = sys.argv[1:] if argv is None else argv

@@ -61,7 +61,9 @@ def tensor_chain(factors, coeff=1) -> Chain:
         raise SignatureMismatch("a chain needs at least one tensor factor")
     algebra = factors[0].algebra
     field = algebra.field
-    c0 = coeff if isinstance(coeff, Scalar) else field.from_rational(coeff)
+    c0 = field.coerce(coeff)
+    if c0 is None:
+        raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
     terms: dict[tuple[Monomial, ...], Scalar] = {(): c0}
     for f in factors:
         if f.algebra.signature != algebra.signature:

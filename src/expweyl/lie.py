@@ -193,7 +193,10 @@ class LieSpan:
         """Coerce a sequence of scalars / ints / fractions to a coordinate tuple."""
         out = []
         for v in values:
-            out.append(v if isinstance(v, Scalar) else self.field.from_rational(v))
+            c = self.field.coerce(v)
+            if c is None:
+                raise SignatureMismatch("coordinates must be scalars, ints or fractions")
+            out.append(c)
         if len(out) != self.dim:
             raise SignatureMismatch(f"need {self.dim} coordinates, got {len(out)}")
         return tuple(out)

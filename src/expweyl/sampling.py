@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Element, WeylAlgebra
+from .errors import NotHomogeneous
 from .scalars import Scalar, ScalarField
 
 __all__ = [
@@ -125,6 +126,8 @@ def random_cochain(span, rng: random.Random, degree: int, *, ad_degree: int | No
 
     from .lie import Cochain
 
+    if ad_degree is not None and span.degrees is None:
+        raise NotHomogeneous("span has no grading element")
     field = span.field
     table = {}
     for key in combinations(range(span.dim), degree):

@@ -21,10 +21,8 @@ defined here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _sympy_ring
@@ -54,17 +52,6 @@ class GroupElement:
             raise ValueError("group element needs rank >= 1")
         if not all(isinstance(c, int) for c in self.coords):
             raise TypeError("coordinates must be integers")
-
-    @staticmethod
-    def zero(rank: int) -> "GroupElement":
-        return GroupElement((0,) * rank)
-
-    @staticmethod
-    def unit(j: int, rank: int) -> "GroupElement":
-        """The generator g_j (1-based)."""
-        if not 1 <= j <= rank:
-            raise SignatureMismatch(f"generator index {j} out of range 1..{rank}")
-        return GroupElement(tuple(1 if k == j - 1 else 0 for k in range(rank)))
 
     @property
     def rank(self) -> int:
@@ -234,7 +221,7 @@ class _RatPolyOps:
                 if den.LC < 0:
                     c = -c
                 if c != QQ.one:
-                    inv = QQ.one / QQ.convert(c)
+                    inv = QQ.one / c
                     num = num.mul_ground(inv)
                     den = den.mul_ground(inv)
         return self._demote(_RatPoly(num, den))
@@ -365,26 +352,13 @@ class Scalar:
         self.field = field
         self.coeffs = coeffs
 
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise SignatureMismatch("scalars from different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_rational(other)
-        if isinstance(other, Fraction):
-            return self.field.from_rational(other)
-        return None
-
     # -- arithmetic ---------------------------------------------------------
-    # A Scalar of the same field skips _coerce, and one slot skips the series.
+    # A Scalar of the same field skips coerce, and one slot skips the series.
 
     def __add__(self, other):
         field = self.field
         if type(other) is not Scalar or other.field is not field:
-            other = self._coerce(other)
+            other = field.coerce(other)
             if other is None:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -404,7 +378,7 @@ class Scalar:
     def __sub__(self, other):
         field = self.field
         if type(other) is not Scalar or other.field is not field:
-            other = self._coerce(other)
+            other = field.coerce(other)
             if other is None:
                 return NotImplemented
         ops = field._ops
@@ -414,7 +388,7 @@ class Scalar:
         return Scalar(field, field.series.add(a, tuple(map(ops.neg, b))))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self.field.coerce(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -422,7 +396,7 @@ class Scalar:
     def __mul__(self, other):
         field = self.field
         if type(other) is not Scalar or other.field is not field:
-            other = self._coerce(other)
+            other = field.coerce(other)
             if other is None:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -450,13 +424,13 @@ class Scalar:
         return Scalar(self.field, tuple(inv))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self.field.coerce(other)
         if o is None:
             return NotImplemented
         return self * o._inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self.field.coerce(other)
         if o is None:
             return NotImplemented
         return o * self._inverse()
@@ -529,14 +503,13 @@ class Scalar:
 
     # -- text ----------------------------------------------------------------
 
-    def to_text(self) -> str:
-        return _scalar_text(self)
-
     def __str__(self) -> str:
-        return self.to_text()
+        from .expr import format_scalar
+
+        return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"Scalar({self.to_text()!r})"
+        return f"Scalar({self.coeffs!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +581,26 @@ class ScalarField:
         coeffs[1] = self._ops.one
         return Scalar(self, tuple(coeffs))
 
-    def from_rational(self, value) -> Scalar:
+    def coerce(self, value) -> Scalar | None:
+        """value as a scalar of this field: a Scalar of this field as it is,
+        an int or a Fraction through from_rational, anything else None.  A
+        Scalar of another field raises SignatureMismatch."""
+        if isinstance(value, Scalar):
+            if value.field is not self:
+                raise SignatureMismatch("scalars from different fields")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        return None
+
+    def from_rational(self, value: int | Fraction) -> Scalar:
         if isinstance(value, int):
             cached = self._int_cache.get(value)
             if cached is not None:
                 return cached
             num, den = value, 1
-        elif isinstance(value, str):
-            f = Fraction(value)
-            num, den = f.numerator, f.denominator
-        elif isinstance(value, Fraction):
-            num, den = value.numerator, value.denominator
         else:
-            q = QQ.convert(value)
-            num, den = int(q.numerator), int(q.denominator)
+            num, den = value.numerator, value.denominator
         coeffs = [self._ops.rational(num, den)] + [self._ops.zero] * (self.slots - 1)
         s = Scalar(self, tuple(coeffs))
         if isinstance(value, int) and -64 <= value <= 256:
@@ -657,7 +636,7 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Canonical text form
+# Renderer data
 # ---------------------------------------------------------------------------
 
 def _poly_terms(p) -> tuple:
@@ -666,89 +645,3 @@ def _poly_terms(p) -> tuple:
         out.append((tuple(monom), Fraction(int(coeff.numerator), int(coeff.denominator))))
     out.sort(reverse=True)
     return tuple(out)
-
-
-def _term_text(coeff: int, exps: tuple[int, ...], k: int) -> str:
-    parts = []
-    for j, e in enumerate(exps):
-        if e:
-            name = f"g_{j + 2}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-    if k:
-        parts.append("hbar" if k == 1 else f"hbar^{k}")
-    if not parts:
-        return str(coeff)
-    body = "*".join(parts)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
-
-
-def _join_terms(texts: Iterable[str]) -> str:
-    out = ""
-    for t in texts:
-        if not out:
-            out = t
-        elif t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-def _scalar_text(s: Scalar) -> str:
-    field = s.field
-    ops = field._ops
-    if s.is_zero:
-        return "0"
-    if isinstance(ops, _RationalOps):
-        dens = [int(c.denominator) for c in s.coeffs if c]
-        d = math.lcm(*dens) if dens else 1
-        terms = []
-        for k, c in enumerate(s.coeffs):
-            if c:
-                terms.append((k, (), int(c.numerator) * (d // int(c.denominator))))
-    else:
-        one = ops.pone
-        lifted = [ops._lift(c) if c else None for c in s.coeffs]
-        d_poly = one
-        for c in lifted:
-            if c is not None and c.den != one:
-                g = d_poly.gcd(c.den)
-                d_poly = (d_poly * c.den).quo(g)
-        m = 1
-        scaled = []
-        for k, c in enumerate(lifted):
-            if c is None:
-                scaled.append(None)
-                continue
-            p = c.num * d_poly.quo(c.den)
-            scaled.append(p)
-            for _, q in p.terms():
-                m = math.lcm(m, int(q.denominator))
-        terms = []
-        for k, p in enumerate(scaled):
-            if p is None:
-                continue
-            for exps, q in p.terms():
-                terms.append((k, tuple(exps), int(q.numerator) * (m // int(q.denominator))))
-        if d_poly == one:
-            d = m
-        else:
-            den_terms = [((), tuple(e), int(q) * m) for e, q in d_poly.terms()]
-            den_terms.sort(key=lambda t: (sum(t[1]), t[1]), reverse=True)
-            den_text = _join_terms(_term_text(c, e, 0) for _, e, c in den_terms)
-            terms.sort(key=lambda t: (t[0], -sum(t[1]), tuple(-x for x in t[1])))
-            num_text = _join_terms(_term_text(c, e, k) for k, e, c in terms)
-            return f"({num_text})/({den_text})"
-
-    terms.sort(key=lambda t: (t[0], -sum(t[1]), tuple(-x for x in t[1])))
-    num_text = _join_terms(_term_text(c, e, k) for k, e, c in terms)
-    symbolic = len(terms) > 1 or terms[0][1] or terms[0][0]
-    if d == 1:
-        return f"({num_text})" if len(terms) > 1 else num_text
-    if not symbolic:
-        return f"{num_text}/{d}"
-    return f"({num_text})/({d})"

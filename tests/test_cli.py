@@ -268,8 +268,9 @@ def test_options_still_parse_beside_expressions(capsys):
         (["normalize", "--"], "the following arguments are required: expr"),
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: command"),
+        (["normalize", "x_1", "foo\nbar", "a\rb"], "unrecognized arguments: foo\\nbar a\\rb"),
     ],
-    ids=["bad-seed", "missing-expression", "unknown-command", "no-command"],
+    ids=["bad-seed", "missing-expression", "unknown-command", "no-command", "line-breaks"],
 )
 def test_usage_errors_are_error_lines(argv, message, capsys):
     status, out, err = run(capsys, *argv)
@@ -385,6 +386,11 @@ def test_ced_and_eulerint(capsys):
     assert "d phi == omega: true" in out
 
 
+def test_eulerint_on_an_ungraded_span_is_an_error_line(capsys):
+    status, out, err = run(capsys, "eulerint", "D_1, x_1*D_1")
+    assert (status, out, err) == (1, "", "error[NotHomogeneous]: span has no grading element\n")
+
+
 def test_hochb_and_connesB(capsys):
     _, out, _ = run(capsys, "hochb", "D_1, x_1")
     assert out == "b = [1]\nb^2 == 0: true\n"
@@ -396,6 +402,16 @@ def test_commspan(capsys):
     _, out, _ = run(capsys, "commspan", "1", "D_1, x_1")
     assert out.splitlines()[0] == "inside: true"
     assert run(capsys, "commspan", "x_1^5", "D_1, x_1")[1] == "inside: false\n"
+
+
+def test_golden_hbar_spans(capsys):
+    # [hbar*D_1, x_1] = hbar: solved over Q with the hbar slots as columns
+    status, out, err = run(capsys, "--hbar-order", "2", "commspan", "hbar", "hbar*D_1, x_1")
+    assert (status, out, err) == (0, "inside: true\ncombination: 1\n", "")
+    # hbar*D_1 has no hbar^0 part, so the two do not span a free module
+    status, out, err = run(capsys, "--hbar-order", "2", "cespan", "hbar*D_1, x_1*D_1")
+    assert (status, out) == (1, "")
+    assert err.startswith("error[NotIndependent]:")
 
 
 def test_star_and_assoc(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from expweyl.algebra import WeylAlgebra
-from expweyl.errors import DegreeZero, WindowOverflow
+from expweyl.errors import DegreeZero, SignatureMismatch, WindowOverflow
 from expweyl.homology import (
     Chain,
     SpanCheck,
@@ -27,6 +27,16 @@ def make_algebra(**kw):
     kw.setdefault("p", (2,) * kw["n"])
     kw.setdefault("t", ((1,) + (0,) * (kw["rank"] - 1),) * kw["n"])
     return WeylAlgebra(**kw)
+
+
+def test_tensor_chain_refuses_a_scalar_from_another_field():
+    A = make_algebra()
+    half = tensor_chain([A.D(1), A.x(1)], Fraction(1, 2))
+    assert half == tensor_chain([A.D(1), A.x(1)], A.field.one / 2)
+    with pytest.raises(SignatureMismatch):
+        tensor_chain([A.D(1), A.x(1)], make_algebra().field.one)
+    with pytest.raises(SignatureMismatch):
+        tensor_chain([A.D(1)], "1/2")
 
 
 def test_b_of_two_tensor_is_commutator():

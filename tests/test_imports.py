@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is referenced in that module."""
+"""Import hygiene: every top-level import of a package module is referenced in
+that module, and only scalars.py imports sympy."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,16 @@ def test_no_unused_imports(module):
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
     unused = sorted(set(imported) - _referenced(tree))
     assert not unused, f"{module} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "scalars.py"])
+def test_only_scalars_imports_sympy(module):
+    """sympy stays behind the scalar payloads, so it can leave the cold path."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            roots.append(node.module.split(".")[0])
+    assert "sympy" not in roots, f"{module} imports sympy"

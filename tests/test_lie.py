@@ -1,6 +1,7 @@
 """Derivation brackets, spans, the CE differential, and Euler integration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from expweyl.errors import (
     NotClosed,
     NotHomogeneous,
     NotIndependent,
+    SignatureMismatch,
     UnsupportedElement,
 )
 from expweyl.lie import (
@@ -115,6 +117,19 @@ def test_span_closure_and_independence_errors():
         LieSpan([xpow_del(A, 1), 2 * xpow_del(A, 1)])
     with pytest.raises(NotClosed):
         sp.coordinates(xpow_del(A, 2))
+
+
+def test_coordinates_from_another_field_are_refused():
+    s = sl2like(make_algebra())
+    other = make_algebra().field
+    zero, one = s.field.zero, s.field.one
+    assert s.coords((1, Fraction(1, 2), zero)) == (one, one / 2, zero)
+    with pytest.raises(SignatureMismatch):
+        s.coords((one, other.one, zero))
+    with pytest.raises(SignatureMismatch):
+        Cochain(s, 1, {(0,): (other.one, zero, zero)})
+    with pytest.raises(SignatureMismatch):
+        s.coords(("1", 0, 0))
 
 
 def test_cochain_alternating():

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .scalars import GroupElement, Scalar, ScalarField, power
 
-__all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "monomial_sort_key"]
+__all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "monomial_sort_key"]
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,18 @@ def monomial_sort_key(m: Monomial):
     return (m.filtration_order(), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
 
 
+def add_terms(out: dict, pairs) -> dict:
+    """Add (key, value) pairs into out, summing the values of equal keys.
+
+    The one merge rule of sparse sums; a zero sum stays for the caller's
+    zero filter.  Returns out.
+    """
+    for k, v in pairs:
+        cur = out.get(k)
+        out[k] = v if cur is None else cur + v
+    return out
+
+
 class _Sparse:
     """A finite sparse combination: ``terms`` maps keys to nonzero values.
 
@@ -214,11 +226,7 @@ class _Sparse:
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k)
-            out[k] = v if acc is None else acc + v
-        return self._with(out)
+        return self._with(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._with({k: -v for k, v in self.terms.items()})
@@ -502,11 +510,7 @@ class WeylAlgebra:
         if any(gamma_i):
             out.append((shifted(-1, False), field.embed(GroupElement(gamma_i))))
 
-        merged: dict[Monomial, Scalar] = {}
-        for mono, c in out:
-            if not c.is_zero:
-                acc = merged.get(mono)
-                merged[mono] = c if acc is None else acc + c
+        merged = add_terms({}, ((mono, c) for mono, c in out if not c.is_zero))
         result = tuple((mono, c) for mono, c in merged.items() if not c.is_zero)
         self._diff_cache[key] = result
         return result
@@ -521,12 +525,8 @@ class WeylAlgebra:
             return hit
         i0 = next(i for i, ki in enumerate(k) if ki)
         prev_k = tuple(ki - 1 if i == i0 else ki for i, ki in enumerate(k))
-        acc: dict[Monomial, Scalar] = {}
-        for pm, pc in self._diff_pow_mono(m, prev_k):
-            for dm, dc in self._diff_mono(i0, pm):
-                c = pc * dc
-                cur = acc.get(dm)
-                acc[dm] = c if cur is None else cur + c
+        prev = self._diff_pow_mono(m, prev_k)
+        acc = add_terms({}, ((dm, pc * dc) for pm, pc in prev for dm, dc in self._diff_mono(i0, pm)))
         result = tuple((mono, c) for mono, c in acc.items() if not c.is_zero)
         self._diff_pow_cache[key] = result
         return result
@@ -537,13 +537,8 @@ class WeylAlgebra:
         if not f.is_function_element:
             raise NotAFunction("derivative rule applies to function elements")
         i0 = self._var(i)
-        acc: dict[Monomial, Scalar] = {}
-        for m, c in f.terms.items():
-            for dm, dc in self._diff_mono(i0, m):
-                v = c * dc
-                cur = acc.get(dm)
-                acc[dm] = v if cur is None else cur + v
-        return Element(self, acc)
+        pairs = ((dm, c * dc) for m, c in f.terms.items() for dm, dc in self._diff_mono(i0, m))
+        return Element(self, add_terms({}, pairs))
 
     # -- multiplication -----------------------------------------------------------
 

@@ -394,6 +394,8 @@ def _cmd_star(ctx, args):
 def _cmd_assoc(ctx, args):
     A = ctx.base
     N = args.order if args.order is not None else ctx.hbar_order(2)
+    if N < 0:
+        raise SignatureMismatch("hbar order must be >= 0")
     count = _triples_arg(args.triples)
     cochains = [star_cochain(A, k) for k in range(1, N + 1)]
     triples = [

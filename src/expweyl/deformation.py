@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, Monomial, WeylAlgebra, _Sparse
+from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms
 from .errors import (
     HbarModeOff,
     NotAntisymmetric,
@@ -101,12 +101,9 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
             expo = field.embed(GroupElement(m.exps[pos : pos + r]))
         else:
             expo = field.from_rational(m.exps[pos])
-        if expo.is_zero:
-            continue
-        coeff = c * expo
-        mm = m.shift(delta)
-        cur = out.get(mm)
-        out[mm] = coeff if cur is None else cur + coeff
+        if expo:
+            # a fixed shift keeps the monomials distinct: nothing to merge
+            out[m.shift(delta)] = c * expo
     return GrElement(algebra, out)
 
 
@@ -135,22 +132,21 @@ class PolyDiffOp(_Sparse):
     def __init__(self, algebra: WeylAlgebra, terms):
         items = terms.items() if hasattr(terms, "items") else terms
         one = _gr_one_term(algebra, algebra.one_monomial)  # times a scalar: a constant
-        norm: dict[tuple, GrElement] = {}
-        for entry in items:
-            if len(entry) == 3:
-                wl, wr, coeff = entry
-            else:
-                (wl, wr), coeff = entry
-            wl = tuple(sorted(wl))
-            wr = tuple(sorted(wr))
-            for g in wl + wr:
-                _check_gen(algebra, g)
-            coeff = one * coeff
-            key = (wl, wr)
-            cur = norm.get(key)
-            norm[key] = coeff if cur is None else cur + coeff
+
+        def normalized():
+            for entry in items:
+                if len(entry) == 3:
+                    wl, wr, coeff = entry
+                else:
+                    (wl, wr), coeff = entry
+                wl = tuple(sorted(wl))
+                wr = tuple(sorted(wr))
+                for g in wl + wr:
+                    _check_gen(algebra, g)
+                yield (wl, wr), one * coeff
+
         self.algebra = algebra
-        self._set_terms(norm)
+        self._set_terms(add_terms({}, normalized()))
 
     def __call__(self, f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not self.algebra or g.algebra is not self.algebra:
@@ -324,22 +320,21 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
         halg = algebra.with_hbar(N)
     hfield = halg.field
     hb = hfield.hbar
-    out: dict[Monomial, Scalar] = {}
-    for mP, cP in P.terms.items():
-        left = algebra.from_term(mP)
-        dP = sum(mP.d)
-        for mQ, cQ in Q.terms.items():
-            dPQ = dP + sum(mQ.d)
-            prod = algebra.mul(left, algebra.from_term(mQ))
-            cPQ = cP * cQ
-            for m, c in prod.terms.items():
-                k = dPQ - sum(m.d)
-                if k > N:
-                    continue
-                coeff = hfield.lift(cPQ * c) * hb**k
-                cur = out.get(m)
-                out[m] = coeff if cur is None else cur + coeff
-    return GrElement(halg, out)
+
+    def weighted_terms():
+        for mP, cP in P.terms.items():
+            left = algebra.from_term(mP)
+            dP = sum(mP.d)
+            for mQ, cQ in Q.terms.items():
+                dPQ = dP + sum(mQ.d)
+                prod = algebra.mul(left, algebra.from_term(mQ))
+                cPQ = cP * cQ
+                for m, c in prod.terms.items():
+                    k = dPQ - sum(m.d)
+                    if k <= N:
+                        yield m, hfield.lift(cPQ * c) * hb**k
+
+    return GrElement(halg, add_terms({}, weighted_terms()))
 
 
 # -- associativity defects ----------------------------------------------------
@@ -459,19 +454,18 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
     def m1(f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not algebra or g.algebra is not algebra:
             raise SignatureMismatch("operands live over a different algebra instance")
-        out: dict[Monomial, Scalar] = {}
-        for mf, cf in f.terms.items():
-            alpha = pure_power(mf)
-            for mg, cg in g.terms.items():
-                beta = pure_power(mg)
-                pair = c.pairing(alpha, beta)
-                if pair == 0:
-                    continue
-                coeff = cf * cg * field.from_rational(pair)
-                mono = algebra.monomial(1, a=1, gamma=alpha + beta)
-                cur = out.get(mono)
-                out[mono] = coeff if cur is None else cur + coeff
-        return GrElement(algebra, out)
+
+        def paired_terms():
+            for mf, cf in f.terms.items():
+                alpha = pure_power(mf)
+                for mg, cg in g.terms.items():
+                    beta = pure_power(mg)
+                    pair = c.pairing(alpha, beta)
+                    if pair != 0:
+                        coeff = cf * cg * field.from_rational(pair)
+                        yield algebra.monomial(1, a=1, gamma=alpha + beta), coeff
+
+        return GrElement(algebra, add_terms({}, paired_terms()))
 
     return m1
 

@@ -114,6 +114,14 @@ class _Parser:
         _, _, pos = self.peek()
         raise ParseError(message, position=pos)
 
+    def signs(self) -> int:
+        """Read a run of unary '+' and '-'; the product of their signs."""
+        sign = 1
+        while self.at_op("+", "-"):
+            if self.advance()[1] == "-":
+                sign = -sign
+        return sign
+
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def parse_expr(self) -> Element:
         acc = self.parse_term()
@@ -133,11 +141,7 @@ class _Parser:
 
     # factor := ('-'|'+')* power
     def parse_factor(self) -> Element:
-        sign = 1
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            if op == "-":
-                sign = -sign
+        sign = self.signs()
         p = self.parse_power()
         return p if sign == 1 else -p
 
@@ -181,16 +185,7 @@ class _Parser:
             if not allow_lattice:
                 self.fail("lattice exponents apply to x_i only")
             return ("lattice", ge)
-        sign = 1
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            if op == "-":
-                sign = -sign
-        kind, val, pos = self.peek()
-        if kind != "number" or "/" in val:
-            raise ParseError("expected an integer exponent", position=pos)
-        self.advance()
-        return ("int", sign * int(val))
+        return ("int", self.parse_signed_int("expected an integer exponent"))
 
     def lattice_as_int(self, ge: GroupElement):
         # multiples of g_1 are plain integer powers
@@ -263,11 +258,7 @@ class _Parser:
     def parse_group_body(self) -> GroupElement:
         # a parenthesized group: either a comma tuple of integers or a sum
         save = self.i
-        sign = 1
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            if op == "-":
-                sign = -sign
+        sign = self.signs()
         kind, val, _ = self.peek()
         if kind == "number" and "/" not in val:
             self.advance()
@@ -280,15 +271,11 @@ class _Parser:
         self.i = save
         return self.parse_group_sum()
 
-    def parse_signed_int(self) -> int:
-        sign = 1
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            if op == "-":
-                sign = -sign
+    def parse_signed_int(self, message: str = "expected an integer") -> int:
+        sign = self.signs()
         kind, val, pos = self.peek()
         if kind != "number" or "/" in val:
-            raise ParseError("expected an integer", position=pos)
+            raise ParseError(message, position=pos)
         self.advance()
         return sign * int(val)
 
@@ -303,16 +290,9 @@ class _Parser:
         rank = self.algebra.signature.rank
         coords = [0] * rank
         first = True
-        while True:
-            sign = 1
-            if self.at_op("+", "-"):
-                while self.at_op("+", "-"):
-                    _, op, _ = self.advance()
-                    if op == "-":
-                        sign = -sign
-            elif not first:
-                break
+        while first or self.at_op("+", "-"):
             first = False
+            sign = self.signs()
             kind, val, pos = self.peek()
             if kind == "number" and "/" not in val:
                 self.advance()

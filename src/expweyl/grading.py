@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, _Sparse
+from .algebra import Element, Monomial, _Sparse, add_terms
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
-from .scalars import GroupElement, Scalar
+from .scalars import GroupElement
 
 __all__ = [
     "GrElement",
@@ -36,28 +36,24 @@ def order(P: Element) -> int:
     return max(m.filtration_order() for m in P.terms)
 
 
-def _total_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    return tuple(sum(col) for col in zip(*rows))
+def _degree(P: Element, part: str, kind: str) -> GroupElement:
+    """Common sum of the part rows ("beta" or "gamma") over the terms of P."""
+    if P.is_zero:
+        raise ZeroElement("the zero element has no degree")
+    degrees = {tuple(map(sum, zip(*getattr(m, part)))) for m in P.terms}
+    if len(degrees) > 1:
+        raise NotHomogeneous(f"terms carry different {kind} degrees")
+    return GroupElement(degrees.pop())
 
 
 def exp_degree(P: Element) -> GroupElement:
     """Common total exponential degree of P (sum of beta rows per term)."""
-    if P.is_zero:
-        raise ZeroElement("the zero element has no degree")
-    degrees = {_total_rows(m.beta) for m in P.terms}
-    if len(degrees) > 1:
-        raise NotHomogeneous("terms carry different exponential degrees")
-    return GroupElement(degrees.pop())
+    return _degree(P, "beta", "exponential")
 
 
 def power_degree(P: Element) -> GroupElement:
     """Common total power degree of P (sum of gamma rows per term)."""
-    if P.is_zero:
-        raise ZeroElement("the zero element has no degree")
-    degrees = {_total_rows(m.gamma) for m in P.terms}
-    if len(degrees) > 1:
-        raise NotHomogeneous("terms carry different power degrees")
-    return GroupElement(degrees.pop())
+    return _degree(P, "gamma", "power")
 
 
 class GrElement(_Sparse):
@@ -98,14 +94,8 @@ def full_symbol(P: Element) -> GrElement:
 def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
-    acc: dict[Monomial, Scalar] = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            m = m1.shift(m2.exps)
-            c = c1 * c2
-            cur = acc.get(m)
-            acc[m] = c if cur is None else cur + c
-    return GrElement(u.algebra, acc)
+    pairs = ((m1.shift(m2.exps), c1 * c2) for m1, c1 in u.terms.items() for m2, c2 in v.terms.items())
+    return GrElement(u.algebra, add_terms({}, pairs))
 
 
 @dataclass(frozen=True)

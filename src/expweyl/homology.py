@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, WeylAlgebra, _Sparse, monomial_sort_key
+from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms, monomial_sort_key
 from .errors import DegreeZero, SignatureMismatch, WindowOverflow
 from .linalg import combination, span_rank
 from .scalars import Scalar
@@ -68,13 +68,8 @@ def tensor_chain(factors, coeff=1) -> Chain:
     for f in factors:
         if f.algebra.signature != algebra.signature:
             raise SignatureMismatch("tensor factors over different signatures")
-        new: dict[tuple[Monomial, ...], Scalar] = {}
-        for key, c in terms.items():
-            for m, cm in f.terms.items():
-                k2 = key + (m,)
-                cc = c * cm
-                new[k2] = new[k2] + cc if k2 in new else cc
-        terms = new
+        # one appended factor keeps the keys distinct: nothing to merge
+        terms = {key + (m,): c * cm for key, c in terms.items() for m, cm in f.terms.items()}
     return Chain(algebra, len(factors) - 1, terms)
 
 
@@ -86,21 +81,17 @@ def hochschild_b(c: Chain) -> Chain:
     n = c.degree
     out: dict[tuple[Monomial, ...], Scalar] = {}
 
-    def put(key, coeff):
-        out[key] = out[key] + coeff if key in out else coeff
+    def put(sign, coeff, prod, prefix, suffix):
+        # the products' terms, placed between prefix and suffix
+        pairs = ((prefix + (m,) + suffix, coeff * cm) for m, cm in prod.terms.items())
+        add_terms(out, pairs if sign > 0 else ((k2, -v) for k2, v in pairs))
 
     for key, coeff in c.terms.items():
         for i in range(n):
             prod = alg.mul(alg.from_term(key[i]), alg.from_term(key[i + 1]))
-            sign = 1 if i % 2 == 0 else -1
-            for m, cm in prod.terms.items():
-                k2 = key[:i] + (m,) + key[i + 2 :]
-                put(k2, coeff * cm if sign > 0 else -(coeff * cm))
+            put(1 if i % 2 == 0 else -1, coeff, prod, key[:i], key[i + 2 :])
         prod = alg.mul(alg.from_term(key[n]), alg.from_term(key[0]))
-        sign = 1 if n % 2 == 0 else -1
-        for m, cm in prod.terms.items():
-            k2 = (m,) + key[1:n]
-            put(k2, coeff * cm if sign > 0 else -(coeff * cm))
+        put(1 if n % 2 == 0 else -1, coeff, prod, (), key[1:n])
     return Chain(alg, n - 1, out)
 
 
@@ -109,14 +100,12 @@ def connes_B(c: Chain) -> Chain:
     alg = c.algebra
     n = c.degree
     unit = alg.one_monomial
-    out: dict[tuple[Monomial, ...], Scalar] = {}
-    for key, coeff in c.terms.items():
-        for i in range(n + 1):
-            sign = 1 if (n * i) % 2 == 0 else -1
-            k2 = (unit,) + key[i:] + key[:i]
-            cc = coeff if sign > 0 else -coeff
-            out[k2] = out[k2] + cc if k2 in out else cc
-    return Chain(alg, n + 1, out)
+    pairs = (
+        ((unit,) + key[i:] + key[:i], coeff if (n * i) % 2 == 0 else -coeff)
+        for key, coeff in c.terms.items()
+        for i in range(n + 1)
+    )
+    return Chain(alg, n + 1, add_terms({}, pairs))
 
 
 class Window:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Element, WeylAlgebra, _Sparse
+from .algebra import Element, WeylAlgebra, _Sparse, add_terms
 from .errors import (
     DegreeZero,
     IntegrationFailed,
@@ -318,11 +318,7 @@ class Cochain(_Sparse):
             for i in skey:
                 if not 0 <= i < span.dim:
                     raise SignatureMismatch("basis index out of range")
-            for j, c in enumerate(coords):
-                if sign < 0:
-                    c = -c
-                cur = terms.get((skey, j))
-                terms[(skey, j)] = c if cur is None else cur + c
+            add_terms(terms, (((skey, j), c if sign > 0 else -c) for j, c in enumerate(coords)))
         self.span = span
         self.degree = degree
         self._set_terms(terms)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Element, Monomial, WeylAlgebra
+from .algebra import Element, Monomial, WeylAlgebra, add_terms
 from .errors import (
     NotAFunction,
     SignatureMismatch,
     UnsupportedElement,
     ZeroElement,
 )
+from .expr import _int_text
 from .scalars import Scalar
 
 __all__ = [
@@ -35,15 +36,10 @@ __all__ = [
 ]
 
 
-def _check_same(algebra: WeylAlgebra, e: Element) -> None:
-    if not isinstance(e, Element) or e.algebra is not algebra:
-        raise SignatureMismatch("element belongs to a different algebra")
-
-
 def act(P: Element, f: Element) -> Element:
     """Apply P as a differential operator to the function element f."""
     algebra = P.algebra
-    _check_same(algebra, f)
+    algebra._check(f)
     if not f.is_function_element:
         raise NotAFunction("the action is defined on function elements")
     acc: dict[Monomial, Scalar] = {}
@@ -52,11 +48,7 @@ def act(P: Element, f: Element) -> Element:
         for i0, k in enumerate(m.d):
             for _ in range(k):
                 g = algebra.diff_function(g, i0 + 1)
-        for mg, cg in g.terms.items():
-            mono = m.shift(mg.exps, mg.d)
-            v = c * cg
-            cur = acc.get(mono)
-            acc[mono] = v if cur is None else cur + v
+        add_terms(acc, ((m.shift(mg.exps, mg.d), c * cg) for mg, cg in g.terms.items()))
     return Element(algebra, acc)
 
 
@@ -114,7 +106,7 @@ class NoetherianReport:
         return (self.value_n.as_rational(), self.value_n_plus_1.as_rational())
 
     def as_text(self) -> str:
-        a, b = self.as_pair()
+        a, b = map(_int_text, self.as_pair())
         return f"({a}, {b})"
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Element, WeylAlgebra
-from .errors import NotHomogeneous
+from .errors import NotHomogeneous, SignatureMismatch
 from .scalars import Scalar, ScalarField
 
 __all__ = [
@@ -128,6 +128,8 @@ def random_cochain(span, rng: random.Random, degree: int, *, ad_degree: int | No
 
     if ad_degree is not None and span.degrees is None:
         raise NotHomogeneous("span has no grading element")
+    if degree < 0:
+        raise SignatureMismatch("cochain degree must be >= 0")
     field = span.field
     table = {}
     for key in combinations(range(span.dim), degree):

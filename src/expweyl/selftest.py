@@ -444,34 +444,9 @@ def check_deterministic_output(rng):
     assert transcript(seed) == transcript(seed), "same seed gave different output"
 
 
-_CHECKS = (
-    ("scalar_field_axioms", check_scalar_field_axioms),
-    ("hbar_truncation_nilpotent", check_hbar_truncation_nilpotent),
-    ("lattice_embed_homomorphism", check_lattice_embed_homomorphism),
-    ("lattice_l1_subadditive", check_lattice_l1_subadditive),
-    ("defining_relations", check_defining_relations),
-    ("normal_form_associative", check_normal_form_associative),
-    ("unit_and_bilinearity", check_unit_and_bilinearity),
-    ("diff_function_derivation", check_diff_function_derivation),
-    ("action_homomorphism", check_action_homomorphism),
-    ("action_leibniz", check_action_leibniz),
-    ("derivative_power_ladder", check_derivative_power_ladder),
-    ("order_filtration_laws", check_order_filtration_laws),
-    ("weyl_symbol_multiplicative", check_weyl_symbol_multiplicative),
-    ("gr_mul_commutative_associative", check_gr_mul_commutative_associative),
-    ("witt_bracket_lie_axioms", check_witt_bracket_lie_axioms),
-    ("ce_differential_squares_to_zero", check_ce_differential_squares_to_zero),
-    ("euler_integration_inverts_differential", check_euler_integration_inverts_differential),
-    ("hochschild_b_squares_to_zero", check_hochschild_b_squares_to_zero),
-    ("connes_b_identities", check_connes_b_identities),
-    ("one_is_a_commutator", check_one_is_a_commutator),
-    ("poisson_jacobi", check_poisson_jacobi),
-    ("star_matches_contraction_count", check_star_matches_contraction_count),
-    ("rank2_deformation_closed", check_rank2_deformation_closed),
-    ("maurer_cartan_both_directions", check_maurer_cartan_both_directions),
-    ("shifted_rule_classical_part", check_shifted_rule_classical_part),
-    ("parse_format_round_trip", check_parse_format_round_trip),
-    ("deterministic_output", check_deterministic_output),
+# every check_* function above, in definition order, named without the prefix
+_CHECKS = tuple(
+    (name.removeprefix("check_"), fn) for name, fn in globals().items() if name.startswith("check_")
 )
 
 

@@ -391,6 +391,30 @@ def test_eulerint_on_an_ungraded_span_is_an_error_line(capsys):
     assert (status, out, err) == (1, "", "error[NotHomogeneous]: span has no grading element\n")
 
 
+@pytest.mark.parametrize("command", ["ced borel", "eulerint sl2like"])
+@pytest.mark.parametrize("structured", [False, True])
+def test_negative_cochain_degree_is_an_error_line(command, structured, capsys):
+    argv = ["--format", "structured"] if structured else []
+    status, out, err = run(capsys, *argv, *command.split(), "--degree", "-1")
+    assert (status, out, err) == (1, "", "error[SignatureMismatch]: cochain degree must be >= 0\n")
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_noetherian_past_the_digit_limit_is_an_error_line(structured, capsys):
+    # 1559! is the first factorial with more than 4300 digits
+    argv = ["--format", "structured"] if structured else []
+    status, out, err = run(capsys, *argv, "noetherian", "1559")
+    assert (status, out) == (1, "")
+    assert err.startswith("error[IntegerTooLong]:") and err.count("\n") == 1
+    assert run(capsys, *argv, "noetherian", "3")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["assoc", "star D_1 x_1", "tshift"])
+def test_negative_hbar_order_is_refused(command, capsys):
+    status, out, err = run(capsys, *command.split(), "--order", "-1")
+    assert (status, out, err) == (1, "", "error[SignatureMismatch]: hbar order must be >= 0\n")
+
+
 def test_hochb_and_connesB(capsys):
     _, out, _ = run(capsys, "hochb", "D_1, x_1")
     assert out == "b = [1]\nb^2 == 0: true\n"

@@ -16,6 +16,11 @@ unknown keys, with values of every JSON type, nested lists and objects;
 some files carry a 5000-digit integer literal or bytes that are not UTF-8.
 ``n``, ``rank`` and ``hbar_order`` stay at most 3 when they are integers,
 because a large truncation order allocates that many payload slots.
+
+The commands that take no expression are drawn with their integer options
+(degrees, orders, triple counts, the variable index, the probe bound,
+noetherian's n and rank2's coordinates and constant) from small ranges that
+include negatives, over the default and a rank-2 signature.
 """
 
 import json
@@ -180,6 +185,59 @@ def test_config_never_crashes(tmp_path, capsys, data):
     assert "Traceback" not in captured.err
     if status == 1:
         assert ERROR_LINE.fullmatch(captured.err), captured.err
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+
+
+RANK2 = {"n": 1, "rank": 2, "p": [2], "t": [[0, 0]]}
+SMALL = st.integers(-2, 3)
+
+
+def _integer_options(data, command):
+    """The options of one non-expression command, each an integer in a small range."""
+    ints = lambda *opts: [x for opt in opts for x in (opt, str(data.draw(SMALL)))]
+    if command in ("ced", "eulerint"):
+        extra = ["--ad-degree"] if command == "eulerint" else []
+        return [data.draw(st.sampled_from(["borel", "sl2like"])), *ints("--degree", *extra)]
+    if command == "assoc":
+        return ints("--order", "--triples")
+    if command == "mc":
+        return ints("--triples")
+    if command == "tshift":
+        return ints("--order", "--var")
+    if command == "noetherian":
+        return [str(data.draw(st.integers(-2, 8)))]
+    if command == "probe":
+        return ["x_1*D_1", *ints("--maxdeg")]
+    coords = lambda: ",".join(str(data.draw(SMALL)) for _ in range(data.draw(st.integers(1, 2))))
+    return [coords(), coords(), "--c", str(data.draw(SMALL))]
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_integer_options_never_crash(tmp_path, capsys, data):
+    argv = []
+    if data.draw(st.booleans()):
+        cfg = tmp_path / "rank2.json"
+        cfg.write_text(json.dumps(RANK2))
+        argv += ["--config", str(cfg)]
+    if data.draw(st.booleans()):
+        argv += ["--format", "structured"]
+    command = data.draw(
+        st.sampled_from(["ced", "eulerint", "assoc", "mc", "tshift", "noetherian", "probe", "rank2"])
+    )
+    argv += [command, *_integer_options(data, command)]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status in (0, 1), argv
+    assert "Traceback" not in captured.err
+    if status == 1:
+        assert ERROR_LINE.fullmatch(captured.err), (argv, captured.err)
         assert captured.out == ""
     else:
         assert captured.err == ""

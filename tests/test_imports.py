@@ -1,5 +1,5 @@
-"""Import hygiene: every top-level import of a package module is referenced in
-that module, and only scalars.py imports sympy."""
+"""Source hygiene: every top-level import of a package module is referenced in
+that module, only scalars.py imports sympy, and no line is over 110 characters."""
 
 import ast
 from pathlib import Path
@@ -46,3 +46,14 @@ def test_only_scalars_imports_sympy(module):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             roots.append(node.module.split(".")[0])
     assert "sympy" not in roots, f"{module} imports sympy"
+
+
+MAX_LINE = 110
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_line_is_longer_than_the_limit(module):
+    """Line counts measure code removed, not code packed onto fewer lines."""
+    lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
+    long = [n for n, line in enumerate(lines, start=1) if len(line) > MAX_LINE]
+    assert not long, f"{module} has lines over {MAX_LINE} characters: {long}"

@@ -326,7 +326,16 @@ class Element(_Sparse):
             return NotImplemented
         if k < 0:
             raise NegativePower("general elements have no negative powers")
-        return power(self, k, self.algebra.one)
+        unit = self.algebra.one_monomial
+        if k == 0 or self.is_function_element or all(m.function_part() == unit for m in self.terms):
+            return power(self, k, self.algebra.one)
+        # A product costs about (D-order of the left factor) x (terms of the
+        # right one), and squaring puts a high D-order on the left, so an
+        # operator with a function part is multiplied on the left k-1 times.
+        out = self
+        for _ in range(k - 1):
+            out = self * out
+        return out
 
     def __str__(self) -> str:
         from .expr import format_element

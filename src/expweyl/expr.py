@@ -346,13 +346,17 @@ def parse(src: str, algebra: WeylAlgebra) -> Element:
 # -- formatter ----------------------------------------------------------------
 
 
+def _too_long() -> IntegerTooLong:
+    """The refusal of an integer of the result past the digit limit."""
+    return IntegerTooLong(f"an integer in the result has more than {_digit_limit()} digits")
+
+
 def _int_text(k: int) -> str:
     """Decimal text of a coefficient or exponent of the result."""
     try:
         return str(k)
     except ValueError:
-        limit = _digit_limit()
-        raise IntegerTooLong(f"an integer in the result has more than {limit} digits") from None
+        raise _too_long() from None
 
 
 def _group_text(coords: tuple[int, ...]) -> str:

@@ -256,3 +256,41 @@ def test_power_matches_repeated_product(kind):
         assert P**k == P_k
         assert s**k == s_k
         P_k, s_k = A.mul(P_k, P), s_k * s
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = WeylAlgebra.mul
+
+    def counted(self, left, right):
+        calls.append(1)
+        return mul(self, left, right)
+
+    monkeypatch.setattr(WeylAlgebra, "mul", counted)
+    return calls
+
+
+def test_operator_power_multiplies_on_the_left(monkeypatch):
+    A = make_algebra()
+    P = A.E(1) + A.D(1)
+    expected = [A.one, P]
+    for _ in range(8):
+        expected.append(A.mul(P, expected[-1]))
+    calls = _count_products(monkeypatch)
+    for k in range(1, 10):
+        calls.clear()
+        assert P**k == expected[k]
+        assert len(calls) == k - 1
+
+
+def test_derivative_powers_still_square(monkeypatch):
+    # with no function part the factors commute and a product does no
+    # derivative work, so squaring stays cheap
+    A = make_algebra()
+    P = A.D(1) + A.D(1, 2)
+    expected = A.one
+    for _ in range(64):
+        expected = A.mul(expected, P)
+    calls = _count_products(monkeypatch)
+    assert P**64 == expected
+    assert len(calls) <= 12

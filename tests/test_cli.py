@@ -1,11 +1,15 @@
 """Command surface: golden transcripts, structured output, error codes."""
 
+import gc
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from expweyl import cli
 from expweyl.cli import main
 
 
@@ -499,3 +503,55 @@ def test_identical_invocations_are_byte_identical(argv, capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# -- process entry -----------------------------------------------------------------
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "comm", "D_1", "x_1")[0] == 0
+    assert run(capsys, "noetherian", "0")[0] == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_once_and_returns_the_status(monkeypatch, capsys):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    assert cli.run(["comm", "D_1", "x_1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert cli.run(["noetherian", "0"]) == 1
+    assert freezes == [1, 1]
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["expweyl"] == "expweyl.cli:run"
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_noetherian_refuses_before_it_computes(structured, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the witness was computed")
+
+    monkeypatch.setattr(cli, "noetherian_witness", refuse)
+    argv = ["--format", "structured"] if structured else []
+    for n in ("1559", "1000000000"):
+        start = time.perf_counter()
+        status, out, err = run(capsys, *argv, "noetherian", n)
+        assert time.perf_counter() - start < 2
+        assert (status, out) == (1, "")
+        assert err == "error[IntegerTooLong]: an integer in the result has more than 4300 digits\n"
+
+
+def test_noetherian_refusal_through_the_interpreter():
+    proc = subprocess.run(
+        [sys.executable, "-m", "expweyl.cli", "noetherian", "1000000000"],
+        capture_output=True,
+        timeout=20,
+    )
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error[IntegerTooLong]:") and proc.stderr.count(b"\n") == 1

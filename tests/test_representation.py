@@ -142,3 +142,29 @@ def test_reduce_rejections():
         reduce_to_constant(A.x(1, -1))
     with pytest.raises(ZeroElement):
         reduce_to_constant(A.zero)
+
+
+@pytest.mark.parametrize("kind", ["n1", "n2", "t_shift"])
+def test_power_oracle(kind, monkeypatch):
+    # t = 1 (or t = (1, 0), (0, 1)) is nonzero in every case
+    A = {
+        "n1": make_algebra(),
+        "n2": make_algebra(n=2, rank=2, p=(2, 1), t=((1, 0), (0, 1))),
+        "t_shift": make_algebra().with_t_shift(2),
+    }[kind]
+    rng = random.Random(f"power-oracle:{kind}")
+    mixed = A.E(1) + A.D(1) + A.x(A.signature.n) * A.D(A.signature.n)
+    operators = [mixed] + [random_element(A, rng, max_terms=3, bound=2) for _ in range(4)]
+    cases = []
+    for P in operators:
+        f = random_function_element(A, rng, max_terms=2, bound=2)
+        cases.append((P, f, [P**k for k in range(5)]))
+
+    def refuse(*args):
+        raise AssertionError("act called WeylAlgebra.mul")
+
+    monkeypatch.setattr(WeylAlgebra, "mul", refuse)
+    for P, f, powers in cases:
+        assert act(powers[0], f) == f
+        for k in range(1, 5):
+            assert act(powers[k], f) == act(P, act(powers[k - 1], f))

@@ -27,7 +27,7 @@ from expweyl.deformation import (
 )
 from expweyl.expr import format_element, format_gr_element
 from expweyl.grading import full_symbol
-from expweyl.sampling import random_element
+from expweyl.sampling import random_symbol
 
 
 def star_section(order):
@@ -68,10 +68,7 @@ def mc_section(seed, triples):
     m1, m2 = star_cochain(A, 1), star_cochain(A, 2)
     worst = None
     for _ in range(triples):
-        f, g, h = (
-            full_symbol(random_element(A, rng, max_terms=2, bound=2))
-            for _ in range(3)
-        )
+        f, g, h = (random_symbol(A, rng) for _ in range(3))
         res = mc_residual(m1, m2, f, g, h)
         if not res.is_zero:
             worst = res

@@ -367,13 +367,14 @@ class WeylAlgebra:
         self._diff_pow_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[tuple[Monomial, Scalar], ...]] = {}
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
+        # hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
+        self._hbar_over_fact: tuple[Scalar, ...] = (self.field.one,)
         if signature.t_shift:
-            N = signature.hbar_order
             hb = self.field.hbar
-            self._hbar_over_fact = [
+            self._hbar_over_fact = tuple(
                 hb**k * self.field.from_rational(Fraction(1, math.factorial(k)))
-                for k in range(N + 1)
-            ]
+                for k in range(signature.hbar_order + 1)
+            )
 
     # -- deformed twins -------------------------------------------------------
 
@@ -500,20 +501,15 @@ class WeylAlgebra:
         if a_i:
             p_i = sig.p[i0]
             a_scal = field.from_rational(a_i)
-            if sig.t_shift:
-                N = sig.hbar_order
-                two_hbar = field.hbar * 2
-                for k in range(N + 1):
-                    base = a_scal * self._hbar_over_fact[k]
-                    out.append((shifted(p_i - 1 + 2 * k, True), base * p_i))
-                    if not self._embed_t[i0].is_zero:
-                        out.append((shifted(p_i + 2 * k, True), base * self._embed_t[i0]))
-                    if k + 1 <= N:
-                        out.append((shifted(p_i + 1 + 2 * k, True), base * two_hbar))
-            else:
-                out.append((shifted(p_i - 1, True), a_scal * p_i))
+            N = len(self._hbar_over_fact) - 1
+            two_hbar = field.hbar * 2 if N else None
+            for k, hk in enumerate(self._hbar_over_fact):
+                base = a_scal * hk
+                out.append((shifted(p_i - 1 + 2 * k, True), base * p_i))
                 if not self._embed_t[i0].is_zero:
-                    out.append((shifted(p_i, True), a_scal * self._embed_t[i0]))
+                    out.append((shifted(p_i + 2 * k, True), base * self._embed_t[i0]))
+                if k < N:
+                    out.append((shifted(p_i + 1 + 2 * k, True), base * two_hbar))
         if any(beta_i):
             out.append((m, field.embed(GroupElement(beta_i))))
         if any(gamma_i):
@@ -590,9 +586,12 @@ class WeylAlgebra:
             payQ = cQ.coeffs[0] if single else cQ.coeffs
             fQ = mQ.function_part()
             dQ = mQ.d
+            # a unit function part on the right or no D on the left: only k = 0
+            # of the Leibniz sum contributes
+            pure = fQ == self.one_monomial
             for mP, payP, d1 in left:
                 c = pmul(payP, payQ)
-                if not any(d1):
+                if pure or not any(d1):
                     mono = mP.shift(mQ.exps)
                     cur = acc.get(mono)
                     acc[mono] = c if cur is None else padd(cur, c)

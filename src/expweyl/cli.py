@@ -55,9 +55,9 @@ from .grading import (
     symbol,
 )
 from .homology import commutator_span_check, connes_B, hochschild_b, tensor_chain
-from .lie import PRESETS, LieSpan, ce_differential, derivation_from_element, euler_integrate
+from .lie import PRESETS, DerivationElement, LieSpan, ce_differential, euler_integrate, witt_bracket
 from .representation import act, faithfulness_probe, noetherian_witness
-from .sampling import random_cochain, random_element
+from .sampling import random_cochain, random_symbol
 from .selftest import run_selftest
 
 SCHEMA = "expweyl/1"
@@ -119,7 +119,7 @@ def _span_arg(algebra, spec: str, grading: int | None):
     preset = PRESETS.get(spec.strip())
     if preset is not None:
         return preset(algebra)
-    basis = [derivation_from_element(parse(p, algebra)) for p in _split_top(spec)]
+    basis = [DerivationElement(parse(p, algebra)) for p in _split_top(spec)]
     return LieSpan(basis, grading=grading)
 
 
@@ -291,10 +291,8 @@ def _cmd_noetherian(ctx, args):
 
 def _cmd_liebracket(ctx, args):
     A = ctx.algebra
-    u = derivation_from_element(parse(args.left, A))
-    v = derivation_from_element(parse(args.right, A))
-    from .lie import witt_bracket
-
+    u = DerivationElement(parse(args.left, A))
+    v = DerivationElement(parse(args.right, A))
     w = witt_bracket(u, v).as_element()
     return format_element(w), _element_payload(w)
 
@@ -411,13 +409,7 @@ def _cmd_assoc(ctx, args):
         raise SignatureMismatch("hbar order must be >= 0")
     count = _triples_arg(args.triples)
     cochains = [star_cochain(A, k) for k in range(1, N + 1)]
-    triples = [
-        tuple(
-            full_symbol(random_element(A, ctx.rng, max_terms=2, bound=2))
-            for _ in range(3)
-        )
-        for _ in range(count)
-    ]
+    triples = [tuple(random_symbol(A, ctx.rng) for _ in range(3)) for _ in range(count)]
     rep = star_assoc_check(cochains, triples)
     payload = {
         "max_order": rep.max_order,
@@ -474,10 +466,7 @@ def _cmd_mc(ctx, args):
     m1, m2 = star_cochain(A, 1), star_cochain(A, 2)
     failure = None
     for idx in range(count):
-        f, g, h = (
-            full_symbol(random_element(A, ctx.rng, max_terms=2, bound=2))
-            for _ in range(3)
-        )
+        f, g, h = (random_symbol(A, ctx.rng) for _ in range(3))
         if not mc_residual(m1, m2, f, g, h).is_zero:
             failure = idx
             break

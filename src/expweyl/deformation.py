@@ -121,24 +121,20 @@ def _apply_word(f: GrElement, word: tuple) -> GrElement:
 class PolyDiffOp(_Sparse):
     """Bidifferential operator on symbols: a sum of coeff * (d_wl (x) d_wr).
 
-    A word is a tuple of generator tags; partials commute, so words are
-    kept sorted.  Coefficients are symbols over the same algebra (plain
-    scalars, ints, and fractions are promoted to constants).  Calling the
+    The constructor takes (wl, wr, coeff) triples.  A word is a tuple of
+    generator tags; partials commute, so words are kept sorted.
+    Coefficients are symbols over the same algebra (plain scalars, ints,
+    and fractions are promoted to constants).  Calling the
     operator on a pair of symbols is bilinear by construction.
     """
 
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: WeylAlgebra, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
         one = _gr_one_term(algebra, algebra.one_monomial)  # times a scalar: a constant
 
         def normalized():
-            for entry in items:
-                if len(entry) == 3:
-                    wl, wr, coeff = entry
-                else:
-                    (wl, wr), coeff = entry
+            for wl, wr, coeff in terms:
                 wl = tuple(sorted(wl))
                 wr = tuple(sorted(wr))
                 for g in wl + wr:

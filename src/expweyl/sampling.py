@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .algebra import Element, WeylAlgebra
 from .errors import NotHomogeneous, SignatureMismatch
+from .grading import GrElement, full_symbol
 from .scalars import Scalar, ScalarField
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "random_element",
     "random_weyl_element",
     "random_function_element",
+    "random_symbol",
     "random_derivation",
     "random_cochain",
     "random_chain",
@@ -93,14 +95,19 @@ def random_function_element(
     return out
 
 
+def random_symbol(algebra: WeylAlgebra, rng: random.Random) -> GrElement:
+    """The full symbol of a random element with at most two terms."""
+    return full_symbol(random_element(algebra, rng, max_terms=2, bound=2))
+
+
 def random_derivation(algebra: WeylAlgebra, rng: random.Random):
     """Random first-order operator sum(f_i * D_i) with function coefficients."""
     from .lie import DerivationElement
 
-    coeffs = [
-        random_function_element(algebra, rng, max_terms=2) for _ in range(algebra.signature.n)
-    ]
-    return DerivationElement(algebra, coeffs)
+    P = algebra.zero
+    for i in range(1, algebra.signature.n + 1):
+        P = P + random_function_element(algebra, rng, max_terms=2) * algebra.D(i)
+    return DerivationElement(P)
 
 
 def random_chain(algebra: WeylAlgebra, rng: random.Random, degree: int):

@@ -51,6 +51,7 @@ from .sampling import (
     random_element,
     random_function_element,
     random_scalar,
+    random_symbol,
     random_weyl_element,
 )
 from .scalars import GroupElement, ScalarField
@@ -62,13 +63,6 @@ def _algebra(n=1, rank=2, p=None, t=None, **kw):
     p = (2,) * n if p is None else p
     t = ((0,) * rank,) * n if t is None else t
     return WeylAlgebra(n=n, rank=rank, p=p, t=t, **kw)
-
-
-def _random_symbols(A, rng, count, max_terms=2, bound=2):
-    return [
-        full_symbol(random_element(A, rng, max_terms=max_terms, bound=bound))
-        for _ in range(count)
-    ]
 
 
 # -- exponent arithmetic -------------------------------------------------------
@@ -260,7 +254,7 @@ def check_weyl_symbol_multiplicative(rng):
 def check_gr_mul_commutative_associative(rng):
     A = _algebra()
     for _ in range(6):
-        u, v, w = _random_symbols(A, rng, 3)
+        u, v, w = (random_symbol(A, rng) for _ in range(3))
         assert gr_mul(u, v) == gr_mul(v, u), "gr_mul not commutative"
         assert gr_mul(gr_mul(u, v), w) == gr_mul(u, gr_mul(v, w)), (
             "gr_mul not associative"
@@ -351,7 +345,7 @@ def check_poisson_jacobi(rng):
     ]
     for br in brackets:
         for _ in range(3):
-            f, g, h = _random_symbols(A, rng, 3)
+            f, g, h = (random_symbol(A, rng) for _ in range(3))
             jac = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
             assert jac.is_zero, "Poisson Jacobi fails"
             assert (br(f, g) + br(g, f)).is_zero, "Poisson bracket not antisymmetric"
@@ -388,7 +382,7 @@ def check_rank2_deformation_closed(rng):
 def check_maurer_cartan_both_directions(rng):
     A = _algebra()
     m1, m2 = star_cochain(A, 1), star_cochain(A, 2)
-    triples = [tuple(_random_symbols(A, rng, 3)) for _ in range(3)]
+    triples = [tuple(random_symbol(A, rng) for _ in range(3)) for _ in range(3)]
     for f, g, h in triples:
         assert mc_residual(m1, m2, f, g, h).is_zero, "MC residual nonzero for star"
     assert star_assoc_check([m1, m2], triples).associative

@@ -294,3 +294,22 @@ def test_derivative_powers_still_square(monkeypatch):
     calls = _count_products(monkeypatch)
     assert P**64 == expected
     assert len(calls) <= 12
+
+
+def test_pure_derivative_right_terms_take_no_derivatives():
+    # D^a * D^b: the Leibniz sum D^a (1 D^b) = sum binom(a, k) (D^k 1) D^{a-k+b}
+    # keeps only k = 0, so no derivative of the unit is taken or cached
+    A = WeylAlgebra(n=2, rank=1, p=(2, 2), t=((1,), (0,)))
+    P = A.E(1) * A.D(1, 40) * A.D(2, 3) * 2 + A.x(2) * A.D(2)
+    Q = A.D(1, 7) * A.D(2, 40) * Fraction(1, 3)
+    want = (
+        A.E(1) * A.D(1, 47) * A.D(2, 43) * Fraction(2, 3)
+        + A.x(2) * A.D(1, 7) * A.D(2, 41) * Fraction(1, 3)
+    )
+    A._diff_cache.clear()
+    A._diff_pow_cache.clear()
+    A._kbinom_cache.clear()
+    assert P * Q == want
+    assert not (A._diff_cache or A._diff_pow_cache or A._kbinom_cache)
+    D = A.D(1, 50000)
+    assert D * D == A.D(1, 100000)

@@ -56,6 +56,36 @@ def test_golden_transcripts_via_interpreter():
         assert proc.stdout == expected
 
 
+LIE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "lie_commands.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    LIE_GOLDEN["cases"],
+    ids=lambda c: "-".join(
+        a for a in c["argv"] if a in ("structured", "liebracket", "cespan", "ced", "eulerint")
+    ),
+)
+def test_golden_lie_commands(case, tmp_path, capsys):
+    # n 2 / rank 2 and hbar order 2; custom graded spans, E and exp factors
+    paths = {}
+    for name, fields in LIE_GOLDEN["configs"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fields))
+    argv = [a.format(**paths) for a in case["argv"]]
+    assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
+
+
+def test_power_of_a_derivative_through_the_interpreter():
+    # only k = 0 of each Leibniz sum survives, so squaring D_1^50000 is one term
+    proc = subprocess.run(
+        [sys.executable, "-m", "expweyl.cli", "normalize", "(D_1)^100000"],
+        capture_output=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"D_1^100000\n", b"")
+
+
 # -- configuration -------------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ def element(A):
 
 
 def derivation(A):
-    return DerivationElement(A, [A.x(1, 2) * Fraction(1, 2) + A.exp_sym(1, 1)])
+    return DerivationElement((A.x(1, 2) * Fraction(1, 2) + A.exp_sym(1, 1)) * A.D(1))
 
 
 COCHAIN_TABLES = {
@@ -102,9 +102,9 @@ def test_scalars_of_another_field_are_refused():
 
 
 def test_derivation_terms_are_its_coefficient_terms():
-    u = derivation(A1) + DerivationElement(A1, [A1.x(1, -1)]) * 2
-    (f,) = u.coeffs
-    assert u.terms == {(0, m): c for m, c in f.terms.items()}
+    u = derivation(A1) + DerivationElement(A1.x(1, -1) * A1.D(1)) * 2
+    f = A1.x(1, 2) * Fraction(1, 2) + A1.exp_sym(1, 1) + A1.x(1, -1) * 2
+    assert u.terms == (f * A1.D(1)).terms
     assert u.as_element() == f * A1.D(1)
     span = borel(A1)
     assert span.coordinates(span.basis[1] * 3 - span.basis[0]) == tuple(

@@ -567,23 +567,20 @@ class WeylAlgebra:
         return result
 
     def mul(self, P: Element, Q: Element) -> Element:
-        """Normal-ordered product, accumulated on raw coefficient payloads.
-
-        With one coefficient slot a payload is the slot's value; in an hbar
-        field it is the whole truncated series, multiplied by convolution.
-        """
+        """Normal-ordered product, accumulated on raw coefficient payloads
+        with the field's ops (in an hbar field a payload is the whole
+        truncated series, multiplied by convolution)."""
         self._check(P)
         self._check(Q)
         field = self.field
         one = field.one
-        single = field.slots == 1
-        ops = field._ops if single else field.series
+        ops = field.ops
         pmul = ops.mul
         padd = ops.add
-        left = [(m, c.coeffs[0] if single else c.coeffs, m.d) for m, c in P.terms.items()]
+        left = [(m, c.pay, m.d) for m, c in P.terms.items()]
         acc: dict[Monomial, object] = {}
         for mQ, cQ in Q.terms.items():
-            payQ = cQ.coeffs[0] if single else cQ.coeffs
+            payQ = cQ.pay
             fQ = mQ.function_part()
             dQ = mQ.d
             # a unit function part on the right or no D on the left: only k = 0
@@ -597,23 +594,15 @@ class WeylAlgebra:
                     acc[mono] = c if cur is None else padd(cur, c)
                     continue
                 for k, binom in self._kbinom(d1):
-                    if binom == 1:
-                        cb = c
-                    else:
-                        pb = field.from_rational(binom).coeffs
-                        cb = pmul(c, pb[0] if single else pb)
+                    cb = c if binom == 1 else pmul(c, field.from_rational(binom).pay)
                     d = tuple(map(add, map(sub, d1, k), dQ))
                     for fm, fc in self._diff_pow_mono(fQ, k):
                         mono = mP.shift(fm.exps, d)
-                        v = cb if fc is one else pmul(cb, fc.coeffs[0] if single else fc.coeffs)
+                        v = cb if fc is one else pmul(cb, fc.pay)
                         cur = acc.get(mono)
                         acc[mono] = v if cur is None else padd(cur, v)
         # one zero filter, on the payloads; the Element needs no second pass
-        if single:
-            terms = {m: Scalar(field, (c,)) for m, c in acc.items() if c}
-        else:
-            terms = {m: Scalar(field, c) for m, c in acc.items() if any(c)}
-        return Element._nonzero(self, terms)
+        return Element._nonzero(self, {m: Scalar(field, c) for m, c in acc.items() if c})
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

@@ -434,7 +434,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
     """First-order cochain of the exponential-lattice deformation:
     m1(x^alpha, x^beta) = c_{alpha,beta} E x^(alpha+beta), extended bilinearly.
 
-    Defined on symbols in pure powers of the single position variable.
+    Defined on symbols in pure powers of the one position variable.
     """
     if algebra.signature.n != 1:
         raise UnsupportedElement("lattice deformation is defined for one variable")

@@ -234,7 +234,7 @@ class Cochain(_Sparse):
     """Alternating k-linear map on a span, tabulated on basis k-tuples.
 
     ``terms`` maps (strictly increasing index tuple, output coordinate j) to
-    the nonzero Scalar at that place; degree-0 cochains use the single index
+    the nonzero Scalar at that place; degree-0 cochains use the one index
     tuple ().  The constructor takes a ``table`` from index tuples to
     coordinate tuples, and unsorted tuples are folded in with the
     permutation sign; the read-only ``table`` rebuilds that form.

@@ -111,7 +111,7 @@ def combination(
         )
         if flat is None:
             return None
-        return [Scalar(field, tuple(c.coeffs[0] for c in flat[i : i + n])) for i in range(0, len(flat), n)]
+        return [field.from_hbar_coefficients(flat[i : i + n]) for i in range(0, len(flat), n)]
     columns = [*vectors, target]
     by_key: dict = {k: {} for v in columns for k in v}
     for i, v in enumerate(columns):

@@ -7,14 +7,16 @@ carry a truncated hbar series mode: scalars are then polynomials in hbar cut
 off above a fixed order, with componentwise addition, convolution product, and
 division by series with invertible constant term.
 
-Representation: a scalar holds one payload per hbar slot.  At rank 1 a payload
-is a Python int when the value is integral and otherwise a rational of sympy's
-QQ domain (its pure-Python PythonMPQ type unless gmpy2 is installed); at rank
->= 2 it is a QQ constant or a reduced numerator/denominator pair of
-polynomials (gcd cancelled, denominator primitive with integer coefficients and
-positive leading coefficient).  Each value has one payload, so structural
-equality is canonical-form equality, and every zero payload is the falsy zero
-constant of its ops, so a zero test is a truth test.  Polynomial arithmetic is
+Representation: a scalar holds one payload, and its field's ``ops`` is the
+only arithmetic on it.  In a field without an hbar order the payload is a
+slot payload: at rank 1 a Python int when the value is integral and otherwise
+a rational of sympy's QQ domain (its pure-Python PythonMPQ type unless gmpy2
+is installed); at rank >= 2 a QQ constant or a reduced numerator/denominator
+pair of polynomials (gcd cancelled, denominator primitive with integer
+coefficients and positive leading coefficient).  In an hbar field it is a
+_Series, a tuple of slot payloads, one per power of hbar.  Each value has one
+payload, so structural equality is canonical-form equality, and every zero
+payload is falsy, so a zero test is a truth test.  Polynomial arithmetic is
 delegated to sympy's dense ring elements; everything above that layer is
 defined here.
 """
@@ -90,7 +92,20 @@ class GroupElement:
 # Payload adapters: one per coefficient representation
 # ---------------------------------------------------------------------------
 
-class _RationalOps:
+class _SlotOps:
+    """What the two slot payload kinds share: subtraction and the one-slot layout."""
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def coeffs(self, x) -> tuple:
+        return (x,)
+
+    def lift(self, coeffs: tuple):
+        return coeffs[0]
+
+
+class _RationalOps(_SlotOps):
     """Rank-1 payloads: a Python int when the value is integral, otherwise a
     rational of the QQ domain (PythonMPQ without gmpy2) with denominator > 1.
 
@@ -135,9 +150,6 @@ class _RationalOps:
         q, r = divmod(num, den)
         return int(q) if not r else QQ(num, den)
 
-    def gen(self, j: int):
-        raise SignatureMismatch("rank-1 field has no symbolic generators")
-
 
 class _RatPoly:
     """Reduced fraction of ring polynomials; canonical by construction."""
@@ -171,7 +183,7 @@ class _RatPoly:
         return f"_RatPoly({self.num}, {self.den})"
 
 
-class _RatPolyOps:
+class _RatPolyOps(_SlotOps):
     """Rank >= 2 payloads.
 
     A payload is either a QQ rational (constant values, the common case in
@@ -293,25 +305,54 @@ class _RatPolyOps:
         return _RatPoly(self.ring.gens[j - 2], self.pone)
 
 
-class _SeriesOps:
-    """Payloads of an hbar field: tuples of slot payloads, truncated series.
+class _Series(tuple):
+    """Payload of an hbar field, one slot payload per power of hbar.  Falsy
+    exactly when every slot is zero; without an hbar part it hashes like its
+    constant term, so == and hash agree with ints and Fractions."""
 
-    Addition is componentwise and the product is the convolution cut off at
-    the last slot, both over the slot ops.  Scalar products and the product
-    kernel of the algebra both use this one convolution.
+    __slots__ = ()
+
+    def __bool__(self):
+        return any(self)
+
+    def __hash__(self):
+        return tuple.__hash__(self) if any(self[1:]) else hash(self[0])
+
+
+class _SeriesOps:
+    """Payload arithmetic of an hbar field: truncated series over the slot ops.
+
+    Addition is componentwise, the product is the convolution cut off at the
+    last slot, and division multiplies by the inverse series, which exists
+    when the constant term is nonzero.
     """
 
     def __init__(self, ops, slots: int):
         self.ops = ops
         self.slots = slots
+        self.zero = self.lift(())
+        self.one = self.lift((ops.one,))
+        self.hbar = self.lift((ops.zero, ops.one)[:slots])
 
-    def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(map(self.ops.add, x, y))
+    def coeffs(self, x: _Series) -> tuple:
+        return tuple(x)
 
-    def mul(self, x: tuple, y: tuple) -> tuple:
+    def lift(self, coeffs: tuple) -> _Series:
+        """The series with these leading slots, zero above them."""
+        return _Series(coeffs + (self.ops.zero,) * (self.slots - len(coeffs)))
+
+    def add(self, x: _Series, y: _Series) -> _Series:
+        return _Series(map(self.ops.add, x, y))
+
+    def neg(self, x: _Series) -> _Series:
+        return _Series(map(self.ops.neg, x))
+
+    def sub(self, x: _Series, y: _Series) -> _Series:
+        return _Series(map(self.ops.sub, x, y))
+
+    def mul(self, x: _Series, y: _Series) -> _Series:
         # pair only the nonzero slots, and stop at the truncation order
-        ops = self.ops
-        slots = self.slots
+        ops, slots = self.ops, self.slots
         out = [ops.zero] * slots
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
@@ -321,7 +362,23 @@ class _SeriesOps:
                     if k >= slots:
                         break
                     out[k] = ops.add(out[k], ops.mul(xi, yj))
-        return tuple(out)
+        return _Series(out)
+
+    def div(self, x: _Series, y: _Series) -> _Series:
+        ops = self.ops
+        if not y:
+            raise DivisionByZero("scalar division by zero")
+        y0 = y[0]
+        if not y0:
+            raise NonInvertibleSeries("series has zero constant term")
+        inv = [ops.div(ops.one, y0)]
+        for k in range(1, self.slots):
+            acc = ops.zero
+            for j in range(1, k + 1):
+                if y[j]:
+                    acc = ops.add(acc, ops.mul(y[j], inv[k - j]))
+            inv.append(ops.neg(ops.div(acc, y0)))
+        return self.mul(x, _Series(inv))
 
 
 def power(x, k: int, one):
@@ -344,16 +401,16 @@ def power(x, k: int, one):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Immutable field element; a tuple of payloads, one per hbar power."""
+    """Immutable field element: one payload, computed on by its field's ops."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "pay")
 
-    def __init__(self, field: "ScalarField", coeffs: tuple):
+    def __init__(self, field: "ScalarField", pay):
         self.field = field
-        self.coeffs = coeffs
+        self.pay = pay
 
     # -- arithmetic ---------------------------------------------------------
-    # A Scalar of the same field skips coerce, and one slot skips the series.
+    # A Scalar of the same field skips coerce.
 
     def __add__(self, other):
         field = self.field
@@ -361,19 +418,12 @@ class Scalar:
             other = field.coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return Scalar(field, (field._ops.add(a[0], b[0]),))
-        return Scalar(field, field.series.add(a, b))
+        return Scalar(field, field.ops.add(self.pay, other.pay))
 
     __radd__ = __add__
 
     def __neg__(self):
-        field = self.field
-        a = self.coeffs
-        if len(a) == 1:
-            return Scalar(field, (field._ops.neg(a[0]),))
-        return Scalar(field, tuple(map(field._ops.neg, a)))
+        return Scalar(self.field, self.field.ops.neg(self.pay))
 
     def __sub__(self, other):
         field = self.field
@@ -381,11 +431,7 @@ class Scalar:
             other = field.coerce(other)
             if other is None:
                 return NotImplemented
-        ops = field._ops
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return Scalar(field, (ops.add(a[0], ops.neg(b[0])),))
-        return Scalar(field, field.series.add(a, tuple(map(ops.neg, b))))
+        return Scalar(field, field.ops.sub(self.pay, other.pay))
 
     def __rsub__(self, other):
         o = self.field.coerce(other)
@@ -399,47 +445,27 @@ class Scalar:
             other = field.coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return Scalar(field, (field._ops.mul(a[0], b[0]),))
-        return Scalar(field, field.series.mul(a, b))
+        return Scalar(field, field.ops.mul(self.pay, other.pay))
 
     __rmul__ = __mul__
-
-    def _inverse(self) -> "Scalar":
-        ops = self.field._ops
-        b = self.coeffs
-        if not any(b):
-            raise DivisionByZero("scalar division by zero")
-        if not b[0]:
-            raise NonInvertibleSeries("series has zero constant term")
-        slots = len(b)
-        inv = [ops.div(ops.one, b[0])]
-        for k in range(1, slots):
-            acc = ops.zero
-            for j in range(1, k + 1):
-                if b[j]:
-                    acc = ops.add(acc, ops.mul(b[j], inv[k - j]))
-            inv.append(ops.neg(ops.div(acc, b[0])))
-        return Scalar(self.field, tuple(inv))
 
     def __truediv__(self, other):
         o = self.field.coerce(other)
         if o is None:
             return NotImplemented
-        return self * o._inverse()
+        return Scalar(self.field, self.field.ops.div(self.pay, o.pay))
 
     def __rtruediv__(self, other):
         o = self.field.coerce(other)
         if o is None:
             return NotImplemented
-        return o * self._inverse()
+        return o / self
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return self._inverse() ** (-e)
+            return (1 / self) ** (-e)
         return power(self, e, self.field.one)
 
     # -- structure ----------------------------------------------------------
@@ -449,42 +475,40 @@ class Scalar:
             other = self.field.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return other.field is self.field and self.coeffs == other.coeffs
+        return other.field is self.field and self.pay == other.pay
 
     def __hash__(self):
-        # agree with __eq__ against ints and Fractions: without an hbar part,
-        # hash the slot-0 payload, which hashes like the equal Fraction
-        if any(self.coeffs[1:]):
-            return hash(self.coeffs)
-        return hash(self.coeffs[0])
-
-    # every zero payload is falsy and every nonzero one truthy, so the zero
-    # tests run at C level
+        # agrees with __eq__ against ints and Fractions: a payload kind hashes
+        # a rational value without an hbar part like the equal Fraction
+        return hash(self.pay)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.pay)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.pay
+
+    @property
+    def coeffs(self) -> tuple:
+        """The slot payloads, one per power of hbar (one without hbar)."""
+        return self.field.ops.coeffs(self.pay)
 
     @property
     def is_unit(self) -> bool:
-        """Invertible: nonzero constant term (equivalently nonzero at rank of 1 slot)."""
+        """Invertible: nonzero constant term."""
         return bool(self.coeffs[0])
 
     def hbar_coefficient(self, k: int) -> "Scalar":
         """Coefficient of hbar^k, as a scalar of the hbar-free base field."""
-        if not 0 <= k < len(self.coeffs):
+        if not 0 <= k < self.field.slots:
             raise HbarModeOff(f"no hbar^{k} slot in this field")
-        return Scalar(self.field.base, (self.coeffs[k],))
+        return Scalar(self.field.base, self.coeffs[k])
 
     def as_rational(self) -> Fraction | None:
         """The value as a plain rational, if it is one; else None."""
-        if any(self.coeffs[1:]):
-            return None
-        c0 = self.coeffs[0]
-        if isinstance(c0, _RatPoly):
+        c0, *rest = self.coeffs
+        if any(rest) or isinstance(c0, _RatPoly):
             # canonical pairs are never constant (they would be demoted)
             return None
         return Fraction(int(c0.numerator), int(c0.denominator))
@@ -524,7 +548,7 @@ class ScalarField:
         self,
         rank: int = 1,
         hbar_order: int | None = None,
-        _ops=None,
+        _slot_ops=None,
         _base: "ScalarField | None" = None,
     ):
         if rank < 1:
@@ -534,21 +558,16 @@ class ScalarField:
         self.rank = rank
         self.hbar_order = hbar_order
         self.slots = 1 if hbar_order is None else hbar_order + 1
-        if _ops is not None:
-            self._ops = _ops
-        elif rank == 1:
-            self._ops = _RationalOps()
-        else:
-            self._ops = _RatPolyOps(rank)
-        self.series = _SeriesOps(self._ops, self.slots)
+        if _slot_ops is None:
+            _slot_ops = _RationalOps() if rank == 1 else _RatPolyOps(rank)
+        self._slot_ops = _slot_ops
+        # the one arithmetic on this field's payloads
+        self.ops = _slot_ops if hbar_order is None else _SeriesOps(_slot_ops, self.slots)
         self._base = _base
-        self._int_cache: dict[int, Scalar] = {}
+        self.zero = Scalar(self, self.ops.zero)
+        self.one = Scalar(self, self.ops.one)
+        self._int_cache: dict[int, Scalar] = {0: self.zero, 1: self.one}
         self._embed_cache: dict[tuple[int, ...], Scalar] = {}
-        self.zero = Scalar(self, (self._ops.zero,) * self.slots)
-        one = [self._ops.one] + [self._ops.zero] * (self.slots - 1)
-        self.one = Scalar(self, tuple(one))
-        self._int_cache[0] = self.zero
-        self._int_cache[1] = self.one
 
     @property
     def base(self) -> "ScalarField":
@@ -556,30 +575,30 @@ class ScalarField:
         if self.hbar_order is None:
             return self
         if self._base is None:
-            self._base = ScalarField(self.rank, None, _ops=self._ops)
+            self._base = ScalarField(self.rank, None, _slot_ops=self._slot_ops)
         return self._base
 
     def with_hbar(self, order: int) -> "ScalarField":
         """An hbar-truncated twin of this field (payloads interoperable)."""
-        return ScalarField(self.rank, order, _ops=self._ops, _base=self.base)
+        return ScalarField(self.rank, order, _slot_ops=self._slot_ops, _base=self.base)
 
     def lift(self, s: Scalar) -> Scalar:
         """Reinterpret a scalar from an ops-sharing twin inside this field."""
         if s.field is self:
             return s
-        if s.field._ops is not self._ops or len(s.coeffs) > self.slots:
+        if s.field._slot_ops is not self._slot_ops or len(s.coeffs) > self.slots:
             raise SignatureMismatch("scalar does not lift into this field")
-        return Scalar(self, s.coeffs + (self._ops.zero,) * (self.slots - len(s.coeffs)))
+        return Scalar(self, self.ops.lift(s.coeffs))
+
+    def from_hbar_coefficients(self, cs) -> Scalar:
+        """sum_k cs[k] * hbar^k for scalars cs[k] of the base field."""
+        return Scalar(self, self.ops.lift(tuple(c.pay for c in cs)))
 
     @property
     def hbar(self) -> Scalar:
         if self.hbar_order is None:
             raise HbarModeOff("field has no hbar (enable a truncation order)")
-        if self.hbar_order == 0:
-            return self.zero
-        coeffs = [self._ops.zero] * self.slots
-        coeffs[1] = self._ops.one
-        return Scalar(self, tuple(coeffs))
+        return Scalar(self, self.ops.hbar)
 
     def coerce(self, value) -> Scalar | None:
         """value as a scalar of this field: a Scalar of this field as it is,
@@ -601,8 +620,7 @@ class ScalarField:
             num, den = value, 1
         else:
             num, den = value.numerator, value.denominator
-        coeffs = [self._ops.rational(num, den)] + [self._ops.zero] * (self.slots - 1)
-        s = Scalar(self, tuple(coeffs))
+        s = Scalar(self, self.ops.lift((self._slot_ops.rational(num, den),)))
         if isinstance(value, int) and -64 <= value <= 256:
             self._int_cache[value] = s
         return s
@@ -613,8 +631,7 @@ class ScalarField:
             raise SignatureMismatch(f"generator index {j} out of range 1..{self.rank}")
         if j == 1:
             return self.one
-        coeffs = [self._ops.gen(j)] + [self._ops.zero] * (self.slots - 1)
-        return Scalar(self, tuple(coeffs))
+        return Scalar(self, self.ops.lift((self._slot_ops.gen(j),)))
 
     def embed(self, ge: GroupElement) -> Scalar:
         """Lattice embedding: sum of coords[j] * g_j (g_1 = 1)."""

@@ -76,6 +76,25 @@ def test_golden_lie_commands(case, tmp_path, capsys):
     assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
 
 
+HBAR_GOLDEN = json.loads((Path(__file__).parent / "golden" / "hbar_commands.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    HBAR_GOLDEN["cases"],
+    ids=lambda c: "-".join(a.strip("{}") for a in c["argv"] if a[0] == "{" or a.isalpha() and a != "config"),
+)
+def test_golden_hbar_commands(case, tmp_path, capsys):
+    # series payloads: rank 2 with --hbar-order 2 (divisions in commspan), and
+    # the t-shift at order 2 and at the default order
+    paths = {}
+    for name, fields in HBAR_GOLDEN["configs"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fields))
+    argv = [a.format(**paths) for a in case["argv"]]
+    assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
+
+
 def test_power_of_a_derivative_through_the_interpreter():
     # only k = 0 of each Leibniz sum survives, so squaring D_1^50000 is one term
     proc = subprocess.run(

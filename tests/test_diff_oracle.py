@@ -28,6 +28,7 @@ import sympy as sp
 
 from expweyl.algebra import Monomial, WeylAlgebra
 from expweyl.representation import act
+from expweyl.sampling import random_element, random_function_element
 
 HBAR = sp.Symbol("hbar")
 
@@ -199,3 +200,45 @@ def test_the_canonical_form_tells_apart_a_wrong_rule():
     wrong = A.diff_function(P, 1) + A.E(1) * A.x(1, (1, 1))
     with pytest.raises(AssertionError):
         model.assert_same(sp.diff(model.function(P, towers=True), model.x[0]), wrong)
+
+
+@pytest.mark.parametrize(
+    "n, rank, p, N, H",
+    [
+        pytest.param(n, r, p, N, None, id=f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}")
+        for n, r, p, N in CASES
+    ]
+    + [pytest.param(2, 2, (3, 1), None, 2, id="n2-rank2-p3,1-hbar2")],
+)
+def test_action_is_a_homomorphism(n, rank, p, N, H, monkeypatch):
+    """act(P*Q, f) == act(P, act(Q, f)) on every signature above and on a
+    plain hbar twin (order H): the action, tied to sympy by the test above,
+    is the oracle for the product kernel on every payload kind.  P and Q have
+    D-orders up to 3."""
+    rng = random.Random(f"act:{n}:{rank}:{p}:{N}:{H}")
+    t = tuple(_t(rng, rank) for _ in range(n))
+    if N is None:
+        A = WeylAlgebra(n=n, rank=rank, p=p, t=t)
+        A = A if H is None else A.with_hbar(H)
+    else:
+        A = WeylAlgebra(n=n, rank=rank, p=p, t=t, hbar_order=N, t_shift=True)
+    # in an hbar field, operand coefficients with an hbar part
+    scale = 1 if A.field.hbar_order is None else 1 - A.field.hbar / 3
+
+    def operand():
+        P = random_element(A, rng, max_terms=2, bound=2) * scale
+        return P * A.D(rng.randint(1, n), rng.randint(0, 1))
+
+    cases = []
+    for _ in range(6):
+        P, Q = operand(), operand()
+        f = random_function_element(A, rng, max_terms=2, bound=2)
+        cases.append((P, Q, f, P * Q))
+
+    # the action is the oracle for the product, so it must not use it
+    def refuse(*args):
+        raise AssertionError("act called WeylAlgebra.mul")
+
+    monkeypatch.setattr(WeylAlgebra, "mul", refuse)
+    for P, Q, f, PQ in cases:
+        assert act(PQ, f) == act(P, act(Q, f))

@@ -32,7 +32,6 @@ def test_one_check_per_module_area():
         "maurer_",
         "shifted_",
         "parse_",
-        "deterministic_",
     )
     for prefix in prefixes:
         assert any(n.startswith(prefix) for n in names), prefix

@@ -31,10 +31,9 @@ from .errors import (
     WindowOverflow,
     ZeroElement,
 )
-from .scalars import GroupElement, Scalar, ScalarField
+from .scalars import Scalar, ScalarField
 
 __all__ = [
-    "GroupElement",
     "Scalar",
     "ScalarField",
     "KernelError",

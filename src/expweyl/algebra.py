@@ -35,7 +35,7 @@ from .errors import (
     NotAFunction,
     SignatureMismatch,
 )
-from .scalars import GroupElement, Scalar, ScalarField, power
+from .scalars import Scalar, ScalarField, power
 
 __all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "monomial_sort_key"]
 
@@ -362,7 +362,7 @@ class WeylAlgebra:
         self.one_monomial = Monomial((0,) * (2 * n * (r + 1)), n)
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
-        self._embed_t = tuple(self.field.embed(GroupElement(ti)) for ti in signature.t)
+        self._embed_t = tuple(self.field.embed(ti) for ti in signature.t)
         self._diff_cache: dict[tuple[int, Monomial], tuple[tuple[Monomial, Scalar], ...]] = {}
         self._diff_pow_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[tuple[Monomial, Scalar], ...]] = {}
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
@@ -405,17 +405,15 @@ class WeylAlgebra:
             raise SignatureMismatch(f"variable index {i} out of range 1..{self.signature.n}")
         return i - 1
 
-    def lattice(self, value: int | Sequence[int] | GroupElement) -> GroupElement:
-        """Coerce to a lattice element: an int k means k*g_1."""
-        if isinstance(value, GroupElement):
-            ge = value
-        elif isinstance(value, int):
-            ge = GroupElement((value,) + (0,) * (self.signature.rank - 1))
-        else:
-            ge = GroupElement(tuple(value))
-        if ge.rank != self.signature.rank:
+    def lattice(self, value: int | Sequence[int]) -> tuple[int, ...]:
+        """Coerce to a lattice element, a tuple of rank ints: an int k means k*g_1."""
+        rank = self.signature.rank
+        coords = (value,) + (0,) * (rank - 1) if isinstance(value, int) else tuple(value)
+        if not all(isinstance(c, int) for c in coords):
+            raise TypeError("coordinates must be integers")
+        if len(coords) != rank:
             raise SignatureMismatch("lattice element rank does not match the algebra")
-        return ge
+        return coords
 
     # -- element constructors --------------------------------------------------
 
@@ -442,18 +440,18 @@ class WeylAlgebra:
         exps = list(self.one_monomial.exps)
         exps[self.slot("a", i0)] = a
         exps[self.slot("d", i0)] = d
-        for part, ge in (("beta", beta), ("gamma", gamma)):
-            if ge is not None:
+        for part, coords in (("beta", beta), ("gamma", gamma)):
+            if coords is not None:
                 start = self.slot(part, i0)
-                exps[start : start + r] = ge.coords
+                exps[start : start + r] = coords
         return Monomial(tuple(exps), self.signature.n)
 
-    def x(self, i: int, power: int | Sequence[int] | GroupElement = 1) -> Element:
+    def x(self, i: int, power: int | Sequence[int] = 1) -> Element:
         """x_i^power, power a lattice element (int means a plain power)."""
-        ge = self.lattice(power)
-        if ge.is_zero:
+        gamma = self.lattice(power)
+        if not any(gamma):
             return self.one
-        return self.from_term(self.monomial(i, gamma=ge))
+        return self.from_term(self.monomial(i, gamma=gamma))
 
     def D(self, i: int, k: int = 1) -> Element:
         if k < 0:
@@ -467,12 +465,12 @@ class WeylAlgebra:
             return self.one
         return self.from_term(self.monomial(i, a=k))
 
-    def exp_sym(self, i: int, alpha: int | Sequence[int] | GroupElement) -> Element:
+    def exp_sym(self, i: int, alpha: int | Sequence[int]) -> Element:
         """The exponential symbol e^{alpha x_i}."""
-        ge = self.lattice(alpha)
-        if ge.is_zero:
+        beta = self.lattice(alpha)
+        if not any(beta):
             return self.one
-        return self.from_term(self.monomial(i, beta=ge))
+        return self.from_term(self.monomial(i, beta=beta))
 
     # -- derivative rule --------------------------------------------------------
 
@@ -511,9 +509,9 @@ class WeylAlgebra:
                 if k < N:
                     out.append((shifted(p_i + 1 + 2 * k, True), base * two_hbar))
         if any(beta_i):
-            out.append((m, field.embed(GroupElement(beta_i))))
+            out.append((m, field.embed(beta_i)))
         if any(gamma_i):
-            out.append((shifted(-1, False), field.embed(GroupElement(gamma_i))))
+            out.append((shifted(-1, False), field.embed(gamma_i)))
 
         merged = add_terms({}, ((mono, c) for mono, c in out if not c.is_zero))
         result = tuple((mono, c) for mono, c in merged.items() if not c.is_zero)

@@ -99,6 +99,11 @@ def _lattice_arg(text: str, rank: int) -> tuple[int, ...]:
 
 def _rational_arg(text: str) -> Fraction:
     try:
+        # Fraction builds 10**e for a decimal exponent e, before any digit limit applies
+        m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+        limit = _digit_limit()
+        if m and limit and abs(int(m.group(1))) > limit:
+            raise ParseError(f"decimal exponent beyond {limit}", 0)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("expected a rational number", 0)
@@ -216,9 +221,9 @@ def _cmd_ord(ctx, args):
 
 def _cmd_degree(ctx, args):
     P = parse(args.expr, ctx.algebra)
-    ge = power_degree(P) if args.power else exp_degree(P)
-    text = "(" + ",".join(map(_int_text, ge.coords)) + ")"
-    return text, {"degree": list(ge.coords), "text": text}
+    degree = power_degree(P) if args.power else exp_degree(P)
+    text = "(" + ",".join(map(_int_text, degree)) + ")"
+    return text, {"degree": list(degree), "text": text}
 
 
 def _cmd_symbol(ctx, args):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedElement,
 )
 from .grading import GrElement
-from .scalars import GroupElement, Scalar
+from .scalars import Scalar
 
 __all__ = [
     "gr_partial",
@@ -98,7 +99,7 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     out: dict[Monomial, Scalar] = {}
     for m, c in f.terms.items():
         if kind == "x":
-            expo = field.embed(GroupElement(m.exps[pos : pos + r]))
+            expo = field.embed(m.exps[pos : pos + r])
         else:
             expo = field.from_rational(m.exps[pos])
         if expo:
@@ -412,14 +413,14 @@ class AntisymMatrix:
     def rank(self) -> int:
         return len(self.entries)
 
-    def pairing(self, alpha: GroupElement, beta: GroupElement) -> Fraction:
-        """Bilinear extension c_{alpha,beta} = sum a_j b_k c[j][k]."""
+    def pairing(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
+        """Bilinear extension c_{alpha,beta} = sum a_j b_k c[j][k] on int tuples."""
         acc = Fraction(0)
-        for j, aj in enumerate(alpha.coords):
+        for j, aj in enumerate(alpha):
             if aj == 0:
                 continue
             row = self.entries[j]
-            for k, bk in enumerate(beta.coords):
+            for k, bk in enumerate(beta):
                 if bk:
                     acc += aj * bk * row[k]
         return acc
@@ -442,10 +443,10 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
         raise SignatureMismatch("pairing rank does not match the signature")
     field = algebra.field
 
-    def pure_power(m: Monomial) -> GroupElement:
+    def pure_power(m: Monomial) -> tuple[int, ...]:
         if any(m.a) or any(any(row) for row in m.beta) or any(m.d):
             raise UnsupportedElement("deformation cochain needs pure power symbols")
-        return GroupElement(m.gamma[0])
+        return m.gamma[0]
 
     def m1(f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not algebra or g.algebra is not algebra:
@@ -459,7 +460,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
                     pair = c.pairing(alpha, beta)
                     if pair != 0:
                         coeff = cf * cg * field.from_rational(pair)
-                        yield algebra.monomial(1, a=1, gamma=alpha + beta), coeff
+                        yield algebra.monomial(1, a=1, gamma=tuple(map(add, alpha, beta))), coeff
 
         return GrElement(algebra, add_terms({}, paired_terms()))
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownSymbol,
     UnsupportedElement,
 )
-from .scalars import GroupElement, Scalar
+from .scalars import Scalar
 
 __all__ = [
     "parse",
@@ -177,21 +177,15 @@ class _Parser:
     def parse_exponent(self, allow_lattice: bool):
         if self.at_op("("):
             self.advance()
-            ge = self.parse_group_body()
+            coords = self.parse_group_body()
             self.expect_op(")")
-            k = self.lattice_as_int(ge)
-            if k is not None:
-                return ("int", k)
+            # multiples of g_1 are plain integer powers
+            if not any(coords[1:]):
+                return ("int", coords[0])
             if not allow_lattice:
                 self.fail("lattice exponents apply to x_i only")
-            return ("lattice", ge)
+            return ("lattice", coords)
         return ("int", self.parse_signed_int("expected an integer exponent"))
-
-    def lattice_as_int(self, ge: GroupElement):
-        # multiples of g_1 are plain integer powers
-        if any(ge.coords[1:]):
-            return None
-        return ge.coords[0]
 
     # atom := number | hbar | g_j | x_i | D_i | E_i | exp(...) | '(' expr ')'
     def parse_atom(self):
@@ -236,7 +230,7 @@ class _Parser:
     # exp '(' alpha '*' x_i ')'
     def parse_exp_atom(self) -> Element:
         self.expect_op("(")
-        ge = self.parse_group_item()
+        alpha = self.parse_group_item()
         self.expect_op("*")
         kind, val, pos = self.peek()
         m = _INDEXED.match(val) if kind == "name" else None
@@ -244,18 +238,19 @@ class _Parser:
             raise ParseError("exp needs the form exp(alpha*x_i)", position=pos)
         self.advance()
         self.expect_op(")")
-        return self.algebra.exp_sym(int(m.group(2)), ge)
+        return self.algebra.exp_sym(int(m.group(2)), alpha)
 
-    # group element: coordinate tuple, g_j combination, or integer
-    def parse_group_item(self) -> GroupElement:
+    # lattice element, returned as its int tuple: coordinate tuple, g_j
+    # combination, or integer
+    def parse_group_item(self) -> tuple[int, ...]:
         if self.at_op("("):
             self.advance()
-            ge = self.parse_group_body()
+            coords = self.parse_group_body()
             self.expect_op(")")
-            return ge
+            return coords
         return self.parse_group_sum()
 
-    def parse_group_body(self) -> GroupElement:
+    def parse_group_body(self) -> tuple[int, ...]:
         # a parenthesized group: either a comma tuple of integers or a sum
         save = self.i
         sign = self.signs()
@@ -267,7 +262,10 @@ class _Parser:
                 while self.at_op(","):
                     self.advance()
                     coords.append(self.parse_signed_int())
-                return self.group_from_coords(coords)
+                rank = self.algebra.signature.rank
+                if len(coords) != rank:
+                    raise SignatureMismatch(f"coordinate tuple needs rank {rank}")
+                return tuple(coords)
         self.i = save
         return self.parse_group_sum()
 
@@ -279,14 +277,8 @@ class _Parser:
         self.advance()
         return sign * int(val)
 
-    def group_from_coords(self, coords) -> GroupElement:
-        rank = self.algebra.signature.rank
-        if len(coords) != rank:
-            raise SignatureMismatch(f"coordinate tuple needs rank {rank}")
-        return GroupElement(tuple(coords))
-
     # sum of [int '*'] g_j | g_j | int
-    def parse_group_sum(self) -> GroupElement:
+    def parse_group_sum(self) -> tuple[int, ...]:
         rank = self.algebra.signature.rank
         coords = [0] * rank
         first = True
@@ -308,7 +300,7 @@ class _Parser:
                 coords[j - 1] += sign
             else:
                 raise ParseError("expected a lattice term", position=pos)
-        return GroupElement(tuple(coords))
+        return tuple(coords)
 
     def generator_follows(self) -> bool:
         kind, val, _ = self.tokens[self.i + 1]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .algebra import Element, Monomial, _Sparse, add_terms
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
-from .scalars import GroupElement
 
 __all__ = [
     "GrElement",
@@ -36,23 +35,23 @@ def order(P: Element) -> int:
     return max(m.filtration_order() for m in P.terms)
 
 
-def _degree(P: Element, part: str, kind: str) -> GroupElement:
+def _degree(P: Element, part: str, kind: str) -> tuple[int, ...]:
     """Common sum of the part rows ("beta" or "gamma") over the terms of P."""
     if P.is_zero:
         raise ZeroElement("the zero element has no degree")
     degrees = {tuple(map(sum, zip(*getattr(m, part)))) for m in P.terms}
     if len(degrees) > 1:
         raise NotHomogeneous(f"terms carry different {kind} degrees")
-    return GroupElement(degrees.pop())
+    return degrees.pop()
 
 
-def exp_degree(P: Element) -> GroupElement:
-    """Common total exponential degree of P (sum of beta rows per term)."""
+def exp_degree(P: Element) -> tuple[int, ...]:
+    """Common total exponential degree of P (sum of beta rows per term), an int tuple."""
     return _degree(P, "beta", "exponential")
 
 
-def power_degree(P: Element) -> GroupElement:
-    """Common total power degree of P (sum of gamma rows per term)."""
+def power_degree(P: Element) -> tuple[int, ...]:
+    """Common total power degree of P (sum of gamma rows per term), an int tuple."""
     return _degree(P, "gamma", "power")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .algebra import Element, Monomial, WeylAlgebra, add_terms
 from .errors import (
@@ -64,6 +63,23 @@ class ProbeReport:
     witness_output: Element | None
 
 
+def _graded_lex_points(n: int, maxdeg: int):
+    """The points of {0..maxdeg}^n by total degree, then lexicographically,
+    generated lazily: the order of sorted(product(...), key=(sum, g))."""
+    for total in range(n * maxdeg + 1):
+        yield from _compositions(n, total, maxdeg)
+
+
+def _compositions(n: int, total: int, maxdeg: int):
+    # the n-tuples with entries in 0..maxdeg summing to total, in lex order
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(max(0, total - (n - 1) * maxdeg), min(maxdeg, total) + 1):
+        for rest in _compositions(n - 1, total - first, maxdeg):
+            yield (first,) + rest
+
+
 def faithfulness_probe(P: Element, maxdeg: int) -> ProbeReport:
     """Evaluate P on the power test functions x^g for g in {0..maxdeg}^n.
 
@@ -79,8 +95,7 @@ def faithfulness_probe(P: Element, maxdeg: int) -> ProbeReport:
         raise SignatureMismatch("probe degree bound must be >= 0")
     algebra = P.algebra
     n = algebra.signature.n
-    grid = sorted(product(range(maxdeg + 1), repeat=n), key=lambda g: (sum(g), g))
-    for gamma in grid:
+    for gamma in _graded_lex_points(n, maxdeg):
         f = algebra.one
         for i, gi in enumerate(gamma, start=1):
             f = f * algebra.x(i, gi)

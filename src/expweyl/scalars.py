@@ -2,7 +2,9 @@
 
 Scalars form the field Q(g_2, ..., g_r): multivariate rational functions over Q
 in the independent symbols attached to the exponent-lattice generators
-(g_1 = 1 always, so rank 1 means plain rationals).  A field may additionally
+(g_1 = 1 always, so rank 1 means plain rationals).  An element of the
+exponent lattice is a tuple of r ints, its coordinates over g_1..g_r, and
+ScalarField.embed maps it to sum coords[j] * g_j.  A field may additionally
 carry a truncated hbar series mode: scalars are then polynomials in hbar cut
 off above a fixed order, with componentwise addition, convolution product, and
 division by series with invertible constant term.
@@ -23,7 +25,6 @@ defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy.polys.domains import QQ
@@ -36,56 +37,7 @@ from .errors import (
     SignatureMismatch,
 )
 
-__all__ = ["GroupElement", "Scalar", "ScalarField"]
-
-
-# ---------------------------------------------------------------------------
-# Exponent lattice
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of the exponent lattice, as integer coordinates over g_1..g_r."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coords:
-            raise ValueError("group element needs rank >= 1")
-        if not all(isinstance(c, int) for c in self.coords):
-            raise TypeError("coordinates must be integers")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def _check(self, other: "GroupElement") -> None:
-        if self.rank != other.rank:
-            raise SignatureMismatch("group elements of different rank")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "GroupElement":
-        return GroupElement(tuple(k * a for a in self.coords))
-
-    def l1(self) -> int:
-        return sum(abs(a) for a in self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.coords) + ")"
+__all__ = ["Scalar", "ScalarField"]
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +585,18 @@ class ScalarField:
             return self.one
         return Scalar(self, self.ops.lift((self._slot_ops.gen(j),)))
 
-    def embed(self, ge: GroupElement) -> Scalar:
-        """Lattice embedding: sum of coords[j] * g_j (g_1 = 1)."""
-        if ge.rank != self.rank:
-            raise SignatureMismatch("group element rank does not match field")
-        hit = self._embed_cache.get(ge.coords)
+    def embed(self, coords: tuple[int, ...]) -> Scalar:
+        """Lattice embedding of an int tuple: sum of coords[j] * g_j (g_1 = 1)."""
+        hit = self._embed_cache.get(coords)
         if hit is not None:
             return hit
+        if len(coords) != self.rank:
+            raise SignatureMismatch("lattice element rank does not match field")
         out = self.zero
-        for j, c in enumerate(ge.coords, start=1):
+        for j, c in enumerate(coords, start=1):
             if c:
                 out = out + self.generator(j) * c
-        self._embed_cache[ge.coords] = out
+        self._embed_cache[coords] = out
         return out
 
     def __repr__(self):

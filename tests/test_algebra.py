@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expweyl.algebra import Monomial, Signature, WeylAlgebra
-from expweyl.errors import NegativePower, NotAFunction, SignatureMismatch
+from expweyl.errors import DivisionByZero, NegativePower, NotAFunction, SignatureMismatch
 from expweyl.sampling import random_element, random_function_element
 
 
@@ -96,6 +96,34 @@ def test_signature_mismatch_errors():
         Signature(n=1, rank=1, p=(0,), t=((0,),))
     with pytest.raises(SignatureMismatch):
         Signature(n=1, rank=1, p=(1,), t=((0,),), t_shift=True)
+
+
+def test_division_by_scalars_only():
+    A = make_algebra(rank=2, t=((0, 0),))
+    P = A.x(1) * A.D(1) + 2 * A.E(1)
+    g2 = A.field.generator(2)
+    assert P / 2 == P * Fraction(1, 2)
+    assert P / Fraction(1, 3) == 3 * P
+    assert P / A.scalar_element(g2) == P * (A.field.one / g2)
+    with pytest.raises(NotAFunction):
+        P / A.x(1)
+    with pytest.raises(DivisionByZero):
+        P / 0
+
+
+def test_scalar_minus_element():
+    A = make_algebra()
+    P = A.x(1) * A.D(1) + A.E(1)
+    assert 1 - P == A.one - P
+    assert Fraction(1, 2) - P == A.scalar_element(Fraction(1, 2)) - P
+
+
+def test_lattice_elements_are_int_tuples():
+    A = make_algebra(rank=3, t=((0, 0, 0),))
+    assert A.lattice(3) == (3, 0, 0)
+    assert A.lattice([1, -2, 0]) == (1, -2, 0)
+    assert A.x(1, [1, -2, 0]) == A.x(1, (1, -2, 0))
+    assert A.exp_sym(1, (0, 0, 0)) == A.one
 
 
 def test_diff_requires_function():

@@ -95,6 +95,25 @@ def test_golden_hbar_commands(case, tmp_path, capsys):
     assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
 
 
+LATTICE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "lattice_commands.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    LATTICE_GOLDEN["cases"],
+    ids=lambda c: "-".join(a.strip("{}") for a in c["argv"] if a != "--config"),
+)
+def test_golden_lattice_commands(case, tmp_path, capsys):
+    # tuple, g_j and integer lattice exponents at ranks 1-3 and n 2 / rank 2,
+    # with the refusals of malformed lattice input
+    paths = {}
+    for name, fields in LATTICE_GOLDEN["configs"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fields))
+    argv = [a.format(**paths) for a in case["argv"]]
+    assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
+
+
 def test_power_of_a_derivative_through_the_interpreter():
     # only k = 0 of each Leibniz sum survives, so squaring D_1^50000 is one term
     proc = subprocess.run(
@@ -508,6 +527,22 @@ def test_rank2_command(tmp_path, capsys):
     assert lines[1] == "commutator = 2*hbar*E_1*x_1^(1,1)"
     _, out, _ = run(capsys, "--config", str(cfg), "rank2", "2,0", "0,1", "--c", "3/2")
     assert "commutator = 6*hbar*E_1*x_1^(2,1)" in out
+
+
+def test_rank2_refuses_a_decimal_exponent_past_the_digit_limit(tmp_path, capsys):
+    # Fraction would build 10**e first; with alpha = beta the pairing is zero
+    # and the number would be dropped without a word
+    cfg = tmp_path / "r2.json"
+    cfg.write_text(json.dumps({"rank": 2, "t": [[0, 1]]}))
+    limit = sys.get_int_max_str_digits()
+    for c in (f"1e{limit + 1}", f"1E-{limit + 1}", "1e10000000"):
+        status, out, err = run(capsys, "--config", str(cfg), "rank2", "1,0", "1,0", "--c", c)
+        assert (status, out) == (1, "")
+        assert err == f"error[SyntaxError]: decimal exponent beyond {limit} (at position 0)\n"
+    status, _, err = run(capsys, "--config", str(cfg), "rank2", "1,0", "0,1", "--c", f"1e{limit}")
+    assert status == 1 and err.startswith("error[IntegerTooLong]")
+    status, out, _ = run(capsys, "--config", str(cfg), "rank2", "1,0", "0,1", "--c", "2.5e1")
+    assert status == 0 and "commutator = 50*hbar*E_1*x_1^(1,1)" in out
 
 
 def test_tshift_command(tmp_path, capsys):

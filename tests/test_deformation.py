@@ -283,6 +283,15 @@ def test_mc_residual_equals_order_two_defect():
     assert not rep.residual.is_zero
 
 
+def test_defect_report_names_the_order_and_the_triple():
+    A = make_algebra()
+    x, y, _, _ = symbols(A)
+    bad = star_cochain(A, 2) + PolyDiffOp(A, [((("y", 1), ("y", 1)), (("x", 1),), 1)])
+    rep = star_assoc_check([star_cochain(A, 1), bad], [(y, y, x)])
+    assert not rep.associative
+    assert rep.as_text() == "defect at hbar^2 on triple 0 (checked through hbar^2)"
+
+
 # -- rank-2 lattice deformation ----------------------------------------------
 
 

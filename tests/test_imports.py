@@ -1,7 +1,9 @@
 """Source hygiene: every top-level import of a package module is referenced in
-that module, only scalars.py imports sympy, and no line is over 110 characters."""
+that module, every exported name resolves, only scalars.py imports sympy, and
+no line is over 110 characters."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,15 @@ def test_no_unused_imports(module):
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
     unused = sorted(set(imported) - _referenced(tree))
     assert not unused, f"{module} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("module", ["__init__.py"] + MODULES)
+def test_every_exported_name_resolves(module):
+    """A stale __all__ entry would break only ``from expweyl import *``."""
+    name = "expweyl" if module == "__init__.py" else f"expweyl.{module[:-3]}"
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ names {missing}, which do not resolve"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "scalars.py"])

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
 from expweyl.algebra import WeylAlgebra
 from expweyl.errors import NotAFunction, UnsupportedElement, ZeroElement
 from expweyl.representation import (
+    _graded_lex_points,
     act,
     augment,
     faithfulness_probe,
@@ -120,6 +122,22 @@ def test_probe_completeness_bound():
         P = random_element(A, rng, max_terms=3, bound=2)
         rep = faithfulness_probe(P, maxdeg=3)
         assert rep.zero == P.is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_probe_points_follow_the_sorted_grid(n):
+    for K in range(6):
+        grid = sorted(product(range(K + 1), repeat=n), key=lambda g: (sum(g), g))
+        assert list(_graded_lex_points(n, K)) == grid
+
+
+def test_probe_points_are_lazy():
+    # the first points of a 10^9-wide grid come without building the grid
+    first = list(islice(_graded_lex_points(2, 10**9), 4))
+    assert first == [(0, 0), (0, 1), (1, 0), (0, 2)]
+    A = make_algebra(n=2)
+    rep = faithfulness_probe(A.x(1) * A.D(1), maxdeg=10**9)
+    assert rep.witness_input == A.x(1) and rep.witness_output == A.x(1)
 
 
 def test_reduce_to_constant():

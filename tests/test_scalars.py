@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from expweyl import (
     DivisionByZero,
-    GroupElement,
     HbarModeOff,
     NonInvertibleSeries,
     ScalarField,
@@ -77,25 +76,23 @@ def test_denominator_sign_is_normalized():
 
 def test_embed_is_additive_and_injective_on_samples():
     for coords in [(1, 0), (0, 1), (2, -3), (-1, 1)]:
-        ge = GroupElement(coords)
-        assert F2.embed(ge) == F2.from_rational(coords[0]) + F2.generator(2) * coords[1]
+        assert F2.embed(coords) == F2.from_rational(coords[0]) + F2.generator(2) * coords[1]
     seen = {}
     for c0 in range(-2, 3):
         for c1 in range(-2, 3):
-            s = F2.embed(GroupElement((c0, c1)))
+            s = F2.embed((c0, c1))
             assert s not in seen, "embedding collided on lattice points"
             seen[s] = (c0, c1)
 
 
-def test_group_element_l1_and_ops():
-    a = GroupElement((2, -1))
-    b = GroupElement((-1, 1))
-    assert (a + b).coords == (1, 0)
-    assert (a - b).coords == (3, -2)
-    assert a.l1() == 3
-    assert a.scale(-2).coords == (-4, 2)
+def test_lattice_coordinates_are_refused_where_they_enter():
+    A = WeylAlgebra(rank=2, p=(1,), t=((0, 0),))
+    with pytest.raises(SignatureMismatch, match="lattice element rank does not match the algebra"):
+        A.lattice((1, 2, 3))
+    with pytest.raises(TypeError, match="coordinates must be integers"):
+        A.lattice((1, Fraction(1, 2)))
     with pytest.raises(SignatureMismatch):
-        a + GroupElement((1,))
+        F2.embed((1,))
 
 
 # -- field axioms ------------------------------------------------------------

@@ -39,6 +39,9 @@ from .scalars import Scalar, ScalarField, power
 
 __all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "monomial_sort_key"]
 
+# (exponent tuple, coefficient payload) pairs: the derivative caches' values
+Pairs = tuple[tuple[tuple[int, ...], object], ...]
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -129,8 +132,8 @@ class Monomial:
     def shift(self, delta: Sequence[int], d: tuple[int, ...] | None = None) -> "Monomial":
         """The monomial with exponents exps + delta; a given d replaces the d part.
 
-        This is the only exponent addition: products, derivative shifts and
-        the module action all go through it.
+        The product kernel adds exponent tuples itself and builds a monomial
+        only per output term; the module action and gr_partial go through here.
         """
         if d is None:
             return Monomial(tuple(map(add, self.exps, delta)), self.n)
@@ -150,15 +153,16 @@ def monomial_sort_key(m: Monomial):
     return (m.filtration_order(), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
 
 
-def add_terms(out: dict, pairs) -> dict:
-    """Add (key, value) pairs into out, summing the values of equal keys.
+def add_terms(out: dict, pairs, plus=add) -> dict:
+    """Add (key, value) pairs into out, summing the values of equal keys
+    with plus (a field's ``ops.add`` for raw payloads).
 
     The one merge rule of sparse sums; a zero sum stays for the caller's
     zero filter.  Returns out.
     """
     for k, v in pairs:
         cur = out.get(k)
-        out[k] = v if cur is None else cur + v
+        out[k] = v if cur is None else plus(cur, v)
     return out
 
 
@@ -363,16 +367,17 @@ class WeylAlgebra:
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
         self._embed_t = tuple(self.field.embed(ti) for ti in signature.t)
-        self._diff_cache: dict[tuple[int, Monomial], tuple[tuple[Monomial, Scalar], ...]] = {}
-        self._diff_pow_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[tuple[Monomial, Scalar], ...]] = {}
-        self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
+        # keyed by exponent tuples and holding plain data, no Monomial or Scalar
+        self._diff_cache: dict[tuple[int, tuple[int, ...]], Pairs] = {}
+        self._diff_pow_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
+        self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, object], ...]] = {}
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
-        # hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
-        self._hbar_over_fact: tuple[Scalar, ...] = (self.field.one,)
+        # payloads of hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
+        self._hbar_over_fact: tuple = (self.field.ops.one,)
         if signature.t_shift:
             hb = self.field.hbar
             self._hbar_over_fact = tuple(
-                hb**k * self.field.from_rational(Fraction(1, math.factorial(k)))
+                (hb**k * self.field.from_rational(Fraction(1, math.factorial(k)))).pay
                 for k in range(signature.hbar_order + 1)
             )
 
@@ -474,63 +479,70 @@ class WeylAlgebra:
 
     # -- derivative rule --------------------------------------------------------
 
-    def _diff_mono(self, i0: int, m: Monomial) -> tuple[tuple[Monomial, Scalar], ...]:
-        """Derivative of a function monomial in variable i0 (0-based)."""
-        key = (i0, m)
+    def _diff_mono(self, i0: int, e: tuple[int, ...]) -> Pairs:
+        """Derivative in variable i0 (0-based) of the function monomial with
+        exponents e."""
+        key = (i0, e)
         hit = self._diff_cache.get(key)
         if hit is not None:
             return hit
         sig = self.signature
         field = self.field
-        out: list[tuple[Monomial, Scalar]] = []
+        ops = field.ops
+        pmul = ops.mul
+        out: list[tuple[tuple[int, ...], object]] = []
         r = sig.rank
         b0, g0 = self.slot("beta", i0), self.slot("gamma", i0)
-        a_i = m.exps[i0]
-        beta_i = m.exps[b0 : b0 + r]
-        gamma_i = m.exps[g0 : g0 + r]
+        a_i = e[i0]
+        beta_i = e[b0 : b0 + r]
+        gamma_i = e[g0 : g0 + r]
 
-        def shifted(dgamma: int, add_t: bool) -> Monomial:
-            delta = [0] * len(m.exps)
+        def shifted(dgamma: int, add_t: bool) -> tuple[int, ...]:
+            delta = [0] * len(e)
             delta[g0] = dgamma
             if add_t:
                 delta[b0 : b0 + r] = sig.t[i0]
-            return m.shift(delta)
+            return tuple(map(add, e, delta))
 
         if a_i:
             p_i = sig.p[i0]
-            a_scal = field.from_rational(a_i)
+            a_pay = field.from_rational(a_i).pay
+            p_pay = field.from_rational(p_i).pay
+            t_pay = self._embed_t[i0].pay
             N = len(self._hbar_over_fact) - 1
-            two_hbar = field.hbar * 2 if N else None
+            two_hbar = pmul(ops.hbar, field.from_rational(2).pay) if N else None
             for k, hk in enumerate(self._hbar_over_fact):
-                base = a_scal * hk
-                out.append((shifted(p_i - 1 + 2 * k, True), base * p_i))
-                if not self._embed_t[i0].is_zero:
-                    out.append((shifted(p_i + 2 * k, True), base * self._embed_t[i0]))
+                base = pmul(a_pay, hk)
+                out.append((shifted(p_i - 1 + 2 * k, True), pmul(base, p_pay)))
+                if t_pay:
+                    out.append((shifted(p_i + 2 * k, True), pmul(base, t_pay)))
                 if k < N:
-                    out.append((shifted(p_i + 1 + 2 * k, True), base * two_hbar))
+                    out.append((shifted(p_i + 1 + 2 * k, True), pmul(base, two_hbar)))
         if any(beta_i):
-            out.append((m, field.embed(beta_i)))
+            out.append((e, field.embed(beta_i).pay))
         if any(gamma_i):
-            out.append((shifted(-1, False), field.embed(gamma_i)))
+            out.append((shifted(-1, False), field.embed(gamma_i).pay))
 
-        merged = add_terms({}, ((mono, c) for mono, c in out if not c.is_zero))
-        result = tuple((mono, c) for mono, c in merged.items() if not c.is_zero)
+        merged = add_terms({}, ((de, c) for de, c in out if c), ops.add)
+        result = tuple((de, c) for de, c in merged.items() if c)
         self._diff_cache[key] = result
         return result
 
-    def _diff_pow_mono(self, m: Monomial, k: tuple[int, ...]) -> tuple[tuple[Monomial, Scalar], ...]:
-        """k-fold derivative (multi-index) of a function monomial."""
+    def _diff_pow_mono(self, e: tuple[int, ...], k: tuple[int, ...]) -> Pairs:
+        """k-fold derivative (multi-index) of the function monomial with
+        exponents e; only k = 0 gives the unit coefficient."""
+        ops = self.field.ops
         if not any(k):
-            return ((m, self.field.one),)
-        key = (m, k)
+            return ((e, ops.one),)
+        key = (e, k)
         hit = self._diff_pow_cache.get(key)
         if hit is not None:
             return hit
         i0 = next(i for i, ki in enumerate(k) if ki)
         prev_k = tuple(ki - 1 if i == i0 else ki for i, ki in enumerate(k))
-        prev = self._diff_pow_mono(m, prev_k)
-        acc = add_terms({}, ((dm, pc * dc) for pm, pc in prev for dm, dc in self._diff_mono(i0, pm)))
-        result = tuple((mono, c) for mono, c in acc.items() if not c.is_zero)
+        prev = self._diff_pow_mono(e, prev_k)
+        pairs = ((de, ops.mul(pc, dc)) for pe, pc in prev for de, dc in self._diff_mono(i0, pe))
+        result = tuple((de, c) for de, c in add_terms({}, pairs, ops.add).items() if c)
         self._diff_pow_cache[key] = result
         return result
 
@@ -540,8 +552,10 @@ class WeylAlgebra:
         if not f.is_function_element:
             raise NotAFunction("derivative rule applies to function elements")
         i0 = self._var(i)
-        pairs = ((dm, c * dc) for m, c in f.terms.items() for dm, dc in self._diff_mono(i0, m))
-        return Element(self, add_terms({}, pairs))
+        ops = self.field.ops
+        pairs = ((de, ops.mul(c.pay, dc)) for m, c in f.terms.items()
+                 for de, dc in self._diff_mono(i0, m.exps))
+        return Element._nonzero(self, self._terms(add_terms({}, pairs, ops.add)))
 
     # -- multiplication -----------------------------------------------------------
 
@@ -549,8 +563,15 @@ class WeylAlgebra:
         if not isinstance(e, Element) or e.algebra is not self:
             raise SignatureMismatch("element belongs to a different algebra")
 
-    def _kbinom(self, d1: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Leibniz splittings of a derivative multi-index with their binomials."""
+    def _terms(self, acc: Mapping[tuple[int, ...], object]) -> dict[Monomial, Scalar]:
+        """Terms from exponent tuples and payloads, zeros dropped: one Monomial
+        and one Scalar per nonzero term."""
+        field, n = self.field, self.signature.n
+        return {Monomial(e, n): Scalar(field, c) for e, c in acc.items() if c}
+
+    def _kbinom(self, d1: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, object], ...]:
+        """Leibniz splittings k of a derivative multi-index, each with its
+        binomial as an int and as a payload."""
         hit = self._kbinom_cache.get(d1)
         if hit is not None:
             return hit
@@ -559,7 +580,7 @@ class WeylAlgebra:
             binom = 1
             for di, ki in zip(d1, k):
                 binom = binom * math.comb(di, ki)
-            rows.append((k, binom))
+            rows.append((k, binom, self.field.from_rational(binom).pay))
         result = tuple(rows)
         self._kbinom_cache[d1] = result
         return result
@@ -567,40 +588,44 @@ class WeylAlgebra:
     def mul(self, P: Element, Q: Element) -> Element:
         """Normal-ordered product, accumulated on raw coefficient payloads
         with the field's ops (in an hbar field a payload is the whole
-        truncated series, multiplied by convolution)."""
+        truncated series, multiplied by convolution), keyed by exponent
+        tuples; a Monomial and a Scalar are built once per output term."""
         self._check(P)
         self._check(Q)
-        field = self.field
-        one = field.one
-        ops = field.ops
+        ops = self.field.ops
         pmul = ops.mul
         padd = ops.add
-        left = [(m, c.pay, m.d) for m, c in P.terms.items()]
-        acc: dict[Monomial, object] = {}
+        n = self.signature.n
+        no_d = (0,) * n
+        left = [(m.exps, m.exps[:-n], c.pay, m.exps[-n:]) for m, c in P.terms.items()]
+        acc: dict[tuple[int, ...], object] = {}
         for mQ, cQ in Q.terms.items():
             payQ = cQ.pay
-            fQ = mQ.function_part()
-            dQ = mQ.d
+            eQ = mQ.exps
+            fQ = eQ[:-n] + no_d
+            dQ = eQ[-n:]
             # a unit function part on the right or no D on the left: only k = 0
             # of the Leibniz sum contributes
-            pure = fQ == self.one_monomial
-            for mP, payP, d1 in left:
+            pure = not any(fQ)
+            for eP, headP, payP, d1 in left:
                 c = pmul(payP, payQ)
                 if pure or not any(d1):
-                    mono = mP.shift(mQ.exps)
-                    cur = acc.get(mono)
-                    acc[mono] = c if cur is None else padd(cur, c)
+                    e = tuple(map(add, eP, eQ))
+                    cur = acc.get(e)
+                    acc[e] = c if cur is None else padd(cur, c)
                     continue
-                for k, binom in self._kbinom(d1):
-                    cb = c if binom == 1 else pmul(c, field.from_rational(binom).pay)
-                    d = tuple(map(add, map(sub, d1, k), dQ))
-                    for fm, fc in self._diff_pow_mono(fQ, k):
-                        mono = mP.shift(fm.exps, d)
-                        v = cb if fc is one else pmul(cb, fc.pay)
-                        cur = acc.get(mono)
-                        acc[mono] = v if cur is None else padd(cur, v)
+                for k, binom, bpay in self._kbinom(d1):
+                    cb = c if binom == 1 else pmul(c, bpay)
+                    # (D^k fQ) has no D part: add it to eP's head followed by the new d
+                    base = headP + tuple(map(add, map(sub, d1, k), dQ))
+                    k0 = not any(k)
+                    for fe, fc in self._diff_pow_mono(fQ, k):
+                        e = tuple(map(add, base, fe))
+                        v = cb if k0 else pmul(cb, fc)
+                        cur = acc.get(e)
+                        acc[e] = v if cur is None else padd(cur, v)
         # one zero filter, on the payloads; the Element needs no second pass
-        return Element._nonzero(self, {m: Scalar(field, c) for m, c in acc.items() if c})
+        return Element._nonzero(self, self._terms(acc))
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

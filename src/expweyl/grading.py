@@ -11,6 +11,7 @@ witnesses instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .algebra import Element, Monomial, _Sparse, add_terms
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
@@ -93,8 +94,12 @@ def full_symbol(P: Element) -> GrElement:
 def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
-    pairs = ((m1.shift(m2.exps), c1 * c2) for m1, c1 in u.terms.items() for m2, c2 in v.terms.items())
-    return GrElement(u.algebra, add_terms({}, pairs))
+    # accumulated on exponent tuples and payloads, as in WeylAlgebra.mul
+    A = u.algebra
+    ops = A.field.ops
+    pairs = ((tuple(map(add, m1.exps, m2.exps)), ops.mul(c1.pay, c2.pay))
+             for m1, c1 in u.terms.items() for m2, c2 in v.terms.items())
+    return GrElement(A, A._terms(add_terms({}, pairs, ops.add)))
 
 
 @dataclass(frozen=True)

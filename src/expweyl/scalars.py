@@ -11,21 +11,24 @@ division by series with invertible constant term.
 
 Representation: a scalar holds one payload, and its field's ``ops`` is the
 only arithmetic on it.  In a field without an hbar order the payload is a
-slot payload: at rank 1 a Python int when the value is integral and otherwise
-a rational of sympy's QQ domain (its pure-Python PythonMPQ type unless gmpy2
-is installed); at rank >= 2 a QQ constant or a reduced numerator/denominator
-pair of polynomials (gcd cancelled, denominator primitive with integer
-coefficients and positive leading coefficient).  In an hbar field it is a
-_Series, a tuple of slot payloads, one per power of hbar.  Each value has one
-payload, so structural equality is canonical-form equality, and every zero
-payload is falsy, so a zero test is a truth test.  Polynomial arithmetic is
-delegated to sympy's dense ring elements; everything above that layer is
-defined here.
+slot payload.  At every rank a constant value is a Python int when it is
+integral and otherwise a _Q, a slotted rational in lowest terms; at rank >= 2
+a value with symbols is a reduced numerator/denominator pair of sympy ring
+polynomials (gcd cancelled, denominator primitive with integer coefficients
+and positive leading coefficient), whose coefficients are sympy QQ
+rationals: QQ appears only inside those polynomials.  In an hbar field the
+payload is a _Series, a tuple of slot payloads, one per power of hbar.  Each
+value has one payload, so structural equality is canonical-form equality,
+and every zero payload is falsy, so a zero test is a truth test.  Polynomial
+arithmetic is delegated to sympy's dense ring elements; everything above
+that layer is defined here.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _sympy_ring
@@ -44,8 +47,111 @@ __all__ = ["Scalar", "ScalarField"]
 # Payload adapters: one per coefficient representation
 # ---------------------------------------------------------------------------
 
+class _Q:
+    """The non-integral constant payload: numerator/denominator in lowest
+    terms, denominator > 1, never zero (so truthy).  Integral values are
+    plain ints, so each value has one payload; == and hash agree with Fraction."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __eq__(self, other):
+        if isinstance(other, (_Q, int, Fraction)):
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        return NotImplemented
+
+    def __hash__(self):
+        # Fraction's rule: |numerator| / denominator modulo the hash modulus,
+        # and inf when the denominator has no inverse there
+        try:
+            h = hash(hash(abs(self.numerator)) * pow(self.denominator, -1, sys.hash_info.modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        if self.numerator < 0:
+            h = -h
+        return -2 if h == -1 else h
+
+    def __neg__(self):
+        return _Q(-self.numerator, self.denominator)
+
+    def __repr__(self):
+        return f"_Q({self.numerator}, {self.denominator})"
+
+
+# int/_Q arithmetic, with Fraction's gcd shortcuts; ints carry .numerator and
+# .denominator too
+
+def _qadd(x, y):
+    if type(x) is int:
+        if type(y) is int:
+            return x + y
+        # n/d + x keeps the reduced denominator d
+        return _Q(y.numerator + x * y.denominator, y.denominator)
+    if type(y) is int:
+        return _Q(x.numerator + y * x.denominator, x.denominator)
+    na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _Q(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g = gcd(t, g)
+    den = s * (db // g)
+    return t // g if den == 1 else _Q(t // g, den)
+
+
+def _qmul(x, y):
+    if type(x) is int:
+        if type(y) is int:
+            return x * y
+        x, y = y, x
+    elif type(y) is not int:
+        na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        den = (da // g2) * (db // g1)
+        num = (na // g1) * (nb // g2)
+        return num if den == 1 else _Q(num, den)
+    # x is a _Q, y an int
+    g = gcd(y, x.denominator)
+    num, den = x.numerator * (y // g), x.denominator // g
+    return num if den == 1 else _Q(num, den)
+
+
+def _qdiv(x, y):
+    if not y:
+        raise DivisionByZero("scalar division by zero")
+    na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
+    g1 = gcd(na, nb)
+    g2 = gcd(da, db)
+    num = (na // g1) * (db // g2)
+    den = (da // g2) * (nb // g1)
+    if den < 0:
+        num, den = -num, -den
+    return num if den == 1 else _Q(num, den)
+
+
+def _qq(c):
+    """An int/_Q constant in a form a PolyElement takes: an int as it is, a
+    _Q as an element of sympy's QQ."""
+    return c if type(c) is int else QQ(c.numerator, c.denominator)
+
+
+def _from_qq(q):
+    """A QQ element (reduced, positive denominator) as an int/_Q constant."""
+    num, den = int(q.numerator), int(q.denominator)
+    return num if den == 1 else _Q(num, den)
+
+
 class _SlotOps:
-    """What the two slot payload kinds share: subtraction and the one-slot layout."""
+    """What the two slot payload kinds share: subtraction, the one-slot layout
+    and the int/_Q constants."""
+
+    zero = 0
+    one = 1
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -56,51 +162,28 @@ class _SlotOps:
     def lift(self, coeffs: tuple):
         return coeffs[0]
 
+    def rational(self, num: int, den: int):
+        """The payload of num/den (den nonzero)."""
+        return _qdiv(num, den)
+
 
 class _RationalOps(_SlotOps):
     """Rank-1 payloads: a Python int when the value is integral, otherwise a
-    rational of the QQ domain (PythonMPQ without gmpy2) with denominator > 1.
-
-    add, mul and div return the int form whenever the denominator is 1, so
-    every value has exactly one payload and == and hash agree.  Zero is the
-    int 0, which is falsy: ``not c`` is the zero test.  Plain integers (the
-    common case: binomials, derivative factors, window-rank coefficients)
-    never pay for a gcd.
-    """
-
-    zero = 0
-    one = 1
+    _Q.  Zero is the int 0, which is falsy: ``not c`` is the zero test.
+    Plain integers (the common case: binomials, derivative factors,
+    window-rank coefficients) never pay for a gcd."""
 
     def add(self, x, y):
-        z = x + y
-        if type(z) is int or z.denominator != 1:
-            return z
-        return int(z.numerator)
+        return _qadd(x, y)
 
     def neg(self, x):
         return -x
 
     def mul(self, x, y):
-        z = x * y
-        if type(z) is int or z.denominator != 1:
-            return z
-        return int(z.numerator)
+        return _qmul(x, y)
 
     def div(self, x, y):
-        if not y:
-            raise DivisionByZero("scalar division by zero")
-        if type(x) is int and type(y) is int:
-            # int / int would be a float
-            return self.rational(x, y)
-        z = x / y
-        if z.denominator != 1:
-            return z
-        return int(z.numerator)
-
-    def rational(self, num: int, den: int):
-        """The payload of num/den (den nonzero)."""
-        q, r = divmod(num, den)
-        return int(q) if not r else QQ(num, den)
+        return _qdiv(x, y)
 
 
 class _RatPoly:
@@ -113,7 +196,7 @@ class _RatPoly:
         self.den = den
 
     def __bool__(self):
-        # canonical pairs are never zero (zero demotes to QQ.zero); only the
+        # canonical pairs are never zero (zero demotes to the int 0); only the
         # transient pairs of _RatPolyOps._lift can be
         return bool(self.num)
 
@@ -138,17 +221,17 @@ class _RatPoly:
 class _RatPolyOps(_SlotOps):
     """Rank >= 2 payloads.
 
-    A payload is either a QQ rational (constant values, the common case in
-    kernel arithmetic) or a reduced _RatPoly pair over Q[g_2..g_r].  Constants
-    are always demoted to the rational form, so representations stay canonical
+    A constant value (the common case in kernel arithmetic) is an int or a
+    _Q, as at rank 1; a value with symbols is a reduced _RatPoly pair over
+    Q[g_2..g_r].  A constant becomes a QQ element only where it meets a
+    PolyElement (``ground_new``, ``mul_ground`` and division by a constant), and
+    a ground polynomial is demoted back, so representations stay canonical
     and the polynomial machinery only runs when symbols are actually present.
     """
 
     def __init__(self, rank: int):
         created = _sympy_ring(",".join(f"g_{j}" for j in range(2, rank + 1)), QQ)
         self.ring = created[0]
-        self.zero = QQ.zero
-        self.one = QQ.one
         # canonical pairs reuse this exact object for trivial denominators,
         # so hot paths can test `den is self.pone` instead of polynomial ==
         self.pone = self.ring.one
@@ -156,20 +239,20 @@ class _RatPolyOps(_SlotOps):
     def _lift(self, x):
         if isinstance(x, _RatPoly):
             return x
-        return _RatPoly(self.ring.ground_new(x), self.pone)
+        return _RatPoly(self.ring.ground_new(_qq(x)), self.pone)
 
     def _demote(self, x: _RatPoly):
         if x.den is self.pone:
             if not x.num:
-                return QQ.zero
+                return 0
             if x.num.is_ground:
-                return next(iter(x.num.values()))
+                return _from_qq(next(iter(x.num.values())))
         return x
 
     def _new(self, num, den):
         one = self.pone
         if not num:
-            return QQ.zero
+            return 0
         if den is not one:
             g = num.gcd(den)
             if not g.is_ground:
@@ -193,26 +276,16 @@ class _RatPolyOps(_SlotOps):
     def add(self, x, y):
         xp, yp = isinstance(x, _RatPoly), isinstance(y, _RatPoly)
         if not xp and not yp:
-            return x + y
+            return _qadd(x, y)
         if xp != yp:
             # constant + reduced pair: numerator shift keeps the pair reduced
             if xp:
                 x, y = y, x
             if not x:
                 return y
-            if y.den is self.pone:
-                return _RatPoly(y.num + self.ring.ground_new(x), self.pone)
-            num = y.num + y.den.mul_ground(x)
-            if not num:
-                return QQ.zero
-            return _RatPoly(num, y.den)
+            return _RatPoly(y.num + y.den.mul_ground(_qq(x)), y.den)
         if x.den is self.pone and y.den is self.pone:
-            num = x.num + y.num
-            if not num:
-                return QQ.zero
-            if num.is_ground:
-                return next(iter(num.values()))
-            return _RatPoly(num, self.pone)
+            return self._demote(_RatPoly(x.num + y.num, self.pone))
         if x.den == y.den:
             return self._new(x.num + y.num, x.den)
         return self._new(x.num * y.den + y.num * x.den, x.den * y.den)
@@ -225,33 +298,27 @@ class _RatPolyOps(_SlotOps):
     def mul(self, x, y):
         xp, yp = isinstance(x, _RatPoly), isinstance(y, _RatPoly)
         if not xp and not yp:
-            return x * y
+            return _qmul(x, y)
         if xp != yp:
             # scaling a reduced pair by a constant cannot create a common factor
             if xp:
                 x, y = y, x
             if not x:
-                return QQ.zero
-            return _RatPoly(y.num.mul_ground(x), y.den)
+                return 0
+            return _RatPoly(y.num.mul_ground(_qq(x)), y.den)
         if x.den is self.pone and y.den is self.pone:
             return _RatPoly(x.num * y.num, self.pone)
         return self._new(x.num * y.num, x.den * y.den)
 
     def div(self, x, y):
         if not isinstance(y, _RatPoly):
-            if not y:
-                raise DivisionByZero("scalar division by zero")
             if not isinstance(x, _RatPoly):
-                return x / y
-            return _RatPoly(x.num.mul_ground(QQ.one / y), x.den)
+                return _qdiv(x, y)
+            return _RatPoly(x.num.mul_ground(_qq(_qdiv(1, y))), x.den)
         x = self._lift(x)
         if not y.num:
             raise DivisionByZero("scalar division by zero")
         return self._new(x.num * y.den, x.den * y.num)
-
-    def rational(self, num: int, den: int):
-        """The payload of num/den (den nonzero): always a QQ constant."""
-        return QQ(num, den)
 
     def gen(self, j: int) -> _RatPoly:
         return _RatPoly(self.ring.gens[j - 2], self.pone)
@@ -463,7 +530,7 @@ class Scalar:
         if any(rest) or isinstance(c0, _RatPoly):
             # canonical pairs are never constant (they would be demoted)
             return None
-        return Fraction(int(c0.numerator), int(c0.denominator))
+        return Fraction(c0.numerator, c0.denominator)
 
     def payload_data(self, k: int):
         """Slot-k payload as primitive data for renderers.
@@ -475,7 +542,7 @@ class Scalar:
         p = self.coeffs[k]
         if isinstance(p, _RatPoly):
             return ("poly", _poly_terms(p.num), _poly_terms(p.den))
-        return ("rat", Fraction(int(p.numerator), int(p.denominator)))
+        return ("rat", Fraction(p.numerator, p.denominator))
 
     # -- text ----------------------------------------------------------------
 

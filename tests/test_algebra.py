@@ -341,3 +341,44 @@ def test_pure_derivative_right_terms_take_no_derivatives():
     assert not (A._diff_cache or A._diff_pow_cache or A._kbinom_cache)
     D = A.D(1, 50000)
     assert D * D == A.D(1, 100000)
+
+
+# the four signatures of the benchmark's associativity workload
+CACHE_SIGNATURES = [
+    {},
+    {"rank": 2, "t": ((0, 1),)},
+    {"n": 2, "p": (2, 3), "t": ((1,), (0,))},
+    {"t_shift": True, "hbar_order": 2},
+]
+
+
+@pytest.mark.parametrize("kw", CACHE_SIGNATURES, ids=["rank1", "rank2", "n2_tower", "tshift2"])
+def test_derivative_caches_hold_plain_data_under_their_call_keys(kw):
+    """The caches hold (exponent tuple, payload) pairs, never a Monomial or
+    a Scalar, under the keys (i0, e) and (e, k) of the calls
+    _diff_mono(i0, e) and _diff_pow_mono(e, k): a traced run counts cache
+    hits by looking those keys up."""
+    from expweyl.config import SessionConfig, build_algebra
+    from expweyl.scalars import Scalar
+
+    A = build_algebra(SessionConfig(**kw))
+    rng = random.Random(5)
+    for _ in range(12):
+        P, Q, R = (random_element(A, rng, max_terms=4, bound=1) for _ in range(3))
+        assert (P * Q) * R == P * (Q * R)
+    n = A.signature.n
+    for cache in (A._diff_cache, A._diff_pow_cache):
+        assert cache
+        for value in cache.values():
+            for e, c in value:
+                assert type(e) is tuple and all(type(x) is int for x in e)
+                assert len(e) == len(A.one_monomial.exps) and not any(e[-n:])
+                assert not isinstance(c, (Monomial, Scalar)) and c
+    e = next(iter(A._diff_pow_cache))[0]
+    A._diff_cache.clear()
+    A._diff_pow_cache.clear()
+    k = (2,) + (0,) * (n - 1)
+    A._diff_mono(0, e)
+    A._diff_pow_mono(e, k)
+    assert (0, e) in A._diff_cache
+    assert (e, k) in A._diff_pow_cache

@@ -27,6 +27,7 @@ import pytest
 import sympy as sp
 
 from expweyl.algebra import Monomial, WeylAlgebra
+from expweyl.lie import DerivationElement, witt_bracket
 from expweyl.representation import act
 from expweyl.sampling import random_element, random_function_element
 
@@ -129,11 +130,12 @@ class Model:
             assert sp.expand(c - got[key]) == 0, (key, c, got[key])
 
 
-def _random_function(A: WeylAlgebra, rng: random.Random):
-    """One or two function monomials with small exponents and rational coefficients."""
+def _random_function(A: WeylAlgebra, rng: random.Random, terms: int | None = None):
+    """One or two (or the given number of) function monomials with small
+    exponents and rational coefficients."""
     n, r = A.signature.n, A.signature.rank
     P = A.zero
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(terms or rng.randint(1, 2)):
         a = [rng.randint(-2, 2) for _ in range(n)]
         beta = [rng.randint(-2, 2) for _ in range(n * r)]
         gamma = [rng.randint(-2, 3) for _ in range(n * r)]
@@ -242,3 +244,38 @@ def test_action_is_a_homomorphism(n, rank, p, N, H, monkeypatch):
     monkeypatch.setattr(WeylAlgebra, "mul", refuse)
     for P, Q, f, PQ in cases:
         assert act(PQ, f) == act(P, act(Q, f))
+
+
+def _coefficient(D, j: int):
+    """The function coefficient of D_{j+1} in a derivation."""
+    A = D.algebra
+    return sum((A.from_term(m.function_part(), c) for m, c in D.terms.items() if m.d[j]), A.zero)
+
+
+@pytest.mark.parametrize(
+    "n, rank, p, N",
+    [pytest.param(n, r, p, N, id=f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}") for n, r, p, N in CASES],
+)
+def test_witt_bracket_matches_sympy(n, rank, p, N):
+    """[u, v] for u = sum f_i D_i and v = sum g_j D_j has coefficients
+    u(g_j) - v(f_j), computed with sympy.diff on the tower expressions; the
+    bracket is mul's commutator, so this checks the Leibniz path of mul."""
+    rng = random.Random(f"witt:{n}:{rank}:{p}:{N}")
+    t = tuple(_t(rng, rank) for _ in range(n))
+    if N is None:
+        A = WeylAlgebra(n=n, rank=rank, p=p, t=t)
+    else:
+        A = WeylAlgebra(n=n, rank=rank, p=p, t=t, hbar_order=N, t_shift=True)
+    model = Model(A)
+    f = [_random_function(A, rng, 1) for _ in range(n)]
+    g = [_random_function(A, rng, 1) for _ in range(n)]
+
+    def field(coeffs):
+        return DerivationElement(sum((c * A.D(i) for i, c in enumerate(coeffs, start=1)), A.zero))
+
+    bracket = witt_bracket(field(f), field(g))
+    F = [model.function(c, towers=True) for c in f]
+    G = [model.function(c, towers=True) for c in g]
+    for j in range(n):
+        expected = sum(F[i] * sp.diff(G[j], xi) - G[i] * sp.diff(F[j], xi) for i, xi in enumerate(model.x))
+        model.assert_same(expected, _coefficient(bracket, j))

@@ -1,5 +1,7 @@
 """Scalar field: canonical forms, field axioms, lattice embedding, hbar mode."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,9 @@ from expweyl import (
 )
 from expweyl.algebra import WeylAlgebra
 from expweyl.expr import parse
+from expweyl.linalg import combination
+from expweyl.sampling import random_element, random_scalar
+from expweyl.scalars import _Q, _RatPoly
 
 F1 = ScalarField(rank=1)
 F2 = ScalarField(rank=2)
@@ -302,3 +307,94 @@ def test_equal_scalars_hash_equal_across_construction_paths():
             assert s == group[0]
             assert hash(s) == hash(group[0])
             assert s.coeffs == group[0].coeffs
+
+
+# -- int/_Q constants against Fraction ---------------------------------------------
+# Fraction shares no code with _Q or the int/_Q functions.  The values include
+# huge and negative ones, and denominators that are multiples of the hash
+# modulus, where Fraction hashes to sys.hash_info.inf.
+
+MODULUS = sys.hash_info.modulus
+CONSTANT_FIELDS = {"rank1": F1, "rank2": F2, "hbar": F1.with_hbar(2)}
+
+
+def exact_values():
+    ints = st.one_of(st.integers(-12, 12), st.integers(-(10**40), 10**40))
+    dens = st.one_of(st.integers(1, 12), st.integers(1, 10**30), st.integers(1, 3).map(lambda k: k * MODULUS))
+    return st.one_of(ints, st.builds(Fraction, ints, dens))
+
+
+def _constant(field, p) -> Fraction:
+    """The value of a constant payload (its constant slot in an hbar field),
+    checking that the slot is an int exactly when the value is integral."""
+    c, *rest = field.ops.coeffs(p)
+    assert not any(rest)
+    assert type(c) in (int, _Q)
+    q = _payload_fraction(c)
+    assert (type(c) is int) == (q.denominator == 1)
+    assert c == q and hash(c) == hash(q)
+    return q
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_FIELDS))
+@settings(max_examples=150, deadline=None)
+@given(x=exact_values(), y=exact_values())
+def test_constants_match_fractions(name, x, y):
+    field = CONSTANT_FIELDS[name]
+    ops = field.ops
+    x, y = Fraction(x), Fraction(y)
+    a, b = field.from_rational(x).pay, field.from_rational(y).pay
+    assert _constant(field, a) == x
+    assert _constant(field, ops.add(a, b)) == x + y
+    assert _constant(field, ops.sub(a, b)) == x - y
+    assert _constant(field, ops.mul(a, b)) == x * y
+    assert _constant(field, ops.neg(a)) == -x
+    if y:
+        assert _constant(field, ops.div(a, b)) == x / y
+    else:
+        with pytest.raises(DivisionByZero):
+            ops.div(a, b)
+    assert hash(a) == hash(x)
+    assert (a == b) == (x == y)
+    assert (ops.coeffs(a)[0] == y) == (x == y)
+    s = field.from_rational(x)
+    assert s.as_rational() == x
+    assert s.payload_data(0) == ("rat", x)
+
+
+def test_q_hash_without_an_inverse_is_fractions_inf():
+    for q in (Fraction(1, MODULUS), Fraction(-7, 3 * MODULUS), Fraction(10**50 + 1, MODULUS)):
+        (p,) = F1.from_rational(q).coeffs
+        assert type(p) is _Q and hash(p) == hash(q)
+    assert hash(Fraction(1, MODULUS)) == sys.hash_info.inf
+
+
+def test_ground_quotient_demotes_to_a_constant():
+    g2 = F2.generator(2)
+    assert type(((g2 * 3) / g2).pay) is int and ((g2 * 3) / g2).pay == 3
+    half = (g2 * Fraction(1, 2)) / g2
+    assert type(half.pay) is _Q and half.as_rational() == Fraction(1, 2)
+    assert type((g2 + Fraction(3, 4) - g2).pay) is _Q
+    assert ((g2 * 2 - 1) * (g2 * 2 + 1) - g2 * g2 * 4).pay == -1
+
+
+@pytest.mark.parametrize("rank, kinds", [(1, (int, _Q)), (2, (int, _Q, _RatPoly))])
+def test_no_sympy_number_escapes_as_a_payload(rank, kinds):
+    """Products, scalar divisions and linalg.combination leave only int and
+    _Q payloads at rank 1, and _RatPoly pairs besides at rank 2."""
+    A = WeylAlgebra(rank=rank, p=(2,), t=((1,) + (0,) * (rank - 1),))
+    field = A.field
+    rng = random.Random(rank)
+    seen = []
+    for _ in range(25):
+        P, Q = (random_element(A, rng, max_terms=3, bound=2) for _ in range(2))
+        seen += (P * Q).terms.values()
+        a, b = random_scalar(field, rng), random_scalar(field, rng)
+        seen += [a / b, b / a, a * b + a, a - a, a / 3]
+        vectors = [random_element(A, rng, max_terms=3, bound=1) for _ in range(3)]
+        target = vectors[0] * random_scalar(field, rng) + vectors[2] / random_scalar(field, rng)
+        coeffs = combination([v.terms for v in vectors], target.terms, field)
+        assert coeffs is not None
+        seen += coeffs
+    payloads = [p for s in seen for p in s.coeffs]
+    assert payloads and all(type(p) in kinds for p in payloads)

@@ -75,8 +75,9 @@ class Monomial:
     lattice rows beta, power lattice rows gamma, derivative powers d.  The
     graded algebra uses the same monomials with d read as the commuting y.
     ``a``, ``beta``, ``gamma`` and ``d`` are read-only views.  The hash is
-    cached because monomials are used as dict keys throughout the
-    multiplication kernel.
+    cached because monomials are the keys of every element's terms; the
+    kernels add ``exps`` tuples themselves and build a Monomial only per
+    output term.
     """
 
     __slots__ = ("exps", "n", "_hash")
@@ -129,16 +130,6 @@ class Monomial:
             return self
         return Monomial(self.exps[: -self.n] + (0,) * self.n, self.n)
 
-    def shift(self, delta: Sequence[int], d: tuple[int, ...] | None = None) -> "Monomial":
-        """The monomial with exponents exps + delta; a given d replaces the d part.
-
-        The product kernel adds exponent tuples itself and builds a monomial
-        only per output term; the module action and gr_partial go through here.
-        """
-        if d is None:
-            return Monomial(tuple(map(add, self.exps, delta)), self.n)
-        return Monomial(tuple(map(add, self.exps, delta[: -self.n])) + d, self.n)
-
     def filtration_order(self) -> int:
         """|a| + l1(beta) + l1(gamma) + d."""
         e, n = self.exps, self.n
@@ -171,13 +162,16 @@ class _Sparse:
 
     Elements, graded symbols, Hochschild chains, derivations, cochains and
     bidifferential operators all share this linear structure.  The values
-    are Scalars (graded symbols for PolyDiffOp); only ``+``, unary ``-``,
-    ``*`` and truth are used on them.  A subclass keeps its owner data in its
-    own ``__slots__``; ``_owner()`` names the owner, and two objects combine
-    only when their owners are ``==``; ``_field()`` gives the scalars that
-    ``*`` takes.  By default a combination lives over an algebra, which is
-    its owner and whose field gives the scalars.  A subclass adds its keys,
-    its product and its printing.
+    are Scalars (a PolyDiffOp's are its words' symbol coefficients); only
+    ``+``, unary ``-``, ``*`` and truth are used on them.  The products, the
+    symbol partials, PolyDiffOp calls and the CE differential do not come
+    through here: they accumulate exponent tuples and raw payloads and build
+    their result once.  A subclass keeps its owner data in its own
+    ``__slots__``; ``_owner()`` names the owner, and two objects combine only
+    when their owners are ``==``; ``_field()`` gives the scalars that ``*``
+    takes.  By default a combination lives over an algebra, which is its
+    owner and whose field gives the scalars.  A subclass adds its keys, its
+    product and its printing.
     """
 
     __slots__ = ("terms",)

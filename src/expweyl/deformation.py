@@ -32,7 +32,6 @@ from .errors import (
     UnsupportedElement,
 )
 from .grading import GrElement
-from .scalars import Scalar
 
 __all__ = [
     "gr_partial",
@@ -89,31 +88,36 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     """
     algebra = f.algebra
     _check_gen(algebra, gen)
+    terms = _partial(algebra, {m.exps: c.pay for m, c in f.terms.items()}, gen)
+    return GrElement(algebra, algebra._terms(terms))
+
+
+def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
+    """gr_partial on {exponent tuple: payload}: the tag's slot drops by one
+    and the payload is multiplied by the exponent's (the embedded lattice
+    row for ("x", i)).  A fixed shift keeps the tuples distinct: nothing to
+    merge."""
     field = algebra.field
+    pmul = field.ops.mul
     kind, i0 = gen[0], gen[1] - 1
     part = {"E": "a", "u": "beta", "x": "gamma", "y": "d"}[kind]
     pos = algebra.slot(part, i0) + (gen[2] - 1 if kind == "u" else 0)
-    delta = [0] * len(algebra.one_monomial.exps)
-    delta[pos] = -1
-    r = algebra.signature.rank
-    out: dict[Monomial, Scalar] = {}
-    for m, c in f.terms.items():
-        if kind == "x":
-            expo = field.embed(m.exps[pos : pos + r])
-        else:
-            expo = field.from_rational(m.exps[pos])
-        if expo:
-            # a fixed shift keeps the monomials distinct: nothing to merge
-            out[m.shift(delta)] = c * expo
-    return GrElement(algebra, out)
+    width = algebra.signature.rank if kind == "x" else 1
+    out = {}
+    for e, c in terms.items():
+        row = e[pos : pos + width]
+        if any(row):
+            expo = field.embed(row) if kind == "x" else field.from_rational(row[0])
+            out[e[:pos] + (row[0] - 1,) + e[pos + 1 :]] = pmul(c, expo.pay)
+    return out
 
 
-def _apply_word(f: GrElement, word: tuple) -> GrElement:
+def _apply_word(algebra: WeylAlgebra, terms: dict, word: tuple) -> dict:
     for gen in word:
-        if f.is_zero:
-            return f
-        f = gr_partial(f, gen)
-    return f
+        if not terms:
+            break
+        terms = _partial(algebra, terms, gen)
+    return terms
 
 
 # -- bidifferential operators -------------------------------------------------
@@ -132,32 +136,47 @@ class PolyDiffOp(_Sparse):
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: WeylAlgebra, terms):
-        one = _gr_one_term(algebra, algebra.one_monomial)  # times a scalar: a constant
+        checked: set[tuple] = set()
 
         def normalized():
             for wl, wr, coeff in terms:
                 wl = tuple(sorted(wl))
                 wr = tuple(sorted(wr))
                 for g in wl + wr:
-                    _check_gen(algebra, g)
-                yield (wl, wr), one * coeff
+                    if g not in checked:
+                        _check_gen(algebra, g)
+                        checked.add(g)
+                if not isinstance(coeff, GrElement):  # a scalar is a constant symbol
+                    coeff = GrElement(algebra, algebra.scalar_element(coeff).terms)
+                elif coeff.algebra is not algebra:
+                    raise SignatureMismatch("coefficient lives over a different algebra instance")
+                yield (wl, wr), coeff
 
         self.algebra = algebra
         self._set_terms(add_terms({}, normalized()))
 
     def __call__(self, f: GrElement, g: GrElement) -> GrElement:
-        if f.algebra is not self.algebra or g.algebra is not self.algebra:
+        """sum of coeff * (d_wl f) * (d_wr g), accumulated on exponent tuples
+        and payloads into one symbol."""
+        A = self.algebra
+        if f.algebra is not A or g.algebra is not A:
             raise SignatureMismatch("operands live over a different algebra instance")
-        out = GrElement(self.algebra, {})
+        ops = A.field.ops
+        fp = {m.exps: c.pay for m, c in f.terms.items()}
+        gp = {m.exps: c.pay for m, c in g.terms.items()}
+        out: dict = {}
         for (wl, wr), coeff in self.terms.items():
-            df = _apply_word(f, wl)
-            if df.is_zero:
+            df = _apply_word(A, fp, wl)
+            if not df:
                 continue
-            dg = _apply_word(g, wr)
-            if dg.is_zero:
+            dg = _apply_word(A, gp, wr)
+            if not dg:
                 continue
-            out = out + coeff * df * dg
-        return out
+            cdf = [(tuple(map(add, m.exps, ef)), ops.mul(c.pay, cf))
+                   for m, c in coeff.terms.items() for ef, cf in df.items()]
+            add_terms(out, ((tuple(map(add, e1, eg)), ops.mul(c1, cg))
+                            for e1, c1 in cdf for eg, cg in dg.items()), ops.add)
+        return GrElement(A, A._terms(out))
 
     def word_product(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Factor-wise product: words concatenate, coefficients multiply.
@@ -368,7 +387,8 @@ def star_assoc_check(cochains, triples) -> DefectReport:
     bilinear callable on symbols.  The order-s defect is
     sum_{i+j=s} m_i(m_j(f,g),h) - m_i(f,m_j(g,h)) with m_0 the commutative
     product.  Reports the first nonzero order with its residual, scanning
-    triples in the order given.
+    triples in the order given.  The inner products m_j(f,g) and m_j(g,h)
+    are evaluated once per triple.
     """
     cochains = list(cochains)
     N = len(cochains)
@@ -378,10 +398,13 @@ def star_assoc_check(cochains, triples) -> DefectReport:
         return u * v if k == 0 else cochains[k - 1](u, v)
 
     for idx, (f, g, h) in enumerate(triples):
+        inner: dict[int, tuple[GrElement, GrElement]] = {}
         for s in range(1, N + 1):
             defect = None
             for i in range(s + 1):
-                fg, gh = ev(s - i, f, g), ev(s - i, g, h)
+                if s - i not in inner:
+                    inner[s - i] = ev(s - i, f, g), ev(s - i, g, h)
+                fg, gh = inner[s - i]
                 left = ev(i, fg, h)
                 defect = (left if defect is None else defect + left) - ev(i, f, gh)
             if not defect.is_zero:

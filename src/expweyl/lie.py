@@ -161,17 +161,6 @@ class LieSpan:
             return self._struct[(i, j)]
         return tuple(-c for c in self._struct[(j, i)])
 
-    def ad(self, i: int, v) -> tuple[Scalar, ...]:
-        """Coordinates of [basis_i, sum_j v_j basis_j]."""
-        acc = list(self.zero_coords)
-        for j in range(self.dim):
-            if v[j].is_zero:
-                continue
-            for k, sk in enumerate(self.bracket_coords(i, j)):
-                if not sk.is_zero:
-                    acc[k] = acc[k] + v[j] * sk
-        return tuple(acc)
-
     def degree_of(self, coords) -> int | None:
         """Common degree label of the support; None for zero coordinates."""
         if self.degrees is None:
@@ -312,30 +301,40 @@ def ce_differential(omega: Cochain) -> Cochain:
     With 1-based argument positions,
     (d w)(x_1,...,x_{k+1}) = sum_{a<b} (-1)^{a+b} w([x_a,x_b], ..., ^x_a, ..., ^x_b, ...)
                            + sum_a (-1)^{a+1} [x_a, w(..., ^x_a, ...)].
+    Accumulated on raw payloads with the field's ops; one Scalar per nonzero
+    entry of the result.
     """
-    span = omega.span
-    k = omega.degree
-    table = {}
+    span, k = omega.span, omega.degree
+    field = span.field
+    ops = field.ops
+    # structure constants [e_i, e_j] and omega's values as (index, payload) pairs
+    struct = {(i, j): [(m, c.pay) for m, c in enumerate(span.bracket_coords(i, j)) if c]
+              for i in range(span.dim) for j in range(span.dim)}
+    values: dict[tuple[int, ...], list] = {}
+    for (key, j), c in omega.terms.items():
+        values.setdefault(key, []).append((j, c.pay))
+
+    def value(args: tuple[int, ...], sign: int):
+        """The (index, payload) pairs of sign * omega(args)."""
+        skey, s = _sorted_key(args)
+        pairs = values.get(skey, ())
+        return pairs if s * sign > 0 else [(j, ops.neg(v)) for j, v in pairs]
+
+    terms = {}
     for idx in combinations(range(span.dim), k + 1):
-        acc = list(span.zero_coords)
+        acc: dict[int, object] = {}
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 # positions a+1, b+1 in the 1-based formula: (-1)^{a+b+2}
-                sign = 1 if (a + b) % 2 == 0 else -1
                 rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
-                br = span.bracket_coords(idx[a], idx[b])
-                for m, cm in enumerate(br):
-                    if cm.is_zero:
-                        continue
-                    coeff = cm if sign > 0 else -cm
-                    for j, v in enumerate(omega.value((m,) + rest)):
-                        acc[j] = acc[j] + v * coeff
-            sign = 1 if a % 2 == 0 else -1  # (-1)^{(a+1)+1}
-            rest = idx[:a] + idx[a + 1 :]
-            for j, v in enumerate(span.ad(idx[a], omega.value(rest))):
-                acc[j] = acc[j] + v if sign > 0 else acc[j] - v
-        table[idx] = acc
-    return Cochain(span, k + 1, table)
+                for m, cm in struct[(idx[a], idx[b])]:
+                    pairs = value((m,) + rest, (-1) ** (a + b))
+                    add_terms(acc, ((j, ops.mul(v, cm)) for j, v in pairs), ops.add)
+            # (-1)^{(a+1)+1}
+            for j, v in value(idx[:a] + idx[a + 1 :], (-1) ** a):
+                add_terms(acc, ((i, ops.mul(v, c)) for i, c in struct[(idx[a], j)]), ops.add)
+        terms.update(((idx, j), Scalar(field, v)) for j, v in sorted(acc.items()))
+    return zero_cochain(span, k + 1)._with(terms)
 
 
 def is_cocycle(omega: Cochain) -> bool:
@@ -376,10 +375,8 @@ def euler_integrate(omega: Cochain) -> Cochain:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
     factor = span.field.from_rational(Fraction(1, d))
-    table = {}
-    for j in range(span.dim):
-        table[(j,)] = tuple(c * factor for c in omega.value((h, j)))
-    phi = Cochain(span, 1, table)
+    terms = {((j,), i): c * factor for j in range(span.dim) for i, c in enumerate(omega.value((h, j)))}
+    phi = zero_cochain(span, 1)._with(terms)
     residual = ce_differential(phi) - omega
     if not residual.is_zero:
         raise IntegrationFailed("primitive check d(phi) = omega failed", residual=residual)

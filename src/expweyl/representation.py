@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .algebra import Element, Monomial, WeylAlgebra, add_terms
+from .algebra import Element, WeylAlgebra, add_terms
 from .errors import (
     NotAFunction,
     SignatureMismatch,
@@ -41,14 +42,18 @@ def act(P: Element, f: Element) -> Element:
     algebra._check(f)
     if not f.is_function_element:
         raise NotAFunction("the action is defined on function elements")
-    acc: dict[Monomial, Scalar] = {}
+    ops = algebra.field.ops
+    acc: dict[tuple[int, ...], object] = {}
     for m, c in P.terms.items():
         g = f
         for i0, k in enumerate(m.d):
             for _ in range(k):
                 g = algebra.diff_function(g, i0 + 1)
-        add_terms(acc, ((m.shift(mg.exps, mg.d), c * cg) for mg, cg in g.terms.items()))
-    return Element(algebra, acc)
+        # the function part of m times each term of g, which has no D: exponents add
+        head = m.function_part().exps
+        add_terms(acc, ((tuple(map(add, head, mg.exps)), ops.mul(c.pay, cg.pay))
+                        for mg, cg in g.terms.items()), ops.add)
+    return Element._nonzero(algebra, algebra._terms(acc))
 
 
 def augment(P: Element) -> Element:

@@ -114,6 +114,25 @@ def test_golden_lattice_commands(case, tmp_path, capsys):
     assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
 
 
+DEFORMATION_GOLDEN = json.loads((Path(__file__).parent / "golden" / "deformation_commands.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    DEFORMATION_GOLDEN["cases"],
+    ids=lambda c: "-".join(a.strip("{}-") for a in c["argv"] if a.lstrip("-").isalnum() or a[0] == "{"),
+)
+def test_golden_deformation_commands(case, tmp_path, capsys):
+    # star, assoc, mc, tshift and ced at the default, rank-2, n 2 and
+    # --hbar-order configs, with symbolic structure constants at rank 2
+    paths = {}
+    for name, fields in DEFORMATION_GOLDEN["configs"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(fields))
+    argv = [a.format(**paths) for a in case["argv"]]
+    assert run(capsys, *argv) == (case["status"], case["stdout"], case["stderr"])
+
+
 def test_power_of_a_derivative_through_the_interpreter():
     # only k = 0 of each Leibniz sum survives, so squaring D_1^50000 is one term
     proc = subprocess.run(

@@ -13,15 +13,16 @@ Representation: a scalar holds one payload, and its field's ``ops`` is the
 only arithmetic on it.  In a field without an hbar order the payload is a
 slot payload.  At every rank a constant value is a Python int when it is
 integral and otherwise a _Q, a slotted rational in lowest terms; at rank >= 2
-a value with symbols is a reduced numerator/denominator pair of sympy ring
-polynomials (gcd cancelled, denominator primitive with integer coefficients
-and positive leading coefficient), whose coefficients are sympy QQ
-rationals: QQ appears only inside those polynomials.  In an hbar field the
-payload is a _Series, a tuple of slot payloads, one per power of hbar.  Each
-value has one payload, so structural equality is canonical-form equality,
-and every zero payload is falsy, so a zero test is a truth test.  Polynomial
-arithmetic is delegated to sympy's dense ring elements; everything above
-that layer is defined here.
+a value with symbols is a _RatPoly, a numerator/denominator pair over
+Z[g_2, ..., g_r] in the canonical form of that UFD's fraction field: the two
+are coprime, integer content included, and the denominator is a positive
+Python int or a polynomial with positive leading coefficient.  Polynomial
+coefficients are Python ints.  In an hbar field the payload is a _Series, a
+tuple of slot payloads, one per power of hbar.  Each value has one payload,
+so structural equality is canonical-form equality, and every zero payload
+is falsy, so a zero test is a truth test.  Polynomial products and gcds are
+delegated to sympy's sparse ring elements over ZZ; everything above that
+layer is defined here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from sympy.polys.domains import QQ
+# top level on purpose: perfbench's sympy_import_us needs a top-level sympy import
+from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring as _sympy_ring
 
 from .errors import (
@@ -134,18 +136,6 @@ def _qdiv(x, y):
     return num if den == 1 else _Q(num, den)
 
 
-def _qq(c):
-    """An int/_Q constant in a form a PolyElement takes: an int as it is, a
-    _Q as an element of sympy's QQ."""
-    return c if type(c) is int else QQ(c.numerator, c.denominator)
-
-
-def _from_qq(q):
-    """A QQ element (reduced, positive denominator) as an int/_Q constant."""
-    num, den = int(q.numerator), int(q.denominator)
-    return num if den == 1 else _Q(num, den)
-
-
 class _SlotOps:
     """What the two slot payload kinds share: subtraction, the one-slot layout
     and the int/_Q constants."""
@@ -186,19 +176,47 @@ class _RationalOps(_SlotOps):
         return _qdiv(x, y)
 
 
+# Z[g] arithmetic: each side of a fraction is a Python int or a polynomial over ZZ
+
+def _ground(p):
+    """A polynomial without symbols as an int, any other as it is."""
+    return p.LC if p.is_ground else p
+
+
+def _cof(a, b):
+    """(g, a/g, b/g) for g = gcd(a, b) of nonzero ints or Z[g] polynomials.
+    Where a side is an int, g is math.gcd of it and the other side's
+    coefficients; a ground polynomial comes back as an int."""
+    if type(a) is int:
+        k, p = a, b
+    elif type(b) is int:
+        k, p = b, a
+    elif a == b:
+        return a, 1, 1
+    else:
+        return tuple(map(_ground, a.cofactors(b)))
+    g = 1 if k == 1 else gcd(k, p) if type(p) is int else gcd(k, *p.values())
+    return (1, a, b) if g == 1 else (g, a // g, b // g)
+
+
+def _prod(p, q):
+    """p * q for ints or polynomials, without a pass for a unit factor."""
+    if type(p) is int:
+        p, q = q, p
+    return p if type(q) is int and q == 1 else p * q
+
+
 class _RatPoly:
-    """Reduced fraction of ring polynomials; canonical by construction."""
+    """A value with symbols: num/den over Z[g], canonical in the fraction
+    field of that UFD.  gcd(num, den) = 1, integer content included; num is
+    a polynomial; den is an int > 0 or a non-ground polynomial with positive
+    leading coefficient.  Never zero (zero is the int 0), so always truthy."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         self.num = num
         self.den = den
-
-    def __bool__(self):
-        # canonical pairs are never zero (zero demotes to the int 0); only the
-        # transient pairs of _RatPolyOps._lift can be
-        return bool(self.num)
 
     def __eq__(self, other):
         return (
@@ -210,118 +228,104 @@ class _RatPoly:
     def __hash__(self):
         # PolyElement caches its own hash and sympy mutates polys in place
         # during construction, so hash the term content directly.
-        num = tuple(sorted(self.num.items(), key=lambda kv: kv[0]))
-        den = tuple(sorted(self.den.items(), key=lambda kv: kv[0]))
-        return hash((num, den))
+        den = self.den
+        if type(den) is not int:
+            den = tuple(sorted(den.items()))
+        return hash((tuple(sorted(self.num.items())), den))
 
     def __repr__(self):
         return f"_RatPoly({self.num}, {self.den})"
+
+
+def _parts(x):
+    """A rank >= 2 slot payload as (numerator, denominator)."""
+    return (x.num, x.den) if type(x) is _RatPoly else (x.numerator, x.denominator)
 
 
 class _RatPolyOps(_SlotOps):
     """Rank >= 2 payloads.
 
     A constant value (the common case in kernel arithmetic) is an int or a
-    _Q, as at rank 1; a value with symbols is a reduced _RatPoly pair over
-    Q[g_2..g_r].  A constant becomes a QQ element only where it meets a
-    PolyElement (``ground_new``, ``mul_ground`` and division by a constant), and
-    a ground polynomial is demoted back, so representations stay canonical
-    and the polynomial machinery only runs when symbols are actually present.
+    _Q, as at rank 1; a value with symbols is a _RatPoly over Z[g_2..g_r].
+    Where a pair takes part, each operand reads as a coprime fraction a/b of
+    ints or polynomials, and a result without symbols is demoted to an int
+    or _Q.  A product (a/b)(c/d) cancels gcd(a, d) and gcd(c, b) before it
+    multiplies; a quotient is the product with the swapped pair d/c, so it
+    takes no gcd of its own; a sum takes g = gcd(b, d) first and then only
+    the gcd of the numerator with g (Henrici).  An int meets a polynomial
+    through math.gcd against its content, never a polynomial gcd.  add, mul
+    and div call none of each other.
     """
 
     def __init__(self, rank: int):
-        created = _sympy_ring(",".join(f"g_{j}" for j in range(2, rank + 1)), QQ)
-        self.ring = created[0]
-        # canonical pairs reuse this exact object for trivial denominators,
-        # so hot paths can test `den is self.pone` instead of polynomial ==
-        self.pone = self.ring.one
+        self.ring = _sympy_ring(",".join(f"g_{j}" for j in range(2, rank + 1)), ZZ)[0]
 
-    def _lift(self, x):
-        if isinstance(x, _RatPoly):
-            return x
-        return _RatPoly(self.ring.ground_new(_qq(x)), self.pone)
+    def _pair(self, num, den):
+        """The payload of num/den for coprime ints or polynomials, den nonzero."""
+        if type(den) is not int:
+            den = _ground(den)
+        if type(den) is int:
+            if den < 0:
+                num, den = -num, -den
+            if type(num) is not int:
+                num = _ground(num)
+            if type(num) is int:
+                return num if den == 1 else _Q(num, den)
+        elif den.LC < 0:
+            num, den = -num, -den
+        if type(num) is int:
+            num = self.ring.ground_new(num)
+        return _RatPoly(num, den)
 
-    def _demote(self, x: _RatPoly):
-        if x.den is self.pone:
-            if not x.num:
-                return 0
-            if x.num.is_ground:
-                return _from_qq(next(iter(x.num.values())))
-        return x
-
-    def _new(self, num, den):
-        one = self.pone
-        if not num:
-            return 0
-        if den is not one:
-            g = num.gcd(den)
-            if not g.is_ground:
-                num = num.quo(g)
-                den = den.quo(g)
-            if den.is_ground:
-                q = next(iter(den.values()))
-                if q != QQ.one:
-                    num = num.mul_ground(QQ.one / q)
-                den = one
-            else:
-                c = den.content()
-                if den.LC < 0:
-                    c = -c
-                if c != QQ.one:
-                    inv = QQ.one / c
-                    num = num.mul_ground(inv)
-                    den = den.mul_ground(inv)
-        return self._demote(_RatPoly(num, den))
+    def _cross(self, a, b, c, d):
+        """(a/b)(c/d) for coprime pairs: the product of the cofactors is coprime."""
+        _, a, d = _cof(a, d)
+        _, c, b = _cof(c, b)
+        return self._pair(_prod(a, c), _prod(b, d))
 
     def add(self, x, y):
-        xp, yp = isinstance(x, _RatPoly), isinstance(y, _RatPoly)
-        if not xp and not yp:
+        if type(x) is not _RatPoly and type(y) is not _RatPoly:
             return _qadd(x, y)
-        if xp != yp:
-            # constant + reduced pair: numerator shift keeps the pair reduced
-            if xp:
-                x, y = y, x
-            if not x:
-                return y
-            return _RatPoly(y.num + y.den.mul_ground(_qq(x)), y.den)
-        if x.den is self.pone and y.den is self.pone:
-            return self._demote(_RatPoly(x.num + y.num, self.pone))
-        if x.den == y.den:
-            return self._new(x.num + y.num, x.den)
-        return self._new(x.num * y.den + y.num * x.den, x.den * y.den)
+        if not x:
+            return y
+        if not y:
+            return x
+        (a, b), (c, d) = _parts(x), _parts(y)
+        g, b, d = _cof(b, d)
+        t = _prod(a, d) + _prod(c, b)
+        if not t:
+            return 0
+        den = _prod(b, d)
+        if g != 1:
+            _, t, g = _cof(t, g)
+            den = _prod(den, g)
+        return self._pair(t, den)
 
     def neg(self, x):
-        if not isinstance(x, _RatPoly):
+        if type(x) is not _RatPoly:
             return -x
         return _RatPoly(-x.num, x.den)
 
     def mul(self, x, y):
-        xp, yp = isinstance(x, _RatPoly), isinstance(y, _RatPoly)
-        if not xp and not yp:
+        if type(x) is not _RatPoly and type(y) is not _RatPoly:
             return _qmul(x, y)
-        if xp != yp:
-            # scaling a reduced pair by a constant cannot create a common factor
-            if xp:
-                x, y = y, x
-            if not x:
-                return 0
-            return _RatPoly(y.num.mul_ground(_qq(x)), y.den)
-        if x.den is self.pone and y.den is self.pone:
-            return _RatPoly(x.num * y.num, self.pone)
-        return self._new(x.num * y.num, x.den * y.den)
+        if not x or not y:
+            return 0
+        (a, b), (c, d) = _parts(x), _parts(y)
+        return self._cross(a, b, c, d)
 
     def div(self, x, y):
-        if not isinstance(y, _RatPoly):
-            if not isinstance(x, _RatPoly):
-                return _qdiv(x, y)
-            return _RatPoly(x.num.mul_ground(_qq(_qdiv(1, y))), x.den)
-        x = self._lift(x)
-        if not y.num:
+        if type(x) is not _RatPoly and type(y) is not _RatPoly:
+            return _qdiv(x, y)
+        if not y:
             raise DivisionByZero("scalar division by zero")
-        return self._new(x.num * y.den, x.den * y.num)
+        if not x:
+            return 0
+        (a, b), (d, c) = _parts(x), _parts(y)
+        return self._cross(a, b, c, d)
 
     def gen(self, j: int) -> _RatPoly:
-        return _RatPoly(self.ring.gens[j - 2], self.pone)
+        return _RatPoly(self.ring.gens[j - 2], 1)
 
 
 class _Series(tuple):
@@ -541,7 +545,10 @@ class Scalar:
         """
         p = self.coeffs[k]
         if isinstance(p, _RatPoly):
-            return ("poly", _poly_terms(p.num), _poly_terms(p.den))
+            # den primitive, num over den's integer content
+            den = p.den if type(p.den) is not int else p.num.ring.ground_new(p.den)
+            c = gcd(*den.values())
+            return ("poly", _poly_terms(p.num, c), _poly_terms(den, c))
         return ("rat", Fraction(p.numerator, p.denominator))
 
     # -- text ----------------------------------------------------------------
@@ -675,9 +682,6 @@ class ScalarField:
 # Renderer data
 # ---------------------------------------------------------------------------
 
-def _poly_terms(p) -> tuple:
-    out = []
-    for monom, coeff in p.terms():
-        out.append((tuple(monom), Fraction(int(coeff.numerator), int(coeff.denominator))))
-    out.sort(reverse=True)
-    return tuple(out)
+def _poly_terms(p, c: int) -> tuple:
+    """p's terms over c: (exponents over g_2.., Fraction), descending."""
+    return tuple(sorted(((m, Fraction(a, c)) for m, a in p.terms()), reverse=True))

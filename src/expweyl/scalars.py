@@ -17,12 +17,13 @@ a value with symbols is a _RatPoly, a numerator/denominator pair over
 Z[g_2, ..., g_r] in the canonical form of that UFD's fraction field: the two
 are coprime, integer content included, and the denominator is a positive
 Python int or a polynomial with positive leading coefficient.  Polynomial
-coefficients are Python ints.  In an hbar field the payload is a _Series, a
-tuple of slot payloads, one per power of hbar.  Each value has one payload,
-so structural equality is canonical-form equality, and every zero payload
-is falsy, so a zero test is a truth test.  Polynomial products and gcds are
-delegated to sympy's sparse ring elements over ZZ; everything above that
-layer is defined here.
+coefficients are Python ints, whatever sympy's ground types.  In an hbar
+field the payload is a _Series, a tuple of slot payloads, one per power of
+hbar.  Each value has one payload, so structural equality is canonical-form
+equality, and every zero payload is falsy, so a zero test is a truth test.
+Polynomial products and gcds are delegated to sympy's sparse ring elements
+over its pure-Python integer domain; everything above that layer is defined
+here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 # top level on purpose: perfbench's sympy_import_us needs a top-level sympy import
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import PythonIntegerRing
 from sympy.polys.rings import ring as _sympy_ring
 
 from .errors import (
@@ -176,7 +177,7 @@ class _RationalOps(_SlotOps):
         return _qdiv(x, y)
 
 
-# Z[g] arithmetic: each side of a fraction is a Python int or a polynomial over ZZ
+# Z[g] arithmetic: each side of a fraction is a Python int or a polynomial over Z
 
 def _ground(p):
     """A polynomial without symbols as an int, any other as it is."""
@@ -258,7 +259,11 @@ class _RatPolyOps(_SlotOps):
     """
 
     def __init__(self, rank: int):
-        self.ring = _sympy_ring(",".join(f"g_{j}" for j in range(2, rank + 1)), ZZ)[0]
+        # Python int coefficients whatever sympy's ground types: with gmpy2 or
+        # python-flint, ZZ holds mpz/fmpz, which the `type(...) is int` tests
+        # here would misroute
+        names = ",".join(f"g_{j}" for j in range(2, rank + 1))
+        self.ring = _sympy_ring(names, PythonIntegerRing())[0]
 
     def _pair(self, num, den):
         """The payload of num/den for coprime ints or polynomials, den nonzero."""

@@ -17,6 +17,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import PythonIntegerRing
 
 from expweyl import DivisionByZero, NonInvertibleSeries, ScalarField
 from expweyl.scalars import _Q, _RatPoly
@@ -193,3 +194,20 @@ def test_integer_denominators_stay_ints():
         (((1, 0), Fraction(1, 6)), ((0, 1), Fraction(1, 2))),
         (((0, 0), Fraction(1)),),
     )
+
+
+def test_coefficients_are_python_ints_whatever_the_ground_types():
+    """sympy's ZZ holds mpz or fmpz once gmpy2 or python-flint is installed;
+    the pairs live over sympy's pure-Python integer domain instead, so a
+    product that cancels to a constant is still demoted to an int."""
+    F = ScalarField(rank=2)
+    g2 = F.generator(2)
+    (p,) = g2.coeffs
+    assert isinstance(p.num.ring.domain, PythonIntegerRing)
+    assert p.num.ring.domain.dtype is int
+    s = (g2 * 2) * (1 / g2)
+    assert type(s.pay) is int and s == 2
+    s = (g2 * 2) / (g2 * 4 + 4)
+    (p,) = s.coeffs
+    assert type(p.den) is not int and all(type(c) is int for c in p.den.values())
+    assert type(((g2 * 2) / 3 * (3 / g2)).pay) is int

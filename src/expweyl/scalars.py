@@ -16,14 +16,14 @@ integral and otherwise a _Q, a slotted rational in lowest terms; at rank >= 2
 a value with symbols is a _RatPoly, a numerator/denominator pair over
 Z[g_2, ..., g_r] in the canonical form of that UFD's fraction field: the two
 are coprime, integer content included, and the denominator is a positive
-Python int or a polynomial with positive leading coefficient.  Polynomial
-coefficients are Python ints, whatever sympy's ground types.  In an hbar
-field the payload is a _Series, a tuple of slot payloads, one per power of
-hbar.  Each value has one payload, so structural equality is canonical-form
-equality, and every zero payload is falsy, so a zero test is a truth test.
-Polynomial products and gcds are delegated to sympy's sparse ring elements
-over its pure-Python integer domain; everything above that layer is defined
-here.
+Python int or a polynomial with positive lex-leading coefficient.  A side
+with symbols is a _Poly, a dict from exponent tuples to Python ints.  In an
+hbar field the payload is a _Series, a tuple of slot payloads, one per power
+of hbar.  Each value has one payload, so structural equality is
+canonical-form equality, and every zero payload is falsy, so a zero test is a
+truth test.  Z[g] arithmetic runs on the _Poly dicts here; sympy's sparse
+ring computes only the gcds where neither side's primitive part divides the
+other.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 # top level on purpose: perfbench's sympy_import_us needs a top-level sympy import
 from sympy.polys.domains import PythonIntegerRing
@@ -177,17 +178,87 @@ class _RationalOps(_SlotOps):
         return _qdiv(x, y)
 
 
-# Z[g] arithmetic: each side of a fraction is a Python int or a polynomial over Z
+# Z[g] arithmetic: each side of a fraction is a Python int or a _Poly
 
-def _ground(p):
-    """A polynomial without symbols as an int, any other as it is."""
-    return p.LC if p.is_ground else p
+class _Poly(dict):
+    """A polynomial with a symbol: exponent tuples over g_2..g_r to nonzero
+    Python ints (without a symbol it is an int).  Immutable by convention."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
 
-def _cof(a, b):
-    """(g, a/g, b/g) for g = gcd(a, b) of nonzero ints or Z[g] polynomials.
-    Where a side is an int, g is math.gcd of it and the other side's
-    coefficients; a ground polynomial comes back as an int."""
+def _demote(terms):
+    """The nonzero terms as a _Poly, or as an int when none has a symbol."""
+    terms = {m: c for m, c in terms.items() if c}
+    if len(terms) > 1 or any(map(any, terms)):
+        return _Poly(terms)
+    return sum(terms.values())
+
+
+def _sum(p, q):
+    """p + q for ints or polynomials."""
+    if type(p) is int:
+        if type(q) is int:
+            return p + q
+        p, q = q, p
+    out = dict(p)
+    for m, c in q.items() if type(q) is not int else (((0,) * len(next(iter(p))), q),):
+        out[m] = out.get(m, 0) + c
+    return _demote(out)
+
+
+def _prod(p, q):
+    """p * q for nonzero ints or polynomials, without a pass for a unit factor."""
+    if type(p) is int:
+        p, q = q, p
+    if type(q) is int:
+        return p if q == 1 else p * q if type(p) is int else _Poly({m: c * q for m, c in p.items()})
+    out = {}
+    for n, b in q.items():
+        for m, a in p.items():
+            k = tuple(map(add, m, n))
+            out[k] = out.get(k, 0) + a * b
+    return _Poly({m: c for m, c in out.items() if c})
+
+
+def _exquo(p, k: int):
+    """p / k for an int k that divides p."""
+    return p if k == 1 else p // k if type(p) is int else _Poly({m: c // k for m, c in p.items()})
+
+
+def _quo(p, q):
+    """p / q when the polynomial q divides p in Z[g], else None: division by
+    lex-leading terms leaves no remainder exactly when q divides p."""
+    lm = max(q)
+    lc = q[lm]
+    rest = [(n, b) for n, b in q.items() if n != lm]
+    r = dict(p)
+    out = {}
+    while r:
+        m = max(r)
+        e = tuple(map(sub, m, lm))
+        k, rem = divmod(r.pop(m), lc)
+        if rem or min(e) < 0:
+            return None
+        out[e] = k
+        for n, b in rest:
+            t = tuple(map(add, e, n))
+            c = r.get(t, 0) - k * b
+            if c:
+                r[t] = c
+            else:
+                del r[t]
+    return _demote(out)
+
+
+def _cof(a, b, ring):
+    """(g, a/g, b/g) for g = gcd(a, b) of nonzero ints or polynomials, up to
+    a unit.  Where a side is an int, g is math.gcd of it and the other's
+    coefficients; where one polynomial's primitive part divides the other, the
+    quotient and the two contents give g; else sympy's gcd in ``ring`` does."""
     if type(a) is int:
         k, p = a, b
     elif type(b) is int:
@@ -195,23 +266,40 @@ def _cof(a, b):
     elif a == b:
         return a, 1, 1
     else:
-        return tuple(map(_ground, a.cofactors(b)))
+        ca, cb = gcd(*a.values()), gcd(*b.values())
+        h = gcd(ca, cb)
+        # a = q * (b / cb) with q of content ca, so g = h * b / cb
+        pb = _exquo(b, cb)
+        q = _quo(a, pb)
+        if q is not None:
+            return _prod(pb, h), _exquo(q, h), cb // h
+        pa = _exquo(a, ca)
+        q = _quo(b, pa)
+        if q is not None:
+            return _prod(pa, h), ca // h, _exquo(q, h)
+        return tuple(map(_demote, ring.from_dict(a).cofactors(ring.from_dict(b))))
     g = 1 if k == 1 else gcd(k, p) if type(p) is int else gcd(k, *p.values())
-    return (1, a, b) if g == 1 else (g, a // g, b // g)
+    return (1, a, b) if g == 1 else (g, _exquo(a, g), _exquo(b, g))
 
 
-def _prod(p, q):
-    """p * q for ints or polynomials, without a pass for a unit factor."""
-    if type(p) is int:
-        p, q = q, p
-    return p if type(q) is int and q == 1 else p * q
+def _pair(num, den):
+    """The payload of num/den for coprime nonzero ints or polynomials."""
+    if type(den) is int:
+        if den < 0:
+            num, den = _prod(num, -1), -den
+        if type(num) is int:
+            return num if den == 1 else _Q(num, den)
+    elif den[max(den)] < 0:
+        # the sign rule: a positive lex-leading coefficient
+        num, den = _prod(num, -1), _prod(den, -1)
+    return _RatPoly(num, den)
 
 
 class _RatPoly:
     """A value with symbols: num/den over Z[g], canonical in the fraction
-    field of that UFD.  gcd(num, den) = 1, integer content included; num is
-    a polynomial; den is an int > 0 or a non-ground polynomial with positive
-    leading coefficient.  Never zero (zero is the int 0), so always truthy."""
+    field of that UFD.  Each side is an int or a _Poly, not both ints; they are
+    coprime, integer content included; den is an int > 0 or a _Poly with
+    positive lex-leading coefficient.  Never zero, so always truthy."""
 
     __slots__ = ("num", "den")
 
@@ -220,19 +308,10 @@ class _RatPoly:
         self.den = den
 
     def __eq__(self, other):
-        return (
-            isinstance(other, _RatPoly)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return type(other) is _RatPoly and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # PolyElement caches its own hash and sympy mutates polys in place
-        # during construction, so hash the term content directly.
-        den = self.den
-        if type(den) is not int:
-            den = tuple(sorted(den.items()))
-        return hash((tuple(sorted(self.num.items())), den))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"_RatPoly({self.num}, {self.den})"
@@ -253,40 +332,22 @@ class _RatPolyOps(_SlotOps):
     or _Q.  A product (a/b)(c/d) cancels gcd(a, d) and gcd(c, b) before it
     multiplies; a quotient is the product with the swapped pair d/c, so it
     takes no gcd of its own; a sum takes g = gcd(b, d) first and then only
-    the gcd of the numerator with g (Henrici).  An int meets a polynomial
-    through math.gcd against its content, never a polynomial gcd.  add, mul
-    and div call none of each other.
+    the gcd of the numerator with g (Henrici).  ``ring``, sympy's sparse ring
+    over pure-Python ints, takes only the gcds that _cof cannot get by exact
+    division.  add, mul and div call none of each other.
     """
 
     def __init__(self, rank: int):
-        # Python int coefficients whatever sympy's ground types: with gmpy2 or
-        # python-flint, ZZ holds mpz/fmpz, which the `type(...) is int` tests
-        # here would misroute
+        # Python int coefficients whatever sympy's ground types (ZZ holds mpz or
+        # fmpz with gmpy2 or python-flint, which `type(...) is int` would misroute)
         names = ",".join(f"g_{j}" for j in range(2, rank + 1))
         self.ring = _sympy_ring(names, PythonIntegerRing())[0]
 
-    def _pair(self, num, den):
-        """The payload of num/den for coprime ints or polynomials, den nonzero."""
-        if type(den) is not int:
-            den = _ground(den)
-        if type(den) is int:
-            if den < 0:
-                num, den = -num, -den
-            if type(num) is not int:
-                num = _ground(num)
-            if type(num) is int:
-                return num if den == 1 else _Q(num, den)
-        elif den.LC < 0:
-            num, den = -num, -den
-        if type(num) is int:
-            num = self.ring.ground_new(num)
-        return _RatPoly(num, den)
-
     def _cross(self, a, b, c, d):
         """(a/b)(c/d) for coprime pairs: the product of the cofactors is coprime."""
-        _, a, d = _cof(a, d)
-        _, c, b = _cof(c, b)
-        return self._pair(_prod(a, c), _prod(b, d))
+        _, a, d = _cof(a, d, self.ring)
+        _, c, b = _cof(c, b, self.ring)
+        return _pair(_prod(a, c), _prod(b, d))
 
     def add(self, x, y):
         if type(x) is not _RatPoly and type(y) is not _RatPoly:
@@ -296,20 +357,18 @@ class _RatPolyOps(_SlotOps):
         if not y:
             return x
         (a, b), (c, d) = _parts(x), _parts(y)
-        g, b, d = _cof(b, d)
-        t = _prod(a, d) + _prod(c, b)
+        g, b, d = _cof(b, d, self.ring)
+        t = _sum(_prod(a, d), _prod(c, b))
         if not t:
             return 0
         den = _prod(b, d)
         if g != 1:
-            _, t, g = _cof(t, g)
+            _, t, g = _cof(t, g, self.ring)
             den = _prod(den, g)
-        return self._pair(t, den)
+        return _pair(t, den)
 
     def neg(self, x):
-        if type(x) is not _RatPoly:
-            return -x
-        return _RatPoly(-x.num, x.den)
+        return _RatPoly(_prod(x.num, -1), x.den) if type(x) is _RatPoly else -x
 
     def mul(self, x, y):
         if type(x) is not _RatPoly and type(y) is not _RatPoly:
@@ -330,7 +389,7 @@ class _RatPolyOps(_SlotOps):
         return self._cross(a, b, c, d)
 
     def gen(self, j: int) -> _RatPoly:
-        return _RatPoly(self.ring.gens[j - 2], 1)
+        return _RatPoly(_Poly({tuple(int(i == j) for i in range(2, self.ring.ngens + 2)): 1}), 1)
 
 
 class _Series(tuple):
@@ -551,9 +610,9 @@ class Scalar:
         p = self.coeffs[k]
         if isinstance(p, _RatPoly):
             # den primitive, num over den's integer content
-            den = p.den if type(p.den) is not int else p.num.ring.ground_new(p.den)
-            c = gcd(*den.values())
-            return ("poly", _poly_terms(p.num, c), _poly_terms(den, c))
+            c = p.den if type(p.den) is int else gcd(*p.den.values())
+            one = (0,) * (self.field.rank - 1)
+            return ("poly", _poly_terms(p.num, c, one), _poly_terms(p.den, c, one))
         return ("rat", Fraction(p.numerator, p.denominator))
 
     # -- text ----------------------------------------------------------------
@@ -687,6 +746,7 @@ class ScalarField:
 # Renderer data
 # ---------------------------------------------------------------------------
 
-def _poly_terms(p, c: int) -> tuple:
-    """p's terms over c: (exponents over g_2.., Fraction), descending."""
-    return tuple(sorted(((m, Fraction(a, c)) for m, a in p.terms()), reverse=True))
+def _poly_terms(p, c: int, one: tuple) -> tuple:
+    """p's terms over c: (exponents over g_2.., Fraction), descending; an int is at ``one``."""
+    terms = ((one, p),) if type(p) is int else p.items()
+    return tuple(sorted(((m, Fraction(a, c)) for m, a in terms), reverse=True))

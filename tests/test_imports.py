@@ -1,14 +1,19 @@
 """Source hygiene: every top-level import of a package module is referenced in
-that module, every exported name resolves, only scalars.py imports sympy, and
-no line is over 110 characters."""
+that module, every exported name resolves, only scalars.py imports sympy, the
+benchmark's import probe can read ``import expweyl.cli``, and no line is over
+110 characters."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expweyl"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "expweyl"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -57,6 +62,20 @@ def test_only_scalars_imports_sympy(module):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             roots.append(node.module.split(".")[0])
     assert "sympy" not in roots, f"{module} imports sympy"
+
+
+def test_the_benchmark_import_probe_reads_the_cli_import(monkeypatch):
+    """The traced benchmark run times the sympy import from ``python -X
+    importtime -c "import expweyl.cli"`` through perfbench's own parser; a
+    tree whose import output it cannot read fails that run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import expweyl.cli"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert type(layers.sympy_import_us(child.stderr)) is int
 
 
 MAX_LINE = 110

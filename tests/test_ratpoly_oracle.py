@@ -17,10 +17,11 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import PythonIntegerRing
+from sympy.polys.domains import ZZ, PythonIntegerRing
+from sympy.polys.rings import ring
 
 from expweyl import DivisionByZero, NonInvertibleSeries, ScalarField
-from expweyl.scalars import _Q, _RatPoly
+from expweyl.scalars import _Q, _Poly, _RatPoly
 
 FIELDS = {
     "rank2": ScalarField(rank=2),
@@ -28,6 +29,7 @@ FIELDS = {
     "rank2_hbar2": ScalarField(rank=2, hbar_order=2),
     "rank3_hbar1": ScalarField(rank=3, hbar_order=1),
 }
+SYMPY_RINGS = {r: ring(",".join(f"g_{j}" for j in range(2, r + 1)), ZZ)[0] for r in (2, 3)}
 
 
 def polynomials(field):
@@ -113,6 +115,12 @@ def test_arithmetic_commutes_with_evaluation(name, data):
 
 # -- canonical form ------------------------------------------------------------
 
+def as_sympy(side, rank):
+    """An int or _Poly side as an element of sympy's Z[g_2..g_r] over ZZ."""
+    R = SYMPY_RINGS[rank]
+    return R.ground_new(side) if type(side) is int else R.from_dict(dict(side))
+
+
 def assert_canonical(s):
     """Every slot of s is an int, a _Q or a canonical _RatPoly pair over Z[g]."""
     for p in s.coeffs:
@@ -120,15 +128,21 @@ def assert_canonical(s):
             assert type(p) in (int, _Q)
             continue
         num, den = p.num, p.den
-        assert num and not (type(den) is int and num.is_ground), "a constant must be demoted"
-        assert all(type(c) is int for c in num.values())
+        for side in (num, den):
+            # integer coefficients only, and a side without symbols is an int
+            assert type(side) in (int, _Poly)
+            if type(side) is _Poly:
+                assert all(type(c) is int and c for c in side.values())
+                assert any(any(m) for m in side), "a constant side must be an int"
+        assert num and (type(num) is _Poly or type(den) is _Poly), "a constant must be demoted"
         if type(den) is int:
             assert den > 0
             assert gcd(den, *num.values()) == 1
         else:
-            assert not den.is_ground and den.LC > 0
-            assert all(type(c) is int for c in den.values())
-            assert num.gcd(den) == 1
+            # sympy's lex order and gcd over ZZ, content included, as the oracle
+            d = as_sympy(den, s.field.rank)
+            assert d.LC > 0 and den[max(den)] == d.LC
+            assert as_sympy(num, s.field.rank).gcd(d) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -173,9 +187,9 @@ def test_integer_and_polynomial_denominators_cancel_content():
         assert_canonical(s)
         assert s == (a * (g2 + 1) + b * 2) / ((g2 + 1) * 4)
     (p,) = (g2 / 4 + F.one / (g2 * 2 + 2)).coeffs
-    ring = p.num.ring
-    x = ring.gens[0]
-    assert (p.num, p.den) == (x**2 + x + 2, 4 * x + 4)
+    # (g_2^2 + g_2 + 2) / (4 g_2 + 4)
+    assert (p.num, p.den) == ({(2,): 1, (1,): 1, (0,): 2}, {(1,): 4, (0,): 4})
+    assert (type(p.num), type(p.den)) == (_Poly, _Poly)
 
 
 def test_integer_denominators_stay_ints():
@@ -198,16 +212,24 @@ def test_integer_denominators_stay_ints():
 
 def test_coefficients_are_python_ints_whatever_the_ground_types():
     """sympy's ZZ holds mpz or fmpz once gmpy2 or python-flint is installed;
-    the pairs live over sympy's pure-Python integer domain instead, so a
-    product that cancels to a constant is still demoted to an int."""
+    the general gcd runs over sympy's pure-Python integer domain instead, so
+    its cofactors come back with int coefficients, and a product that
+    cancels to a constant is still demoted to an int."""
     F = ScalarField(rank=2)
     g2 = F.generator(2)
+    ring = F._slot_ops.ring
+    assert isinstance(ring.domain, PythonIntegerRing)
+    assert ring.domain.dtype is int
     (p,) = g2.coeffs
-    assert isinstance(p.num.ring.domain, PythonIntegerRing)
-    assert p.num.ring.domain.dtype is int
+    assert type(p.num) is _Poly and all(type(c) is int for c in p.num.values())
     s = (g2 * 2) * (1 / g2)
     assert type(s.pay) is int and s == 2
+    # neither 2 g_2 nor 4 g_2 + 4 divides the other: sympy's gcd, content 2
     s = (g2 * 2) / (g2 * 4 + 4)
     (p,) = s.coeffs
-    assert type(p.den) is not int and all(type(c) is int for c in p.den.values())
+    assert type(p.den) is _Poly and all(type(c) is int for c in p.den.values())
+    # (g_2^2 - 1) / (g_2^2 + 2 g_2 + 1): sympy's gcd g_2 + 1, demoted cofactors
+    (p,) = ((g2 * g2 - 1) / (g2 * g2 + g2 * 2 + 1)).coeffs
+    assert (p.num, p.den) == ({(1,): 1, (0,): -1}, {(1,): 1, (0,): 1})
+    assert all(type(c) is int for c in (*p.num.values(), *p.den.values()))
     assert type(((g2 * 2) / 3 * (3 / g2)).pay) is int

@@ -347,12 +347,8 @@ class Element(_Sparse):
 class WeylAlgebra:
     """Context object tying a signature to a scalar field and the rewrite rules."""
 
-    def __init__(self, signature: Signature | None = None, _field: ScalarField | None = None, **kwargs):
-        if signature is None:
-            signature = Signature(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either a signature or keyword fields, not both")
-        self.signature = signature
+    def __init__(self, *, _field: ScalarField | None = None, **fields):
+        self.signature = signature = Signature(**fields)
         if _field is None:
             _field = ScalarField(signature.rank, signature.hbar_order)
         self.field = _field
@@ -390,10 +386,8 @@ class WeylAlgebra:
         twin = self._twin_cache.get(key)
         if twin is None:
             sig = self.signature
-            twin = WeylAlgebra(
-                Signature(sig.n, sig.rank, sig.p, sig.t, order, t_shift),
-                _field=self.field.with_hbar(order),
-            )
+            twin = WeylAlgebra(n=sig.n, rank=sig.rank, p=sig.p, t=sig.t, hbar_order=order,
+                               t_shift=t_shift, _field=self.field.with_hbar(order))
             self._twin_cache[key] = twin
         return twin
 

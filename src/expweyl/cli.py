@@ -338,7 +338,7 @@ def _cmd_eulerint(ctx, args):
     span = _span_arg(ctx.algebra, args.span, args.grading)
     omega = None
     for _ in range(20):
-        psi = random_cochain(span, ctx.rng, args.degree, ad_degree=args.ad_degree)
+        psi = random_cochain(span, ctx.rng, 1, ad_degree=args.ad_degree)
         cand = ce_differential(psi)
         if not cand.is_zero:
             omega = cand
@@ -350,7 +350,7 @@ def _cmd_eulerint(ctx, args):
     lines = _cochain_lines("omega", omega) + _cochain_lines("phi", phi)
     lines.append(f"d phi == omega: {str(recovered).lower()}")
     payload = {
-        "degree": args.degree,
+        "degree": 1,
         "ad_degree": args.ad_degree,
         "coboundary": _cochain_records(omega),
         "primitive": _cochain_records(phi),
@@ -612,7 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grading", type=int, default=None)
     p = cmd("eulerint", _cmd_eulerint, "integrate a seeded random coboundary")
     p.add_argument("span")
-    p.add_argument("--degree", type=int, default=1)
     p.add_argument("--ad-degree", type=int, default=1, dest="ad_degree")
     p.add_argument("--grading", type=int, default=None)
     p = cmd("hochb", _cmd_hochb, "Hochschild boundary of a tensor chain")

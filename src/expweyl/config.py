@@ -12,6 +12,8 @@ from .errors import SignatureMismatch
 __all__ = ["SessionConfig", "load_config", "build_algebra"]
 
 _FORMATS = ("text", "structured")
+# a derived p or t holds n * rank entries; past this a config must list them
+_MAX_DERIVED = 10_000
 
 
 def _check_int(name: str, value) -> None:
@@ -24,8 +26,9 @@ def _check_int(name: str, value) -> None:
 class SessionConfig:
     n: int = 1
     rank: int = 1
-    p: tuple[int, ...] = (2,)
-    t: tuple[tuple[int, ...], ...] = ((0,),)
+    # absent p is (2,) * n and absent t is ((0,) * rank,) * n
+    p: tuple[int, ...] | None = None
+    t: tuple[tuple[int, ...], ...] | None = None
     hbar_order: int | None = None
     t_shift: bool = False
     format: str = "text"
@@ -40,6 +43,13 @@ class SessionConfig:
             _check_int("hbar_order", self.hbar_order)
         if not isinstance(self.t_shift, bool):
             raise SignatureMismatch("t_shift must be true or false")
+        if self.p is None or self.t is None:
+            if max(self.n, 0) * max(self.rank, 1) > _MAX_DERIVED:
+                raise SignatureMismatch(f"p and t are derived only for n * rank <= {_MAX_DERIVED}")
+            if self.p is None:
+                object.__setattr__(self, "p", (2,) * self.n)
+            if self.t is None:
+                object.__setattr__(self, "t", ((0,) * self.rank,) * self.n)
         if not isinstance(self.p, (list, tuple)) or not isinstance(self.t, (list, tuple)):
             raise SignatureMismatch("p and t must be lists")
         for v in self.p:

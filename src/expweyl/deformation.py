@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedElement,
 )
 from .grading import GrElement
+from .representation import _compositions
 
 __all__ = [
     "gr_partial",
@@ -238,15 +239,6 @@ def lambda_bracket(f: GrElement, g: GrElement, lam) -> GrElement:
 # -- star product -------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
     """Order-k term of the normal-ordered star product:
     sum over |kappa| = k of (1/kappa!) d_y^kappa (x) d_x^kappa."""
@@ -254,7 +246,7 @@ def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
         raise UnsupportedElement("cochain order must be nonnegative")
     n = algebra.signature.n
     terms = []
-    for kappa in _compositions(k, n):
+    for kappa in _compositions(n, k, k):
         fact = 1
         wl: list[tuple] = []
         wr: list[tuple] = []

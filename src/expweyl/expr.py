@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Element, Monomial, WeylAlgebra
+from .algebra import Element, WeylAlgebra
 from .errors import (
     IntegerTooLong,
     ParseError,
@@ -31,7 +31,6 @@ __all__ = [
     "format_gr_element",
     "format_scalar",
     "element_to_records",
-    "element_from_records",
 ]
 
 
@@ -488,22 +487,3 @@ def element_to_records(P: Element) -> list[dict]:
             }
         )
     return out
-
-
-def element_from_records(algebra: WeylAlgebra, records) -> Element:
-    """Rebuild an element from term records (coefficients reparsed).
-
-    Every record must match the signature: ``a`` and ``d`` of length n,
-    ``beta`` and ``gamma`` of n rows with one entry per lattice rank.
-    """
-    n, rank = algebra.signature.n, algebra.signature.rank
-    acc = algebra.zero
-    for rec in records:
-        rows = [*rec["beta"], *rec["gamma"]]
-        lengths = [len(rec[part]) for part in ("a", "beta", "gamma", "d")]
-        if lengths != [n] * 4 or any(len(r) != rank for r in rows):
-            raise SignatureMismatch("term record does not match the signature")
-        m = Monomial((*rec["a"], *(c for r in rows for c in r), *rec["d"]), n)
-        coeff = parse(rec["coeff"], algebra).as_scalar()
-        acc = acc + algebra.from_term(m, coeff)
-    return acc

@@ -14,6 +14,7 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms, monomial_sort_key
 from .errors import DegreeZero, SignatureMismatch, WindowOverflow
@@ -119,21 +120,8 @@ class Window:
         self.monomials = monomials
         self._index = {m: i for i, m in enumerate(monomials)}
 
-    def __len__(self):
-        return len(self.monomials)
-
     def __contains__(self, m: Monomial) -> bool:
         return m in self._index
-
-    @classmethod
-    def spanning(cls, algebra: WeylAlgebra, elements) -> "Window":
-        """The window of all monomials appearing in the given elements."""
-        seen: dict[Monomial, None] = {}
-        for e in elements:
-            for m in e.terms:
-                seen.setdefault(m)
-        ordered = sorted(seen, key=monomial_sort_key)
-        return cls(algebra, ordered)
 
 
 @dataclass(frozen=True)
@@ -174,18 +162,7 @@ def window_chain_basis(window: Window, degree: int) -> list[tuple[Monomial, ...]
     """Normalized tensor basis: all factors in the window, no unit past slot 0."""
     unit = window.algebra.one_monomial
     tail = [m for m in window.monomials if m != unit]
-    basis: list[tuple[Monomial, ...]] = []
-
-    def grow(key):
-        if len(key) == degree + 1:
-            basis.append(key)
-            return
-        for m in tail:
-            grow(key + (m,))
-
-    for m0 in window.monomials:
-        grow((m0,))
-    return basis
+    return [(m0,) + rest for m0 in window.monomials for rest in product(tail, repeat=degree)]
 
 
 def window_rank(window: Window, degree: int) -> WindowRankReport:

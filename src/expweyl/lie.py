@@ -129,11 +129,6 @@ class LieSpan:
     def zero_coords(self) -> tuple[Scalar, ...]:
         return (self.field.zero,) * self.dim
 
-    def unit_coords(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(
-            self.field.one if k == j else self.field.zero for k in range(self.dim)
-        )
-
     def coords(self, values) -> tuple[Scalar, ...]:
         """Coerce a sequence of scalars / ints / fractions to a coordinate tuple."""
         out = []
@@ -145,12 +140,6 @@ class LieSpan:
         if len(out) != self.dim:
             raise SignatureMismatch(f"need {self.dim} coordinates, got {len(out)}")
         return tuple(out)
-
-    def coordinates(self, u: DerivationElement) -> tuple[Scalar, ...]:
-        coords = combination(self._vectors, u.terms, self.field)
-        if coords is None:
-            raise NotClosed("element lies outside the span")
-        return tuple(coords)
 
     # bracket in coordinates ----------------------------------------------
 
@@ -179,8 +168,8 @@ class LieSpan:
         return f"LieSpan(dim={self.dim}, graded={self.degrees is not None})"
 
 
-def _poly_derivation(algebra: WeylAlgebra, power: int, var: int = 1) -> DerivationElement:
-    return DerivationElement(algebra.x(var, power) * algebra.D(var))
+def _poly_derivation(algebra: WeylAlgebra, power: int) -> DerivationElement:
+    return DerivationElement(algebra.x(1, power) * algebra.D(1))
 
 
 def borel(algebra: WeylAlgebra) -> LieSpan:
@@ -290,11 +279,6 @@ def zero_cochain(span: LieSpan, degree: int) -> Cochain:
     return Cochain(span, degree, {})
 
 
-def identity_cochain(span: LieSpan) -> Cochain:
-    """The 1-cochain x -> x."""
-    return Cochain(span, 1, {(j,): span.unit_coords(j) for j in range(span.dim)})
-
-
 def ce_differential(omega: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential with adjoint coefficients.
 
@@ -335,10 +319,6 @@ def ce_differential(omega: Cochain) -> Cochain:
                 add_terms(acc, ((i, ops.mul(v, c)) for i, c in struct[(idx[a], j)]), ops.add)
         terms.update(((idx, j), Scalar(field, v)) for j, v in sorted(acc.items()))
     return zero_cochain(span, k + 1)._with(terms)
-
-
-def is_cocycle(omega: Cochain) -> bool:
-    return ce_differential(omega).is_zero
 
 
 def ad_degree(omega: Cochain) -> int | None:

@@ -57,7 +57,7 @@ from .sampling import (
 )
 from .scalars import ScalarField
 
-__all__ = ["CheckResult", "check_names", "run_selftest"]
+__all__ = ["CheckResult", "run_selftest"]
 
 
 def _algebra(n=1, rank=2, p=None, t=None, **kw):
@@ -423,10 +423,6 @@ class CheckResult:
         if self.ok:
             return f"ok {self.name}"
         return f"FAIL {self.name}: {self.detail}"
-
-
-def check_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _CHECKS)
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:

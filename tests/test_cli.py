@@ -11,6 +11,7 @@ import pytest
 
 from expweyl import cli
 from expweyl.cli import main
+from expweyl.config import SessionConfig, build_algebra
 
 
 def run(capsys, *argv):
@@ -160,6 +161,30 @@ def test_config_file_and_flag_overrides(tmp_path, capsys):
     )
     assert status == 0
     assert out == "hbar\n"
+
+
+@pytest.mark.parametrize(
+    "fields, listed, expr, want",
+    [
+        ({"rank": 2}, {"p": [2], "t": [[0, 0]]}, "g_2*x_1", "g_2*x_1\n"),
+        ({"n": 2}, {"p": [2, 2], "t": [[0], [0]]}, "D_2*x_2", "x_2*D_2 + 1\n"),
+    ],
+)
+def test_absent_p_and_t_derive_from_n_and_rank(fields, listed, expr, want, tmp_path, capsys):
+    # p defaults to 2 and t to the zero lattice element, one per variable
+    cfg = tmp_path / "derived.json"
+    cfg.write_text(json.dumps(fields))
+    assert run(capsys, "--config", str(cfg), "normalize", expr) == (0, want, "")
+    derived = build_algebra(SessionConfig(**fields)).signature
+    assert derived == build_algebra(SessionConfig(**fields, **listed)).signature
+
+
+def test_a_huge_derived_signature_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"n": 10**9}))
+    status, out, err = run(capsys, "--config", str(cfg), "normalize", "x_1")
+    assert (status, out) == (1, "")
+    assert err == "error[SignatureMismatch]: p and t are derived only for n * rank <= 10000\n"
 
 
 def test_bad_config_is_a_stable_error(tmp_path, capsys):
@@ -482,12 +507,19 @@ def test_eulerint_on_an_ungraded_span_is_an_error_line(capsys):
     assert (status, out, err) == (1, "", "error[NotHomogeneous]: span has no grading element\n")
 
 
-@pytest.mark.parametrize("command", ["ced borel", "eulerint sl2like"])
+@pytest.mark.parametrize("command", ["ced borel"])
 @pytest.mark.parametrize("structured", [False, True])
 def test_negative_cochain_degree_is_an_error_line(command, structured, capsys):
     argv = ["--format", "structured"] if structured else []
     status, out, err = run(capsys, *argv, *command.split(), "--degree", "-1")
     assert (status, out, err) == (1, "", "error[SignatureMismatch]: cochain degree must be >= 0\n")
+
+
+def test_eulerint_has_no_degree_option(capsys):
+    # only 2-cochains are integrated, so the coboundary is always of a 1-cochain
+    status, out, err = run(capsys, "eulerint", "sl2like", "--degree", "1")
+    assert (status, out) == (1, "")
+    assert err.startswith("error[UsageError]:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("structured", [False, True])

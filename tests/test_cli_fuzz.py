@@ -198,8 +198,8 @@ def _integer_options(data, command):
     """The options of one non-expression command, each an integer in a small range."""
     ints = lambda *opts: [x for opt in opts for x in (opt, str(data.draw(SMALL)))]
     if command in ("ced", "eulerint"):
-        extra = ["--ad-degree"] if command == "eulerint" else []
-        return [data.draw(st.sampled_from(["borel", "sl2like"])), *ints("--degree", *extra)]
+        option = "--ad-degree" if command == "eulerint" else "--degree"
+        return [data.draw(st.sampled_from(["borel", "sl2like"])), *ints(option)]
     if command == "assoc":
         return ints("--order", "--triples")
     if command == "mc":

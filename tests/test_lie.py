@@ -24,8 +24,6 @@ from expweyl.lie import (
     borel,
     ce_differential,
     euler_integrate,
-    identity_cochain,
-    is_cocycle,
     sl2like,
     witt_bracket,
     zero_cochain,
@@ -43,6 +41,16 @@ def make_algebra(**kw):
 
 def xpow_del(A, k, var=1):
     return DerivationElement(A.x(var, k) * A.D(var))
+
+
+def unit(span, j):
+    """The coordinates of basis element j."""
+    return tuple(span.field.one if k == j else span.field.zero for k in range(span.dim))
+
+
+def identity_cochain(span):
+    """The 1-cochain x -> x."""
+    return Cochain(span, 1, {(j,): unit(span, j) for j in range(span.dim)})
 
 
 def test_witt_relations():
@@ -109,8 +117,6 @@ def test_span_closure_and_independence_errors():
         LieSpan([xpow_del(A, 0), xpow_del(A, 3)])
     with pytest.raises(NotIndependent):
         LieSpan([xpow_del(A, 1), 2 * xpow_del(A, 1)])
-    with pytest.raises(NotClosed):
-        sp.coordinates(xpow_del(A, 2))
 
 
 def test_coordinates_from_another_field_are_refused():
@@ -129,22 +135,22 @@ def test_coordinates_from_another_field_are_refused():
 def test_cochain_alternating():
     A = make_algebra()
     s = sl2like(A)
-    c1 = Cochain(s, 2, {(1, 0): s.unit_coords(2)})
-    c2 = Cochain(s, 2, {(0, 1): tuple(-c for c in s.unit_coords(2))})
+    c1 = Cochain(s, 2, {(1, 0): unit(s, 2)})
+    c2 = Cochain(s, 2, {(0, 1): tuple(-c for c in unit(s, 2))})
     assert c1 == c2
-    assert c1.value((1, 0)) == s.unit_coords(2)
+    assert c1.value((1, 0)) == unit(s, 2)
     assert c1.value((0, 0)) == s.zero_coords
     with pytest.raises(NotAntisymmetric):
-        Cochain(s, 2, {(1, 1): s.unit_coords(0)})
+        Cochain(s, 2, {(1, 1): unit(s, 0)})
 
 
 def test_ce_differential_degree_zero():
     # d(m)(u) = [u, m]; with m = D: d(m)(x D) = [x D, D] = -D
     A = make_algebra()
     s = sl2like(A)
-    m = Cochain(s, 0, {(): s.unit_coords(0)})
+    m = Cochain(s, 0, {(): unit(s, 0)})
     dm = ce_differential(m)
-    assert dm.value((1,)) == tuple(-c for c in s.unit_coords(0))
+    assert dm.value((1,)) == tuple(-c for c in unit(s, 0))
 
 
 def test_structure_cochain_is_d_of_identity():
@@ -160,7 +166,7 @@ def test_structure_cochain_is_d_of_identity():
             },
         )
         assert ce_differential(identity_cochain(span)) == struct
-        assert is_cocycle(struct)
+        assert ce_differential(struct).is_zero
 
 
 def test_d_squared_zero():
@@ -177,7 +183,7 @@ def test_euler_integrate_constructed_coboundary():
     # psi of ad-degree 2 supported on D -> x^2 D; omega = d(psi) is {(0,1): -2 b2}
     A = make_algebra()
     s = sl2like(A)
-    psi = Cochain(s, 1, {(0,): s.unit_coords(2)})
+    psi = Cochain(s, 1, {(0,): unit(s, 2)})
     omega = ce_differential(psi)
     two = s.field.from_rational(2)
     assert omega.table == {(0, 1): (s.field.zero, s.field.zero, -two)}
@@ -220,7 +226,7 @@ def test_euler_integrates_a_cocycle_whose_degree_is_a_basis_degree():
     # ad-degree 1 equals the degree of a basis element of sl2like
     A = make_algebra()
     s = sl2like(A)
-    psi1 = Cochain(s, 1, {(1,): s.unit_coords(2)})
+    psi1 = Cochain(s, 1, {(1,): unit(s, 2)})
     omega1 = ce_differential(psi1)
     assert ad_degree(omega1) == 1
     assert ce_differential(euler_integrate(omega1)) == omega1
@@ -229,8 +235,8 @@ def test_euler_integrates_a_cocycle_whose_degree_is_a_basis_degree():
 def test_euler_integrate_refuses_a_non_cocycle():
     # omega(b0, b1) = b1 has ad-degree 1 but is not closed: no primitive exists
     s = sl2like(make_algebra())
-    omega = Cochain(s, 2, {(0, 1): s.unit_coords(1)})
-    assert ad_degree(omega) == 1 and not is_cocycle(omega)
+    omega = Cochain(s, 2, {(0, 1): unit(s, 1)})
+    assert ad_degree(omega) == 1 and not ce_differential(omega).is_zero
     with pytest.raises(IntegrationFailed) as err:
         euler_integrate(omega)
     assert not err.value.residual.is_zero
@@ -239,6 +245,6 @@ def test_euler_integrate_refuses_a_non_cocycle():
 def test_ad_degree_mixed_raises():
     A = make_algebra()
     s = sl2like(A)
-    mixed = Cochain(s, 1, {(0,): s.unit_coords(1), (1,): s.unit_coords(1)})
+    mixed = Cochain(s, 1, {(0,): unit(s, 1), (1,): unit(s, 1)})
     with pytest.raises(NotHomogeneous):
         ad_degree(mixed)

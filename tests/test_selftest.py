@@ -1,6 +1,6 @@
 """The invariant battery itself: coverage, determinism, result rendering."""
 
-from expweyl.selftest import CheckResult, check_names, run_selftest
+from expweyl.selftest import _CHECKS, CheckResult, run_selftest
 
 
 def test_battery_green_at_default_seed():
@@ -9,7 +9,7 @@ def test_battery_green_at_default_seed():
 
 
 def test_one_check_per_module_area():
-    names = check_names()
+    names = [name for name, _ in _CHECKS]
     assert len(names) == len(set(names))
     # every module's invariants have at least one named check
     prefixes = (

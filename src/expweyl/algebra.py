@@ -5,7 +5,9 @@ of the tower exponential E_i = exp(x_i^{p_i} e^{t_i x_i}), a lattice exponent
 beta_i for e^{beta_i x_i}, a lattice exponent gamma_i for x_i^{gamma_i}, and a
 natural power d_i of the derivative D_i.  A monomial is the product of these
 factors in that fixed order; an element is a finite scalar combination of
-monomials, kept in normal form (all derivatives on the right).
+monomials, kept in normal form (all derivatives on the right), and stores
+each term as the monomial's flat exponent tuple and the coefficient's
+payload; Monomial views and Scalars are built only for callers that ask.
 
 Multiplication rewrites D^d * f through the Leibniz expansion
 D^d f = sum over k <= d of binom(d, k) (D^k f) D^{d-k}, where the derivative of
@@ -37,7 +39,9 @@ from .errors import (
 )
 from .scalars import Scalar, ScalarField, power
 
-__all__ = ["Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "monomial_sort_key"]
+__all__ = [
+    "Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "filtration_order", "monomial_sort_key",
+]
 
 # (exponent tuple, coefficient payload) pairs: the derivative caches' values
 Pairs = tuple[tuple[tuple[int, ...], object], ...]
@@ -68,35 +72,21 @@ class Signature:
 
 
 class Monomial:
-    """Exponent data of one normally-ordered monomial (immutable by convention).
+    """Read-only view of one normally-ordered monomial's exponent tuple.
 
     One flat int tuple ``exps`` holds, for n variables and lattice rank r, the
     slots in the order a | beta rows | gamma rows | d: E powers a, exponential
     lattice rows beta, power lattice rows gamma, derivative powers d.  The
-    graded algebra uses the same monomials with d read as the commuting y.
-    ``a``, ``beta``, ``gamma`` and ``d`` are read-only views.  The hash is
-    cached because monomials are the keys of every element's terms; the
-    kernels add ``exps`` tuples themselves and build a Monomial only per
-    output term.
+    graded algebra uses the same tuples with d read as the commuting y.  The
+    tuples themselves are the keys of every element's terms; a view names
+    their slots for the printers and the other readers outside the kernel.
     """
 
-    __slots__ = ("exps", "n", "_hash")
+    __slots__ = ("exps", "n")
 
     def __init__(self, exps: tuple[int, ...], n: int):
         self.exps = exps
         self.n = n
-        self._hash = hash(exps)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._hash == other._hash and self.exps == other.exps and self.n == other.n
-
-    def __repr__(self):
-        return f"Monomial(a={self.a}, beta={self.beta}, gamma={self.gamma}, d={self.d})"
 
     def _rows(self, part: int) -> tuple[tuple[int, ...], ...]:
         # part 0 is beta, part 1 is gamma
@@ -121,32 +111,22 @@ class Monomial:
     def d(self) -> tuple[int, ...]:
         return self.exps[-self.n :]
 
-    @property
-    def is_function(self) -> bool:
-        return not any(self.d)
 
-    def function_part(self) -> "Monomial":
-        if self.is_function:
-            return self
-        return Monomial(self.exps[: -self.n] + (0,) * self.n, self.n)
-
-    def filtration_order(self) -> int:
-        """|a| + l1(beta) + l1(gamma) + d."""
-        e, n = self.exps, self.n
-        return sum(map(abs, e[:-n])) + sum(e[-n:])
+def filtration_order(e: tuple[int, ...], n: int) -> int:
+    """|a| + l1(beta) + l1(gamma) + d of the exponent tuple e of n variables."""
+    return sum(map(abs, e[:-n])) + sum(e[-n:])
 
 
-def monomial_sort_key(m: Monomial):
-    """Graded-lex order used for canonical printing and reports:
+def monomial_sort_key(e: tuple[int, ...], n: int):
+    """Graded-lex order of exponent tuples, for canonical printing and reports:
     order, then d, the gamma rows, the beta rows and a."""
-    e, n = m.exps, m.n
     gamma0 = len(e) // 2
-    return (m.filtration_order(), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
+    return (filtration_order(e, n), e[-n:], e[gamma0:-n], e[n:gamma0], e[:n])
 
 
 def add_terms(out: dict, pairs, plus=add) -> dict:
     """Add (key, value) pairs into out, summing the values of equal keys
-    with plus (a field's ``ops.add`` for raw payloads).
+    with plus (a field's ``ops.add`` for payloads).
 
     The one merge rule of sparse sums; a zero sum stays for the caller's
     zero filter.  Returns out.
@@ -158,30 +138,33 @@ def add_terms(out: dict, pairs, plus=add) -> dict:
 
 
 class _Sparse:
-    """A finite sparse combination: ``terms`` maps keys to nonzero values.
+    """A finite sparse combination: ``terms`` maps keys to nonzero payloads.
 
-    Elements, graded symbols, Hochschild chains, derivations, cochains and
-    bidifferential operators all share this linear structure.  The values
-    are Scalars (a PolyDiffOp's are its words' symbol coefficients); only
-    ``+``, unary ``-``, ``*`` and truth are used on them.  The products, the
-    symbol partials, PolyDiffOp calls and the CE differential do not come
-    through here: they accumulate exponent tuples and raw payloads and build
-    their result once.  A subclass keeps its owner data in its own
-    ``__slots__``; ``_owner()`` names the owner, and two objects combine only
-    when their owners are ``==``; ``_field()`` gives the scalars that ``*``
-    takes.  By default a combination lives over an algebra, which is its
-    owner and whose field gives the scalars.  A subclass adds its keys, its
-    product and its printing.
+    Elements, graded symbols, Hochschild chains, derivations and cochains
+    share this linear structure.  An element's key is its monomial's
+    exponent tuple, a chain's the tuple of its factors' exponent tuples, and
+    every value is a payload of the owner's field, so ``+``, ``-``, scalar
+    ``*``, ``==`` and ``hash`` run on plain data through ``field.ops``.  The
+    constructor coerces a Scalar, int or Fraction value to its payload and
+    keeps any other value, a payload already; the kernels build their
+    results through ``_with``, which only drops zeros.  A Monomial view and
+    a Scalar are built only for callers that ask for them (``sorted_terms``).
+    A subclass keeps its owner data in its own ``__slots__``; ``_owner()``
+    names the owner, and two objects combine only when their owners are
+    ``==``; ``_field()`` gives the scalars.  By default a combination lives
+    over an algebra, which is its owner and whose field gives the scalars.
+    A subclass adds its keys, its product and its printing.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, algebra: "WeylAlgebra", terms: Mapping):
         self.algebra = algebra
-        self._set_terms(terms)
+        pay = algebra.field.payload
+        self._set_terms({k: pay(v) for k, v in terms.items()})
 
     def _set_terms(self, terms: Mapping) -> None:
-        """The zero filter: keep the terms with a nonzero value."""
+        """The zero filter: keep the terms with a nonzero payload."""
         self.terms = {k: v for k, v in terms.items() if v}
 
     def _owner(self):
@@ -191,7 +174,7 @@ class _Sparse:
         return self.algebra.field
 
     def _with(self, terms: Mapping):
-        """An object with this one's owner data over terms, zeros dropped."""
+        """An object with this one's owner data over payload terms, zeros dropped."""
         new = object.__new__(type(self))
         for name in self.__slots__:
             setattr(new, name, getattr(self, name))
@@ -224,10 +207,11 @@ class _Sparse:
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
-        return self._with(add_terms(dict(self.terms), other.terms.items()))
+        return self._with(add_terms(dict(self.terms), other.terms.items(), self._field().ops.add))
 
     def __neg__(self):
-        return self._with({k: -v for k, v in self.terms.items()})
+        neg = self._field().ops.neg
+        return self._with({k: neg(v) for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not self._check(other):
@@ -235,19 +219,21 @@ class _Sparse:
         return self + (-other)
 
     def __mul__(self, other):
-        c = self._field().coerce(other)
+        field = self._field()
+        c = field.coerce(other)
         if c is None:
             return NotImplemented
-        return self._with({k: v * c for k, v in self.terms.items()})
+        pmul, pay = field.ops.mul, c.pay
+        return self._with({k: pmul(v, pay) for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """The combination times a scalar c: an int, a Fraction or a Scalar."""
-        out = _Sparse.__mul__(self, c)
-        if out is NotImplemented:
+        s = self._field().coerce(c)
+        if s is None:
             raise TypeError(f"cannot scale by {type(c).__name__}")
-        return out
+        return self * s
 
 
 class Element(_Sparse):
@@ -255,29 +241,26 @@ class Element(_Sparse):
 
     __slots__ = ("algebra",)
 
-    @classmethod
-    def _nonzero(cls, algebra: "WeylAlgebra", terms: dict[Monomial, Scalar]) -> "Element":
-        """An element over terms already known to have no zero coefficient."""
-        e = cls.__new__(cls)
-        e.algebra = algebra
-        e.terms = terms
-        return e
-
     # -- inspection ----------------------------------------------------------
 
     @property
     def is_function_element(self) -> bool:
-        return all(m.is_function for m in self.terms)
+        n = self.algebra.signature.n
+        return not any(any(e[-n:]) for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda mc: monomial_sort_key(mc[0]), reverse=True)
+        """(Monomial view, Scalar) pairs in the canonical printing order."""
+        field, n = self._field(), self.algebra.signature.n
+        ordered = sorted(self.terms.items(), key=lambda ec: monomial_sort_key(ec[0], n), reverse=True)
+        return [(Monomial(e, n), Scalar(field, c)) for e, c in ordered]
 
     def as_scalar(self) -> Scalar | None:
         """The element as a scalar if it is one, else None."""
+        field = self.algebra.field
         if self.is_zero:
-            return self.algebra.field.zero
+            return field.zero
         if len(self.terms) == 1 and self.algebra.one_monomial in self.terms:
-            return self.terms[self.algebra.one_monomial]
+            return Scalar(field, self.terms[self.algebra.one_monomial])
         return None
 
     # -- arithmetic ----------------------------------------------------------
@@ -324,8 +307,8 @@ class Element(_Sparse):
             return NotImplemented
         if k < 0:
             raise NegativePower("general elements have no negative powers")
-        unit = self.algebra.one_monomial
-        if k == 0 or self.is_function_element or all(m.function_part() == unit for m in self.terms):
+        n = self.algebra.signature.n
+        if k == 0 or self.is_function_element or not any(any(e[:-n]) for e in self.terms):
             return power(self, k, self.algebra.one)
         # A product costs about (D-order of the left factor) x (terms of the
         # right one), and squaring puts a high D-order on the left, so an
@@ -353,7 +336,8 @@ class WeylAlgebra:
             _field = ScalarField(signature.rank, signature.hbar_order)
         self.field = _field
         n, r = signature.n, signature.rank
-        self.one_monomial = Monomial((0,) * (2 * n * (r + 1)), n)
+        # the exponent tuple of the unit monomial
+        self.one_monomial = (0,) * (2 * n * (r + 1))
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
         self._embed_t = tuple(self.field.embed(ti) for ti in signature.t)
@@ -413,31 +397,32 @@ class WeylAlgebra:
     def scalar_element(self, c) -> Element:
         return self.from_term(self.one_monomial, c)
 
-    def from_term(self, monomial: Monomial, coeff: Scalar | int = 1) -> Element:
+    def from_term(self, exps: tuple[int, ...], coeff: Scalar | int = 1) -> Element:
+        """coeff times the monomial with exponent tuple exps."""
         c = self.field.coerce(coeff)
         if c is None:
             raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
-        return Element(self, {monomial: c})
+        return self.zero._with({exps: c.pay})
 
     def slot(self, part: str, i0: int) -> int:
-        """Index in Monomial.exps of variable i0's entry in part ("a", "beta",
-        "gamma" or "d"); for a lattice row, of its first coordinate."""
+        """Index in an exponent tuple of variable i0's entry in part ("a",
+        "beta", "gamma" or "d"); for a lattice row, of its first coordinate."""
         n, r = self.signature.n, self.signature.rank
         starts = {"a": 0, "beta": n, "gamma": n + n * r, "d": n + 2 * n * r}
         return starts[part] + i0 * (r if part in ("beta", "gamma") else 1)
 
-    def monomial(self, i: int, *, a: int = 0, beta=None, gamma=None, d: int = 0) -> Monomial:
-        """The monomial E_i^a e^{beta x_i} x_i^gamma D_i^d of one variable."""
+    def monomial(self, i: int, *, a: int = 0, beta=None, gamma=None, d: int = 0) -> tuple[int, ...]:
+        """The exponent tuple of E_i^a e^{beta x_i} x_i^gamma D_i^d, one variable."""
         i0 = self._var(i)
         r = self.signature.rank
-        exps = list(self.one_monomial.exps)
+        exps = list(self.one_monomial)
         exps[self.slot("a", i0)] = a
         exps[self.slot("d", i0)] = d
         for part, coords in (("beta", beta), ("gamma", gamma)):
             if coords is not None:
                 start = self.slot(part, i0)
                 exps[start : start + r] = coords
-        return Monomial(tuple(exps), self.signature.n)
+        return tuple(exps)
 
     def x(self, i: int, power: int | Sequence[int] = 1) -> Element:
         """x_i^power, power a lattice element (int means a plain power)."""
@@ -541,21 +526,14 @@ class WeylAlgebra:
             raise NotAFunction("derivative rule applies to function elements")
         i0 = self._var(i)
         ops = self.field.ops
-        pairs = ((de, ops.mul(c.pay, dc)) for m, c in f.terms.items()
-                 for de, dc in self._diff_mono(i0, m.exps))
-        return Element._nonzero(self, self._terms(add_terms({}, pairs, ops.add)))
+        pairs = ((de, ops.mul(c, dc)) for e, c in f.terms.items() for de, dc in self._diff_mono(i0, e))
+        return f._with(add_terms({}, pairs, ops.add))
 
     # -- multiplication -----------------------------------------------------------
 
     def _check(self, e: Element) -> None:
         if not isinstance(e, Element) or e.algebra is not self:
             raise SignatureMismatch("element belongs to a different algebra")
-
-    def _terms(self, acc: Mapping[tuple[int, ...], object]) -> dict[Monomial, Scalar]:
-        """Terms from exponent tuples and payloads, zeros dropped: one Monomial
-        and one Scalar per nonzero term."""
-        field, n = self.field, self.signature.n
-        return {Monomial(e, n): Scalar(field, c) for e, c in acc.items() if c}
 
     def _kbinom(self, d1: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, object], ...]:
         """Leibniz splittings k of a derivative multi-index, each with its
@@ -574,10 +552,9 @@ class WeylAlgebra:
         return result
 
     def mul(self, P: Element, Q: Element) -> Element:
-        """Normal-ordered product, accumulated on raw coefficient payloads
-        with the field's ops (in an hbar field a payload is the whole
-        truncated series, multiplied by convolution), keyed by exponent
-        tuples; a Monomial and a Scalar are built once per output term."""
+        """Normal-ordered product, accumulated on coefficient payloads with
+        the field's ops (in an hbar field a payload is the whole truncated
+        series, multiplied by convolution), keyed by exponent tuples."""
         self._check(P)
         self._check(Q)
         ops = self.field.ops
@@ -585,11 +562,10 @@ class WeylAlgebra:
         padd = ops.add
         n = self.signature.n
         no_d = (0,) * n
-        left = [(m.exps, m.exps[:-n], c.pay, m.exps[-n:]) for m, c in P.terms.items()]
+        # each left term's head (all but d) and d, sliced once
+        left = [(eP, eP[:-n], payP, eP[-n:]) for eP, payP in P.terms.items()]
         acc: dict[tuple[int, ...], object] = {}
-        for mQ, cQ in Q.terms.items():
-            payQ = cQ.pay
-            eQ = mQ.exps
+        for eQ, payQ in Q.terms.items():
             fQ = eQ[:-n] + no_d
             dQ = eQ[-n:]
             # a unit function part on the right or no D on the left: only k = 0
@@ -612,8 +588,7 @@ class WeylAlgebra:
                         v = cb if k0 else pmul(cb, fc)
                         cur = acc.get(e)
                         acc[e] = v if cur is None else padd(cur, v)
-        # one zero filter, on the payloads; the Element needs no second pass
-        return Element._nonzero(self, self._terms(acc))
+        return P._with(acc)
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

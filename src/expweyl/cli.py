@@ -138,35 +138,23 @@ def _coeff_text(s) -> str:
     return text
 
 
+def _factors(chain, key) -> list[str]:
+    return [format_element(chain.algebra.from_term(e)) for e in key]
+
+
 def _chain_text(chain) -> str:
     if chain.is_zero:
         return "0"
     one = chain.algebra.field.one
     pieces = []
     for key, coeff in chain.sorted_terms():
-        body = ", ".join(
-            format_element(chain.algebra.from_term(m, one)) for m in key
-        )
-        if coeff == one:
-            pieces.append(f"[{body}]")
-        else:
-            pieces.append(f"{_coeff_text(coeff)} * [{body}]")
+        body = ", ".join(_factors(chain, key))
+        pieces.append(f"[{body}]" if coeff == one else f"{_coeff_text(coeff)} * [{body}]")
     return " + ".join(pieces)
 
 
 def _chain_records(chain) -> list[dict]:
-    one = chain.algebra.field.one
-    out = []
-    for key, coeff in chain.sorted_terms():
-        out.append(
-            {
-                "coeff": format_scalar(coeff),
-                "factors": [
-                    format_element(chain.algebra.from_term(m, one)) for m in key
-                ],
-            }
-        )
-    return out
+    return [{"coeff": format_scalar(c), "factors": _factors(chain, key)} for key, c in chain.sorted_terms()]
 
 
 def _cochain_records(omega) -> list[dict]:
@@ -399,9 +387,9 @@ def _cmd_commspan(ctx, args):
 
 def _cmd_star(ctx, args):
     A = ctx.base
-    N = args.order if args.order is not None else ctx.hbar_order(2)
     f = full_symbol(parse(args.left, A))
     g = full_symbol(parse(args.right, A))
+    N = ctx.truncation_order(args.order)
     out = symbol_star(f, g, N)
     text = format_gr_element(out)
     return text, {"text": text, "order": N}
@@ -409,9 +397,7 @@ def _cmd_star(ctx, args):
 
 def _cmd_assoc(ctx, args):
     A = ctx.base
-    N = args.order if args.order is not None else ctx.hbar_order(2)
-    if N < 0:
-        raise SignatureMismatch("hbar order must be >= 0")
+    N = ctx.truncation_order(args.order)
     count = _triples_arg(args.triples)
     cochains = [star_cochain(A, k) for k in range(1, N + 1)]
     triples = [tuple(random_symbol(A, ctx.rng) for _ in range(3)) for _ in range(count)]
@@ -432,15 +418,12 @@ def _cmd_rank2(ctx, args):
     alpha = _lattice_arg(args.alpha, rank)
     beta = _lattice_arg(args.beta, rank)
     c12 = _rational_arg(args.c)
-    c = AntisymMatrix(
-        tuple(
-            tuple(
-                c12 if (i, j) == (0, 1) else -c12 if (i, j) == (1, 0) else Fraction(0)
-                for j in range(rank)
-            )
-            for i in range(rank)
-        )
-    )
+    if rank == 1 and c12:
+        raise SignatureMismatch("--c pairs g_1 with g_2, and lattice rank 1 has no g_2")
+    rows = [[Fraction(0)] * rank for _ in range(rank)]
+    if rank > 1:
+        rows[0][1], rows[1][0] = c12, -c12
+    c = AntisymMatrix(tuple(map(tuple, rows)))
     prod = rank2_product(A, c, alpha, beta)
     comm = rank2_commutator(A, c, alpha, beta)
     text = f"product = {format_gr_element(prod)}\ncommutator = {format_gr_element(comm)}"
@@ -453,8 +436,7 @@ def _cmd_rank2(ctx, args):
 
 def _cmd_tshift(ctx, args):
     A = ctx.base
-    N = args.order if args.order is not None else ctx.hbar_order(2)
-    rep = t_shift_deform(A, N, args.var)
+    rep = t_shift_deform(A, ctx.truncation_order(args.order), args.var)
     payload = {
         "order": rep.order,
         "var": rep.var,
@@ -510,8 +492,13 @@ class _Context:
         self.base = build_algebra(config.replace(hbar_order=None, t_shift=False))
         self.rng = random.Random(config.seed)
 
-    def hbar_order(self, default: int) -> int:
-        return self.config.hbar_order if self.config.hbar_order is not None else default
+    def truncation_order(self, order: int | None) -> int:
+        """A deformation command's hbar order: --order, else the session's, else 2."""
+        if order is None:
+            order = self.config.hbar_order if self.config.hbar_order is not None else 2
+        if order < 0:
+            raise SignatureMismatch("hbar order must be >= 0")
+        return order
 
 
 class _Parser(argparse.ArgumentParser):

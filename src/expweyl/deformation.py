@@ -87,10 +87,8 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     coefficient is the embedded lattice exponent and the whole power vector
     drops by g_1, so x_i^alpha differentiates to alpha x_i^(alpha - g_1).
     """
-    algebra = f.algebra
-    _check_gen(algebra, gen)
-    terms = _partial(algebra, {m.exps: c.pay for m, c in f.terms.items()}, gen)
-    return GrElement(algebra, algebra._terms(terms))
+    _check_gen(f.algebra, gen)
+    return f._with(_partial(f.algebra, f.terms, gen))
 
 
 def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
@@ -130,8 +128,9 @@ class PolyDiffOp(_Sparse):
     The constructor takes (wl, wr, coeff) triples.  A word is a tuple of
     generator tags; partials commute, so words are kept sorted.
     Coefficients are symbols over the same algebra (plain scalars, ints,
-    and fractions are promoted to constants).  Calling the
-    operator on a pair of symbols is bilinear by construction.
+    and fractions are promoted to constants), so the values of ``terms``
+    are GrElements, and sums and scalings act on them, not on payloads.
+    Calling the operator on a pair of symbols is bilinear by construction.
     """
 
     __slots__ = ("algebra",)
@@ -163,21 +162,35 @@ class PolyDiffOp(_Sparse):
         if f.algebra is not A or g.algebra is not A:
             raise SignatureMismatch("operands live over a different algebra instance")
         ops = A.field.ops
-        fp = {m.exps: c.pay for m, c in f.terms.items()}
-        gp = {m.exps: c.pay for m, c in g.terms.items()}
         out: dict = {}
         for (wl, wr), coeff in self.terms.items():
-            df = _apply_word(A, fp, wl)
+            df = _apply_word(A, f.terms, wl)
             if not df:
                 continue
-            dg = _apply_word(A, gp, wr)
+            dg = _apply_word(A, g.terms, wr)
             if not dg:
                 continue
-            cdf = [(tuple(map(add, m.exps, ef)), ops.mul(c.pay, cf))
-                   for m, c in coeff.terms.items() for ef, cf in df.items()]
+            cdf = [(tuple(map(add, ec, ef)), ops.mul(c, cf))
+                   for ec, c in coeff.terms.items() for ef, cf in df.items()]
             add_terms(out, ((tuple(map(add, e1, eg)), ops.mul(c1, cg))
                             for e1, c1 in cdf for eg, cg in dg.items()), ops.add)
-        return GrElement(A, A._terms(out))
+        return f._with(out)
+
+    def __add__(self, other):
+        if not self._check(other):
+            return NotImplemented
+        return self._with(add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._with({k: -v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        c = self._field().coerce(other)
+        if c is None:
+            return NotImplemented
+        return self._with({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
 
     def word_product(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Factor-wise product: words concatenate, coefficients multiply.
@@ -200,8 +213,8 @@ class PolyDiffOp(_Sparse):
 # -- poisson structures -------------------------------------------------------
 
 
-def _gr_one_term(algebra: WeylAlgebra, m: Monomial) -> GrElement:
-    return GrElement(algebra, {m: algebra.field.one})
+def _gr_one_term(algebra: WeylAlgebra, e: tuple[int, ...]) -> GrElement:
+    return GrElement(algebra, {e: algebra.field.one})
 
 
 def poisson_std_op(algebra: WeylAlgebra) -> PolyDiffOp:
@@ -262,8 +275,8 @@ def lift_symbol(f: GrElement, target: WeylAlgebra) -> GrElement:
     """The same symbol over an ops-sharing twin algebra."""
     if f.algebra is target:
         return f
-    field = target.field
-    return GrElement(target, {m: field.lift(c) for m, c in f.terms.items()})
+    lift, source = target.field.lift, f.algebra.field
+    return GrElement(target, {e: lift(c, source) for e, c in f.terms.items()})
 
 
 def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = None) -> GrElement:
@@ -296,16 +309,18 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
 def gr_hbar_coefficient(f, k: int, base: WeylAlgebra):
     """The hbar^k coefficient of a symbol (GrElement) or an operator
     (Element), of the same type, over the classical algebra."""
-    if base.field is not f.algebra.field.base:
+    field = f.algebra.field
+    if base.field is not field.base:
         raise SignatureMismatch("base algebra does not match the coefficient field")
-    return type(f)(base, {m: c.hbar_coefficient(k) for m, c in f.terms.items()})
+    return type(f)(base, {e: field.hbar_coefficient(c, k) for e, c in f.terms.items()})
 
 
 # -- operator-level oracle ----------------------------------------------------
 
 
 def _check_positive_weyl(P: Element) -> None:
-    for m in P.terms:
+    for e in P.terms:
+        m = Monomial(e, P.algebra.signature.n)
         if any(m.a) or any(any(row) for row in m.beta):
             raise UnsupportedElement("oracle needs pure polynomial-derivative terms")
         for row in m.gamma:
@@ -326,23 +341,27 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
     _check_positive_weyl(Q)
     if halg is None:
         halg = algebra.with_hbar(N)
-    hfield = halg.field
-    hb = hfield.hbar
+    field, hfield = algebra.field, halg.field
+    ops, hops = field.ops, hfield.ops
+    hb, hbar_pows = hfield.hbar.pay, [hops.one]
+    for _ in range(N):
+        hbar_pows.append(hops.mul(hbar_pows[-1], hb))
+    n = algebra.signature.n
 
     def weighted_terms():
-        for mP, cP in P.terms.items():
-            left = algebra.from_term(mP)
-            dP = sum(mP.d)
-            for mQ, cQ in Q.terms.items():
-                dPQ = dP + sum(mQ.d)
-                prod = algebra.mul(left, algebra.from_term(mQ))
-                cPQ = cP * cQ
-                for m, c in prod.terms.items():
-                    k = dPQ - sum(m.d)
+        for eP, cP in P.terms.items():
+            left = algebra.from_term(eP)
+            dP = sum(eP[-n:])
+            for eQ, cQ in Q.terms.items():
+                dPQ = dP + sum(eQ[-n:])
+                prod = algebra.mul(left, algebra.from_term(eQ))
+                cPQ = ops.mul(cP, cQ)
+                for e, c in prod.terms.items():
+                    k = dPQ - sum(e[-n:])
                     if k <= N:
-                        yield m, hfield.lift(cPQ * c) * hb**k
+                        yield e, hops.mul(hfield.lift(ops.mul(cPQ, c), field), hbar_pows[k])
 
-    return GrElement(halg, add_terms({}, weighted_terms()))
+    return GrElement(halg, add_terms({}, weighted_terms(), hops.add))
 
 
 # -- associativity defects ----------------------------------------------------
@@ -457,27 +476,30 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
     if c.rank != algebra.signature.rank:
         raise SignatureMismatch("pairing rank does not match the signature")
     field = algebra.field
+    ops = field.ops
 
-    def pure_power(m: Monomial) -> tuple[int, ...]:
-        if any(m.a) or any(any(row) for row in m.beta) or any(m.d):
+    def pure_power(e: tuple[int, ...]) -> tuple[int, ...]:
+        # one variable: a | beta | gamma | d, with gamma the second half but d
+        half = len(e) // 2
+        if any(e[:half]) or e[-1]:
             raise UnsupportedElement("deformation cochain needs pure power symbols")
-        return m.gamma[0]
+        return e[half:-1]
 
     def m1(f: GrElement, g: GrElement) -> GrElement:
         if f.algebra is not algebra or g.algebra is not algebra:
             raise SignatureMismatch("operands live over a different algebra instance")
 
         def paired_terms():
-            for mf, cf in f.terms.items():
-                alpha = pure_power(mf)
-                for mg, cg in g.terms.items():
-                    beta = pure_power(mg)
+            for ef, cf in f.terms.items():
+                alpha = pure_power(ef)
+                for eg, cg in g.terms.items():
+                    beta = pure_power(eg)
                     pair = c.pairing(alpha, beta)
                     if pair != 0:
-                        coeff = cf * cg * field.from_rational(pair)
+                        coeff = ops.mul(ops.mul(cf, cg), field.from_rational(pair).pay)
                         yield algebra.monomial(1, a=1, gamma=tuple(map(add, alpha, beta))), coeff
 
-        return GrElement(algebra, add_terms({}, paired_terms()))
+        return f._with(add_terms({}, paired_terms(), ops.add))
 
     return m1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .algebra import Element, Monomial, _Sparse, add_terms
+from .algebra import Element, Monomial, _Sparse, add_terms, filtration_order
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
 
 __all__ = [
@@ -33,14 +33,16 @@ def order(P: Element) -> int:
     """Filtration order: maximal weight over the terms of P."""
     if P.is_zero:
         raise ZeroElement("the zero element has no order")
-    return max(m.filtration_order() for m in P.terms)
+    n = P.algebra.signature.n
+    return max(filtration_order(e, n) for e in P.terms)
 
 
 def _degree(P: Element, part: str, kind: str) -> tuple[int, ...]:
     """Common sum of the part rows ("beta" or "gamma") over the terms of P."""
     if P.is_zero:
         raise ZeroElement("the zero element has no degree")
-    degrees = {tuple(map(sum, zip(*getattr(m, part)))) for m in P.terms}
+    n = P.algebra.signature.n
+    degrees = {tuple(map(sum, zip(*getattr(Monomial(e, n), part)))) for e in P.terms}
     if len(degrees) > 1:
         raise NotHomogeneous(f"terms carry different {kind} degrees")
     return degrees.pop()
@@ -83,7 +85,8 @@ def symbol(P: Element) -> GrElement:
     if P.is_zero:
         raise ZeroElement("the zero element has no symbol")
     top = order(P)
-    return GrElement(P.algebra, {m: c for m, c in P.terms.items() if m.filtration_order() == top})
+    n = P.algebra.signature.n
+    return GrElement(P.algebra, {e: c for e, c in P.terms.items() if filtration_order(e, n) == top})
 
 
 def full_symbol(P: Element) -> GrElement:
@@ -95,11 +98,10 @@ def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
     # accumulated on exponent tuples and payloads, as in WeylAlgebra.mul
-    A = u.algebra
-    ops = A.field.ops
-    pairs = ((tuple(map(add, m1.exps, m2.exps)), ops.mul(c1.pay, c2.pay))
-             for m1, c1 in u.terms.items() for m2, c2 in v.terms.items())
-    return GrElement(A, A._terms(add_terms({}, pairs, ops.add)))
+    ops = u.algebra.field.ops
+    pairs = ((tuple(map(add, e1, e2)), ops.mul(c1, c2))
+             for e1, c1 in u.terms.items() for e2, c2 in v.terms.items())
+    return u._with(add_terms({}, pairs, ops.add))
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,14 @@ class FiltrationReport:
     ord_comm: int | None
     submultiplicative: bool
     strict_drop: bool
-    witness: Monomial | None
+    witness: tuple[int, ...] | None
 
 
 def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     """Check ord(PQ) <= ord P + ord Q and strict order drop of the commutator.
 
-    Violations are reported with the offending top monomial as witness; the
-    kernel itself never assumes either property.
+    Violations are reported with the offending top monomial's exponent tuple
+    as witness; the kernel itself never assumes either property.
     """
     if P.is_zero or Q.is_zero:
         raise ZeroElement("diagnostics need nonzero operands")
@@ -130,10 +132,9 @@ def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     submult = opq <= op + oq
     strict = ocomm is None or ocomm < op + oq
     witness = None
-    if not submult:
-        witness = max(pq.terms, key=lambda m: m.filtration_order())
-    elif not strict:
-        witness = max(comm.terms, key=lambda m: m.filtration_order())
+    if not (submult and strict):
+        n = algebra.signature.n
+        witness = max((comm if submult else pq).terms, key=lambda e: filtration_order(e, n))
     return FiltrationReport(
         ord_p=op,
         ord_q=oq,

@@ -1,12 +1,13 @@
 """Hochschild and cyclic differentials on finite windows.
 
 Chains are finite sums of monomial tensors m_0 x ... x m_n over a common
-signature, kept in the normalized model: a tensor with the unit monomial in
-any position >= 1 is degenerate and dropped.  In that model b^2 = 0,
-bB + Bb = 0, and B^2 = 0 hold exactly (B re-inserts the unit in position 0,
-so a second application dies under normalization).
+signature, keyed by the tuples of their factors' exponent tuples and kept in
+the normalized model: a tensor with the unit monomial in any position >= 1
+is degenerate and dropped.  In that model b^2 = 0, bB + Bb = 0, and B^2 = 0
+hold exactly (B re-inserts the unit in position 0, so a second application
+dies under normalization).
 
-Windows are finite lists of distinct monomials; ranks computed over a
+Windows are finite lists of distinct exponent tuples; ranks computed over a
 window are window-relative truncation numbers, not homology of the full
 algebra.
 """
@@ -16,14 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms, monomial_sort_key
+from .algebra import Element, WeylAlgebra, _Sparse, add_terms, monomial_sort_key
 from .errors import DegreeZero, SignatureMismatch, WindowOverflow
 from .linalg import combination, span_rank
 from .scalars import Scalar
 
 
 class Chain(_Sparse):
-    """Degree-n chain: dict from (n+1)-tuples of Monomials to Scalars."""
+    """Degree-n chain: dict from (n+1)-tuples of exponent tuples to payloads;
+    the constructor coerces its values as Element's does."""
 
     __slots__ = ("algebra", "degree")
 
@@ -31,14 +33,14 @@ class Chain(_Sparse):
         if degree < 0:
             raise SignatureMismatch("chain degree must be >= 0")
         unit = algebra.one_monomial
-        norm: dict[tuple[Monomial, ...], Scalar] = {}
+        pay, norm = algebra.field.payload, {}
         for key, coeff in terms.items():
             key = tuple(key)
             if len(key) != degree + 1:
                 raise SignatureMismatch("tensor length differs from degree + 1")
             # a unit past position 0 is degenerate in the normalized model
-            if all(m != unit for m in key[1:]):
-                norm[key] = coeff
+            if unit not in key[1:]:
+                norm[key] = pay(coeff)
         self.algebra = algebra
         self.degree = degree
         self._set_terms(norm)
@@ -46,10 +48,11 @@ class Chain(_Sparse):
     def _owner(self):
         return (self.algebra.signature, self.degree)
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kc: tuple(monomial_sort_key(m) for m in kc[0])
-        )
+    def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
+        """(key, Scalar) pairs in the canonical printing order."""
+        field, n = self._field(), self.algebra.signature.n
+        ordered = sorted(self.terms.items(), key=lambda kc: tuple(monomial_sort_key(e, n) for e in kc[0]))
+        return [(key, Scalar(field, c)) for key, c in ordered]
 
     def __repr__(self):
         return f"Chain(degree={self.degree}, tensors={len(self.terms)})"
@@ -65,12 +68,13 @@ def tensor_chain(factors, coeff=1) -> Chain:
     c0 = field.coerce(coeff)
     if c0 is None:
         raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
-    terms: dict[tuple[Monomial, ...], Scalar] = {(): c0}
+    pmul = field.ops.mul
+    terms = {(): c0.pay}
     for f in factors:
         if f.algebra.signature != algebra.signature:
             raise SignatureMismatch("tensor factors over different signatures")
         # one appended factor keeps the keys distinct: nothing to merge
-        terms = {key + (m,): c * cm for key, c in terms.items() for m, cm in f.terms.items()}
+        terms = {key + (e,): pmul(c, ce) for key, c in terms.items() for e, ce in f.terms.items()}
     return Chain(algebra, len(factors) - 1, terms)
 
 
@@ -80,19 +84,19 @@ def hochschild_b(c: Chain) -> Chain:
         raise DegreeZero("b is defined on chains of degree >= 1")
     alg = c.algebra
     n = c.degree
-    out: dict[tuple[Monomial, ...], Scalar] = {}
+    ops = alg.field.ops
+    out: dict = {}
 
-    def put(sign, coeff, prod, prefix, suffix):
-        # the products' terms, placed between prefix and suffix
-        pairs = ((prefix + (m,) + suffix, coeff * cm) for m, cm in prod.terms.items())
-        add_terms(out, pairs if sign > 0 else ((k2, -v) for k2, v in pairs))
+    def put(sign, coeff, a, b, prefix, suffix):
+        # the terms of a*b, placed between prefix and suffix
+        prod = alg.mul(alg.from_term(a), alg.from_term(b))
+        pairs = ((prefix + (e,) + suffix, ops.mul(coeff, ce)) for e, ce in prod.terms.items())
+        add_terms(out, pairs if sign > 0 else ((k2, ops.neg(v)) for k2, v in pairs), ops.add)
 
     for key, coeff in c.terms.items():
         for i in range(n):
-            prod = alg.mul(alg.from_term(key[i]), alg.from_term(key[i + 1]))
-            put(1 if i % 2 == 0 else -1, coeff, prod, key[:i], key[i + 2 :])
-        prod = alg.mul(alg.from_term(key[n]), alg.from_term(key[0]))
-        put(1 if n % 2 == 0 else -1, coeff, prod, (), key[1:n])
+            put(1 if i % 2 == 0 else -1, coeff, key[i], key[i + 1], key[:i], key[i + 2 :])
+        put(1 if n % 2 == 0 else -1, coeff, key[n], key[0], (), key[1:n])
     return Chain(alg, n - 1, out)
 
 
@@ -101,12 +105,13 @@ def connes_B(c: Chain) -> Chain:
     alg = c.algebra
     n = c.degree
     unit = alg.one_monomial
+    ops = alg.field.ops
     pairs = (
-        ((unit,) + key[i:] + key[:i], coeff if (n * i) % 2 == 0 else -coeff)
+        ((unit,) + key[i:] + key[:i], coeff if (n * i) % 2 == 0 else ops.neg(coeff))
         for key, coeff in c.terms.items()
         for i in range(n + 1)
     )
-    return Chain(alg, n + 1, add_terms({}, pairs))
+    return Chain(alg, n + 1, add_terms({}, pairs, ops.add))
 
 
 class Window:
@@ -120,8 +125,8 @@ class Window:
         self.monomials = monomials
         self._index = {m: i for i, m in enumerate(monomials)}
 
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self._index
+    def __contains__(self, e: tuple[int, ...]) -> bool:
+        return e in self._index
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,8 @@ def commutator_span_check(f: Element, pairs) -> SpanCheck:
     """Exact membership of f in the span of the commutators [P_i, Q_i],
     over the monomials that f and the commutators use."""
     alg = f.algebra
-    comms = [alg.commutator(P, Q) for P, Q in pairs]
-    vectors = [dict(e.terms) for e in comms]
-    coeffs = combination(vectors, dict(f.terms), alg.field)
+    vectors = [alg.commutator(P, Q).terms for P, Q in pairs]
+    coeffs = combination(vectors, f.terms, alg.field)
     if coeffs is None:
         return SpanCheck(False, None)
     return SpanCheck(True, tuple(coeffs))
@@ -158,7 +162,7 @@ class WindowRankReport:
         )
 
 
-def window_chain_basis(window: Window, degree: int) -> list[tuple[Monomial, ...]]:
+def window_chain_basis(window: Window, degree: int) -> list[tuple[tuple[int, ...], ...]]:
     """Normalized tensor basis: all factors in the window, no unit past slot 0."""
     unit = window.algebra.one_monomial
     tail = [m for m in window.monomials if m != unit]
@@ -179,12 +183,8 @@ def window_rank(window: Window, degree: int) -> WindowRankReport:
     images = []
     for key in basis:
         img = hochschild_b(Chain(alg, degree, {key: field.one}))
-        for k2 in img.terms:
-            for m in k2:
-                if m not in window:
-                    raise WindowOverflow(
-                        "boundary of a window chain leaves the window"
-                    )
+        if any(e not in window for k2 in img.terms for e in k2):
+            raise WindowOverflow("boundary of a window chain leaves the window")
         images.append(img.terms)
     rank = span_rank(images, field)
     return WindowRankReport(degree, len(basis), rank, len(basis) - rank)

@@ -38,14 +38,15 @@ class DerivationElement(_Sparse):
     __slots__ = ("algebra",)
 
     def __init__(self, P: Element):
-        if any(sum(m.d) != 1 for m in P.terms):
+        n = P.algebra.signature.n
+        if any(sum(e[-n:]) != 1 for e in P.terms):
             raise UnsupportedElement("element is not a pure first-order operator")
         self.algebra = P.algebra
         self.terms = P.terms
 
     def as_element(self) -> Element:
         """The same operator as a plain algebra element."""
-        return Element._nonzero(self.algebra, self.terms)
+        return Element(self.algebra, self.terms)
 
     def __str__(self) -> str:
         return str(self.as_element())
@@ -64,7 +65,9 @@ def witt_bracket(u: DerivationElement, v: DerivationElement) -> DerivationElemen
 class LieSpan:
     """Finite ordered basis of derivations, verified bracket-closed.
 
-    Structure constants are cached for i < j.  The bracket is a commutator
+    The structure constants of [e_i, e_j] are kept for every ordered pair as
+    (index, payload) pairs of the nonzero coordinates; ``bracket_coords``
+    reads them as Scalars.  The bracket is a commutator
     in an associative algebra, so antisymmetry and Jacobi hold without a
     check.  An optional grading element (given by basis index) must act
     diagonally with integer eigenvalues, which become the degree labels.
@@ -82,21 +85,25 @@ class LieSpan:
         self.field = algebra.field
         self.basis = basis
         self.dim = len(basis)
-        self._vectors = [b.terms for b in basis]
-        if not independent(self._vectors, self.field):
+        vectors = [b.terms for b in basis]
+        if not independent(vectors, self.field):
             raise NotIndependent("basis is linearly dependent")
-        self._struct: dict[tuple[int, int], tuple[Scalar, ...]] = {}
+        neg = self.field.ops.neg
+        self._struct: dict[tuple[int, int], tuple[tuple[int, object], ...]] = {}
         for i in range(self.dim):
+            self._struct[(i, i)] = ()
             for j in range(i + 1, self.dim):
                 w = witt_bracket(basis[i], basis[j])
-                coords = combination(self._vectors, w.terms, self.field)
+                coords = combination(vectors, w.terms, self.field)
                 if coords is None:
                     raise NotClosed(
                         f"bracket of basis {i} and basis {j} leaves the span",
                         pair=(i, j),
                         residual=w,
                     )
-                self._struct[(i, j)] = tuple(coords)
+                pairs = tuple((k, c.pay) for k, c in enumerate(coords) if c)
+                self._struct[(i, j)] = pairs
+                self._struct[(j, i)] = tuple((k, neg(c)) for k, c in pairs)
         self.grading = grading
         self.degrees: tuple[int, ...] | None = None
         if grading is not None:
@@ -144,25 +151,10 @@ class LieSpan:
     # bracket in coordinates ----------------------------------------------
 
     def bracket_coords(self, i: int, j: int) -> tuple[Scalar, ...]:
-        if i == j:
-            return self.zero_coords
-        if i < j:
-            return self._struct[(i, j)]
-        return tuple(-c for c in self._struct[(j, i)])
-
-    def degree_of(self, coords) -> int | None:
-        """Common degree label of the support; None for zero coordinates."""
-        if self.degrees is None:
-            raise NotHomogeneous("span has no grading element")
-        deg = None
-        for j, c in enumerate(coords):
-            if c.is_zero:
-                continue
-            if deg is None:
-                deg = self.degrees[j]
-            elif deg != self.degrees[j]:
-                raise NotHomogeneous("coordinates mix degrees")
-        return deg
+        coords = list(self.zero_coords)
+        for k, c in self._struct[(i, j)]:
+            coords[k] = Scalar(self.field, c)
+        return tuple(coords)
 
     def __repr__(self):
         return f"LieSpan(dim={self.dim}, graded={self.degrees is not None})"
@@ -212,10 +204,11 @@ class Cochain(_Sparse):
     """Alternating k-linear map on a span, tabulated on basis k-tuples.
 
     ``terms`` maps (strictly increasing index tuple, output coordinate j) to
-    the nonzero Scalar at that place; degree-0 cochains use the one index
+    the nonzero payload at that place; degree-0 cochains use the one index
     tuple ().  The constructor takes a ``table`` from index tuples to
     coordinate tuples, and unsorted tuples are folded in with the
-    permutation sign; the read-only ``table`` rebuilds that form.
+    permutation sign; the read-only ``table`` and ``value`` rebuild that
+    form in Scalars.
     """
 
     __slots__ = ("span", "degree")
@@ -223,7 +216,8 @@ class Cochain(_Sparse):
     def __init__(self, span: LieSpan, degree: int, table):
         if degree < 0:
             raise SignatureMismatch("cochain degree must be >= 0")
-        terms: dict[tuple[tuple[int, ...], int], Scalar] = {}
+        ops = span.field.ops
+        terms: dict[tuple[tuple[int, ...], int], object] = {}
         for key, val in table.items():
             key = tuple(key)
             if len(key) != degree:
@@ -239,7 +233,8 @@ class Cochain(_Sparse):
             for i in skey:
                 if not 0 <= i < span.dim:
                     raise SignatureMismatch("basis index out of range")
-            add_terms(terms, (((skey, j), c if sign > 0 else -c) for j, c in enumerate(coords)))
+            pays = (c.pay if sign > 0 else ops.neg(c.pay) for c in coords)
+            add_terms(terms, (((skey, j), c) for j, c in enumerate(pays)), ops.add)
         self.span = span
         self.degree = degree
         self._set_terms(terms)
@@ -252,9 +247,10 @@ class Cochain(_Sparse):
 
     @property
     def table(self) -> dict[tuple[int, ...], tuple[Scalar, ...]]:
+        field = self.span.field
         rows: dict[tuple[int, ...], list[Scalar]] = {}
         for (key, j), c in self.terms.items():
-            rows.setdefault(key, list(self.span.zero_coords))[j] = c
+            rows.setdefault(key, list(self.span.zero_coords))[j] = Scalar(field, c)
         return {key: tuple(row) for key, row in rows.items()}
 
     def value(self, key: tuple[int, ...]) -> tuple[Scalar, ...]:
@@ -262,10 +258,7 @@ class Cochain(_Sparse):
         if len(key) != self.degree:
             raise SignatureMismatch("argument arity differs from the degree")
         skey, sign = _sorted_key(tuple(key))
-        if skey is None:
-            return self.span.zero_coords
-        zero = self.span.field.zero
-        val = tuple(self.terms.get((skey, j), zero) for j in range(self.span.dim))
+        val = self.table.get(skey, self.span.zero_coords)
         return val if sign > 0 else tuple(-c for c in val)
 
     def items(self):
@@ -285,18 +278,15 @@ def ce_differential(omega: Cochain) -> Cochain:
     With 1-based argument positions,
     (d w)(x_1,...,x_{k+1}) = sum_{a<b} (-1)^{a+b} w([x_a,x_b], ..., ^x_a, ..., ^x_b, ...)
                            + sum_a (-1)^{a+1} [x_a, w(..., ^x_a, ...)].
-    Accumulated on raw payloads with the field's ops; one Scalar per nonzero
-    entry of the result.
+    Accumulated on payloads with the field's ops.
     """
     span, k = omega.span, omega.degree
-    field = span.field
-    ops = field.ops
+    ops = span.field.ops
     # structure constants [e_i, e_j] and omega's values as (index, payload) pairs
-    struct = {(i, j): [(m, c.pay) for m, c in enumerate(span.bracket_coords(i, j)) if c]
-              for i in range(span.dim) for j in range(span.dim)}
+    struct = span._struct
     values: dict[tuple[int, ...], list] = {}
     for (key, j), c in omega.terms.items():
-        values.setdefault(key, []).append((j, c.pay))
+        values.setdefault(key, []).append((j, c))
 
     def value(args: tuple[int, ...], sign: int):
         """The (index, payload) pairs of sign * omega(args)."""
@@ -317,7 +307,7 @@ def ce_differential(omega: Cochain) -> Cochain:
             # (-1)^{(a+1)+1}
             for j, v in value(idx[:a] + idx[a + 1 :], (-1) ** a):
                 add_terms(acc, ((i, ops.mul(v, c)) for i, c in struct[(idx[a], j)]), ops.add)
-        terms.update(((idx, j), Scalar(field, v)) for j, v in sorted(acc.items()))
+        terms.update(((idx, j), v) for j, v in sorted(acc.items()))
     return zero_cochain(span, k + 1)._with(terms)
 
 
@@ -326,14 +316,10 @@ def ad_degree(omega: Cochain) -> int | None:
     span = omega.span
     if span.degrees is None:
         raise NotHomogeneous("span has no grading element")
-    d = None
-    for key, val in omega.table.items():
-        shift = span.degree_of(val) - sum(span.degrees[i] for i in key)
-        if d is None:
-            d = shift
-        elif d != shift:
-            raise NotHomogeneous("cochain is not homogeneous for the grading")
-    return d
+    shifts = {span.degrees[j] - sum(span.degrees[i] for i in key) for key, j in omega.terms}
+    if len(shifts) > 1:
+        raise NotHomogeneous("cochain is not homogeneous for the grading")
+    return shifts.pop() if shifts else None
 
 
 def euler_integrate(omega: Cochain) -> Cochain:
@@ -354,9 +340,7 @@ def euler_integrate(omega: Cochain) -> Cochain:
     if d == 0:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
-    factor = span.field.from_rational(Fraction(1, d))
-    terms = {((j,), i): c * factor for j in range(span.dim) for i, c in enumerate(omega.value((h, j)))}
-    phi = zero_cochain(span, 1)._with(terms)
+    phi = Cochain(span, 1, {(j,): omega.value((h, j)) for j in range(span.dim)}) * Fraction(1, d)
     residual = ce_differential(phi) - omega
     if not residual.is_zero:
         raise IntegrationFailed("primitive check d(phi) = omega failed", residual=residual)

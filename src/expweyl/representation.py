@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .algebra import Element, WeylAlgebra, add_terms
+from .algebra import Element, Monomial, WeylAlgebra, add_terms
 from .errors import (
     NotAFunction,
     SignatureMismatch,
@@ -43,22 +43,23 @@ def act(P: Element, f: Element) -> Element:
     if not f.is_function_element:
         raise NotAFunction("the action is defined on function elements")
     ops = algebra.field.ops
+    n = algebra.signature.n
     acc: dict[tuple[int, ...], object] = {}
-    for m, c in P.terms.items():
+    for e, c in P.terms.items():
         g = f
-        for i0, k in enumerate(m.d):
+        for i0, k in enumerate(e[-n:]):
             for _ in range(k):
                 g = algebra.diff_function(g, i0 + 1)
-        # the function part of m times each term of g, which has no D: exponents add
-        head = m.function_part().exps
-        add_terms(acc, ((tuple(map(add, head, mg.exps)), ops.mul(c.pay, cg.pay))
-                        for mg, cg in g.terms.items()), ops.add)
-    return Element._nonzero(algebra, algebra._terms(acc))
+        # the function part of e times each term of g, which has no D: exponents add
+        head = e[:-n] + (0,) * n
+        add_terms(acc, ((tuple(map(add, head, eg)), ops.mul(c, cg)) for eg, cg in g.terms.items()), ops.add)
+    return f._with(acc)
 
 
 def augment(P: Element) -> Element:
     """Drop every term carrying a derivative (evaluation against the constant 1)."""
-    return Element(P.algebra, {m: c for m, c in P.terms.items() if m.is_function})
+    n = P.algebra.signature.n
+    return P._with({e: c for e, c in P.terms.items() if not any(e[-n:])})
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def faithfulness_probe(P: Element, maxdeg: int) -> ProbeReport:
         v = act(P, f)
         if not v.is_zero:
             return ProbeReport(zero=False, witness_input=f, witness_output=v)
-    if any(di > maxdeg for m in P.terms for di in m.d):
+    if any(di > maxdeg for e in P.terms for di in e[-n:]):
         raise UnsupportedElement(
             f"no witness up to degree {maxdeg}, but P has a higher derivative"
             " exponent, so zero is not certified"
@@ -159,7 +160,8 @@ def reduce_to_constant(f: Element) -> tuple[int, ...]:
     if f.is_zero:
         raise ZeroElement("cannot reduce the zero element")
     exps = []
-    for m in f.terms:
+    for e in f.terms:
+        m = Monomial(e, algebra.signature.n)
         if any(m.a) or any(m.d):
             raise UnsupportedElement("only polynomial elements reduce to constants")
         if any(any(row) for row in m.beta):

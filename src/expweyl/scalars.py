@@ -588,9 +588,7 @@ class Scalar:
 
     def hbar_coefficient(self, k: int) -> "Scalar":
         """Coefficient of hbar^k, as a scalar of the hbar-free base field."""
-        if not 0 <= k < self.field.slots:
-            raise HbarModeOff(f"no hbar^{k} slot in this field")
-        return Scalar(self.field.base, self.coeffs[k])
+        return Scalar(self.field.base, self.field.hbar_coefficient(self.pay, k))
 
     def as_rational(self) -> Fraction | None:
         """The value as a plain rational, if it is one; else None."""
@@ -672,13 +670,21 @@ class ScalarField:
         """An hbar-truncated twin of this field (payloads interoperable)."""
         return ScalarField(self.rank, order, _slot_ops=self._slot_ops, _base=self.base)
 
-    def lift(self, s: Scalar) -> Scalar:
-        """Reinterpret a scalar from an ops-sharing twin inside this field."""
-        if s.field is self:
-            return s
-        if s.field._slot_ops is not self._slot_ops or len(s.coeffs) > self.slots:
+    def lift(self, pay, source: "ScalarField"):
+        """A payload of the ops-sharing twin field source, reinterpreted in this field."""
+        if source is self:
+            return pay
+        coeffs = source.ops.coeffs(pay)
+        if source._slot_ops is not self._slot_ops or len(coeffs) > self.slots:
             raise SignatureMismatch("scalar does not lift into this field")
-        return Scalar(self, self.ops.lift(s.coeffs))
+        return self.ops.lift(coeffs)
+
+    def hbar_coefficient(self, pay, k: int):
+        """The coefficient of hbar^k in a payload of this field, a payload of
+        the hbar-free base field."""
+        if not 0 <= k < self.slots:
+            raise HbarModeOff(f"no hbar^{k} slot in this field")
+        return self.ops.coeffs(pay)[k]
 
     def from_hbar_coefficients(self, cs) -> Scalar:
         """sum_k cs[k] * hbar^k for scalars cs[k] of the base field."""
@@ -701,6 +707,14 @@ class ScalarField:
         if isinstance(value, (int, Fraction)):
             return self.from_rational(value)
         return None
+
+    def payload(self, value):
+        """A term value as a payload of this field: a Scalar (of this field), a
+        Fraction or, with hbar, an int is coerced; any other value, an int
+        without hbar too, is a payload already."""
+        if isinstance(value, (Scalar, Fraction)) or (type(value) is int and self.hbar_order is not None):
+            return self.coerce(value).pay
+        return value
 
     def from_rational(self, value: int | Fraction) -> Scalar:
         if isinstance(value, int):

@@ -366,9 +366,12 @@ def test_leading_minus_is_an_expression(argv, separated, capsys):
     assert got[0] == (1 if argv[-1].endswith("+") else 0)
 
 
-def test_options_still_parse_beside_expressions(capsys):
-    expected = (0, "product = x_1^2\ncommutator = 0\n", "")
-    assert run(capsys, "rank2", "1", "1", "--c", "-1/2") == expected
+def test_options_still_parse_beside_expressions(tmp_path, capsys):
+    config = tmp_path / "rank2.json"
+    config.write_text(json.dumps({"rank": 2, "t": [[0, 1]]}))
+    out = "product = -1/2*hbar*E_1*x_1^(1,-1) + x_1^(1,-1)\ncommutator = -hbar*E_1*x_1^(1,-1)\n"
+    expected = (0, out, "")
+    assert run(capsys, "--config", str(config), "rank2", "1,-2", "0,1", "--c", "-1/2") == expected
     status, _, err = run(capsys, "normalize", "-x_1", "--maxdeg", "2")
     assert status == 1
     assert err == "error[UsageError]: unrecognized arguments: --maxdeg 2\n"

@@ -186,7 +186,7 @@ def test_star_matches_contraction_oracle():
         for _ in range(reps):
             P = random_weyl_element(A, rng, max_terms=3, bound=3)
             Q = random_weyl_element(A, rng, max_terms=3, bound=3)
-            N = max((sum(m.d) for m in P.terms), default=0)
+            N = max((sum(m.d) for m, _ in P.sorted_terms()), default=0)
             halg = A.with_hbar(N)
             lhs = symbol_star(full_symbol(P), full_symbol(Q), N, halg)
             rhs = contraction_graded_product(P, Q, N, halg)

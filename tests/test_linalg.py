@@ -1,7 +1,7 @@
 """Exact elimination in linalg, checked against sympy matrices.
 
-The oracle builds every matrix entry twice: once as a kernel Scalar and once
-as a sympy expression, and compares ranks and solutions with
+The oracle builds every matrix entry twice: once as a kernel Scalar, whose
+payload goes into the kernel's vectors, and once as a sympy expression, and compares ranks and solutions with
 ``sympy.Matrix.rank`` / ``sympy.Matrix.rref``.  It shares no code with linalg.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from expweyl.algebra import WeylAlgebra
 from expweyl.homology import Chain, Window, hochschild_b, window_chain_basis
 from expweyl.linalg import combination, independent, span_rank
-from expweyl.scalars import ScalarField
+from expweyl.scalars import Scalar, ScalarField
 
 G2 = sympy.Symbol("g_2")
 KEYS = ("u", "v", "w", "z", "y")
@@ -72,8 +72,8 @@ def build(field, drawn):
     matrix = sympy.Matrix(
         [[col.get(k, (None, zero))[1] for col in cols] for k in KEYS]
     )
-    kernel_vectors = [{k: s for k, (s, _) in v.items()} for v in vectors]
-    kernel_target = {k: s for k, (s, _) in target.items()}
+    kernel_vectors = [{k: s.pay for k, (s, _) in v.items()} for v in vectors]
+    kernel_target = {k: s.pay for k, (s, _) in target.items()}
     return kernel_vectors, kernel_target, matrix
 
 
@@ -131,32 +131,32 @@ def test_edge_cases():
     # no vectors
     assert span_rank([], F) == 0 and independent([], F)
     assert combination([], {}, F) == []
-    assert combination([], {"u": one}, F) is None
+    assert combination([], {"u": one.pay}, F) is None
     # zero target, with and without an explicit zero entry
-    u, v = {"u": one}, {"u": two, "v": one}
-    assert span_rank([{"u": F.zero, "v": one}], F) == 1
+    u, v = {"u": one.pay}, {"u": two.pay, "v": one.pay}
+    assert span_rank([{"u": F.zero.pay, "v": one.pay}], F) == 1
     assert combination([u, v], {}, F) == [F.zero, F.zero]
-    assert combination([u, v], {"u": F.zero}, F) == [F.zero, F.zero]
+    assert combination([u, v], {"u": F.zero.pay}, F) == [F.zero, F.zero]
     # duplicate vectors: the second copy is a free column and gets 0
     assert span_rank([v, v], F) == 1 and not independent([v, v], F)
     assert combination([v, dict(v)], v, F) == [one, F.zero]
     # a target outside the span
-    assert combination([u, v], {"w": one}, F) is None
+    assert combination([u, v], {"w": one.pay}, F) is None
     # free columns receive coefficient zero
-    w = {"u": two}
-    assert combination([u, w, {"v": one}], {"u": three, "v": two}, F) == [three, F.zero, two]
+    w = {"u": two.pay}
+    assert combination([u, w, {"v": one.pay}], {"u": three.pay, "v": two.pay}, F) == [three, F.zero, two]
 
 
 def test_hbar_twin_pivots():
     F = ScalarField(1).with_hbar(2)
     h, one = F.hbar, F.one
     # 1 + hbar is a unit: the solve goes through and is exact
-    v = {"u": one + h, "v": h}
-    target = {"u": (one + h) * (2 + h), "v": h * (2 + h)}
+    v = {"u": (one + h).pay, "v": h.pay}
+    target = {"u": ((one + h) * (2 + h)).pay, "v": (h * (2 + h)).pay}
     assert combination([v], target, F) == [2 + h]
     # a pivot with zero constant term: solved over the base field
-    assert combination([{"u": h}], {"u": h}, F) == [one]
-    assert span_rank([{"u": h * h, "v": one}], F) == 1
+    assert combination([{"u": h.pay}], {"u": h.pay}, F) == [one]
+    assert span_rank([{"u": (h * h).pay, "v": one.pay}], F) == 1
 
 
 def hbar_case(slots):
@@ -201,10 +201,11 @@ def test_hbar_linear_algebra_matches_the_expanded_sympy_system(drawn):
 
     full = [column(v, j) for v in vectors for j in range(slots)]
     shifted = [column(v, j) for v in vectors for j in range(1, slots)]
-    assert span_rank(vectors, F) == matrix(full).rank() - matrix(shifted).rank()
-    assert independent(vectors, F) == (matrix(full).rank() == m * slots)
+    rows = [{k: s.pay for k, s in v.items()} for v in vectors]
+    assert span_rank(rows, F) == matrix(full).rank() - matrix(shifted).rank()
+    assert independent(rows, F) == (matrix(full).rank() == m * slots)
 
-    got = combination(vectors, target, F)
+    got = combination(rows, {k: s.pay for k, s in target.items()}, F)
     want = oracle_combination(matrix(full + [column(target, 0)]), m * slots)
     if want is None:
         assert got is None
@@ -231,8 +232,8 @@ def test_window_rank_of_the_k3_ball_matches_sympy():
     images = [hochschild_b(Chain(A, 1, {key: A.field.one})).terms for key in basis]
     keys = sorted({k for img in images for k in img}, key=repr)
 
-    def rational(s):
-        q = s.as_rational()
+    def rational(pay):
+        q = Scalar(A.field, pay).as_rational()
         assert isinstance(q, Fraction)
         return sympy.Rational(q.numerator, q.denominator)
 

@@ -345,7 +345,11 @@ class WeylAlgebra:
         self._diff_cache: dict[tuple[int, tuple[int, ...]], Pairs] = {}
         self._diff_pow_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, object], ...]] = {}
+        # products of unit monomials, keyed (a, b); Hochschild b reads them
+        self._mono_mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
+        # star_cochain(self, k) by k, built once per algebra
+        self._star_cache: dict[int, object] = {}
         # payloads of hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
         self._hbar_over_fact: tuple = (self.field.ops.one,)
         if signature.t_shift:
@@ -589,6 +593,17 @@ class WeylAlgebra:
                         cur = acc.get(e)
                         acc[e] = v if cur is None else padd(cur, v)
         return P._with(acc)
+
+    def _mono_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> Pairs:
+        """The product of the unit monomials with exponent tuples a and b, as
+        (exps, payload) pairs; computed once by ``mul`` and cached under (a, b)."""
+        key = (a, b)
+        hit = self._mono_mul_cache.get(key)
+        if hit is None:
+            one = self.field.ops.one
+            prod = self.mul(self.zero._with({a: one}), self.zero._with({b: one}))
+            hit = self._mono_mul_cache[key] = tuple(prod.terms.items())
+        return hit
 
     def commutator(self, P: Element, Q: Element) -> Element:
         return self.mul(P, Q) + (-self.mul(Q, P))

@@ -441,7 +441,8 @@ def _cmd_tshift(ctx, args):
         "order": rep.order,
         "var": rep.var,
         "classical": format_element(rep.classical),
-        "first_order": format_element(rep.first_order),
+        # order 0 computes no hbar^1 part: null, not a zero deviation
+        "first_order": format_element(rep.first_order) if rep.order else None,
         "text": rep.as_text(),
     }
     return rep.as_text(), payload

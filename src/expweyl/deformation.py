@@ -254,9 +254,15 @@ def lambda_bracket(f: GrElement, g: GrElement, lam) -> GrElement:
 
 def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
     """Order-k term of the normal-ordered star product:
-    sum over |kappa| = k of (1/kappa!) d_y^kappa (x) d_x^kappa."""
+    sum over |kappa| = k of (1/kappa!) d_y^kappa (x) d_x^kappa.
+
+    Built once per algebra and k; the operator is shared, so callers treat
+    it as immutable (its arithmetic builds new operators)."""
     if k < 0:
         raise UnsupportedElement("cochain order must be nonnegative")
+    hit = algebra._star_cache.get(k)
+    if hit is not None:
+        return hit
     n = algebra.signature.n
     terms = []
     for kappa in _compositions(n, k, k):
@@ -268,7 +274,8 @@ def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
             wl.extend([("y", i)] * ki)
             wr.extend([("x", i)] * ki)
         terms.append((tuple(wl), tuple(wr), Fraction(1, fact)))
-    return PolyDiffOp(algebra, terms)
+    op = algebra._star_cache[k] = PolyDiffOp(algebra, terms)
+    return op
 
 
 def lift_symbol(f: GrElement, target: WeylAlgebra) -> GrElement:
@@ -533,7 +540,10 @@ class TShiftReport:
     first_order: Element
 
     def as_text(self) -> str:
-        dev = "nonzero" if not self.first_order.is_zero else "zero"
+        if self.order == 0:
+            dev = "not computed at order 0"
+        else:
+            dev = "nonzero" if not self.first_order.is_zero else "zero"
         return f"t-shift rule at order {self.order}, var {self.var}: hbar^1 deviation {dev}"
 
 

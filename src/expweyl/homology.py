@@ -78,6 +78,15 @@ def tensor_chain(factors, coeff=1) -> Chain:
     return Chain(algebra, len(factors) - 1, terms)
 
 
+def _chain(algebra: WeylAlgebra, degree: int, terms: dict) -> Chain:
+    """A chain over payload terms whose keys are normalized already."""
+    c = object.__new__(Chain)
+    c.algebra = algebra
+    c.degree = degree
+    c._set_terms(terms)
+    return c
+
+
 def hochschild_b(c: Chain) -> Chain:
     """b(a_0 x ... x a_n) = sum_i (-1)^i (... a_i a_{i+1} ...) + (-1)^n a_n a_0 x ..."""
     if c.degree == 0:
@@ -85,19 +94,23 @@ def hochschild_b(c: Chain) -> Chain:
     alg = c.algebra
     n = c.degree
     ops = alg.field.ops
+    pmul, padd, pneg = ops.mul, ops.add, ops.neg
+    unit = alg.one_monomial
+    mono_mul = alg._mono_mul
     out: dict = {}
 
-    def put(sign, coeff, a, b, prefix, suffix):
-        # the terms of a*b, placed between prefix and suffix
-        prod = alg.mul(alg.from_term(a), alg.from_term(b))
-        pairs = ((prefix + (e,) + suffix, ops.mul(coeff, ce)) for e, ce in prod.terms.items())
-        add_terms(out, pairs if sign > 0 else ((k2, ops.neg(v)) for k2, v in pairs), ops.add)
+    def put(neg, coeff, a, b, prefix, suffix):
+        # the terms of a*b, placed between prefix and suffix; the unit past
+        # slot 0 is degenerate (the factors of c past slot 0 are not the unit)
+        pairs = ((prefix + (e,) + suffix, pmul(coeff, ce))
+                 for e, ce in mono_mul(a, b) if not prefix or e != unit)
+        add_terms(out, ((k, pneg(v)) for k, v in pairs) if neg else pairs, padd)
 
     for key, coeff in c.terms.items():
         for i in range(n):
-            put(1 if i % 2 == 0 else -1, coeff, key[i], key[i + 1], key[:i], key[i + 2 :])
-        put(1 if n % 2 == 0 else -1, coeff, key[n], key[0], (), key[1:n])
-    return Chain(alg, n - 1, out)
+            put(i % 2, coeff, key[i], key[i + 1], key[:i], key[i + 2 :])
+        put(n % 2, coeff, key[n], key[0], (), key[1:n])
+    return _chain(alg, n - 1, out)
 
 
 def connes_B(c: Chain) -> Chain:
@@ -182,7 +195,7 @@ def window_rank(window: Window, degree: int) -> WindowRankReport:
     field = alg.field
     images = []
     for key in basis:
-        img = hochschild_b(Chain(alg, degree, {key: field.one}))
+        img = hochschild_b(_chain(alg, degree, {key: field.ops.one}))
         if any(e not in window for k2 in img.terms for e in k2):
             raise WindowOverflow("boundary of a window chain leaves the window")
         images.append(img.terms)

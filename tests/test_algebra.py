@@ -381,3 +381,62 @@ def test_derivative_caches_hold_plain_data_under_their_call_keys(kw):
     A._diff_pow_mono(e, k)
     assert (0, e) in A._diff_cache
     assert (e, k) in A._diff_pow_cache
+
+
+def _b_without_the_memo(c):
+    """Hochschild b written out with one alg.mul per adjacent pair; the
+    Chain constructor drops the tensors with the unit past slot 0."""
+    from expweyl.homology import Chain
+
+    alg, n = c.algebra, c.degree
+    ops = alg.field.ops
+    terms = {}
+    for key, coeff in c.terms.items():
+        placements = [(i % 2, key[i], key[i + 1], key[:i], key[i + 2 :]) for i in range(n)]
+        placements.append((n % 2, key[n], key[0], (), key[1:n]))
+        for neg, a, b, prefix, suffix in placements:
+            prod = alg.mul(alg.from_term(a), alg.from_term(b))
+            for e, ce in prod.terms.items():
+                v = ops.mul(coeff, ce)
+                k = prefix + (e,) + suffix
+                terms[k] = ops.add(terms.get(k, ops.zero), ops.neg(v) if neg else v)
+    return Chain(alg, n - 1, terms)
+
+
+@pytest.mark.parametrize("kw", CACHE_SIGNATURES, ids=["rank1", "rank2", "n2_tower", "tshift2"])
+def test_hochschild_b_reads_the_product_memo(kw, monkeypatch):
+    """hochschild_b reads each monomial product from WeylAlgebra._mono_mul:
+    it equals the sum of alg.mul products, b∘b = 0, the memo holds plain
+    (exponent tuple, payload) pairs, and a repeated call multiplies nothing."""
+    from expweyl.config import SessionConfig, build_algebra
+    from expweyl.homology import hochschild_b, tensor_chain
+    from expweyl.sampling import random_chain
+    from expweyl.scalars import Scalar
+
+    A = build_algebra(SessionConfig(**kw))
+    rng = random.Random(11)
+    unit = A.one_monomial
+    chains = [random_chain(A, rng, degree) for degree in (1, 2, 3) for _ in range(4)]
+    # D x = x D + 1: the unit lands in slot 1 and the tensor is degenerate
+    chains.append(tensor_chain([A.x(1), A.D(1), A.x(1)]))
+    for c in chains:
+        bc = hochschild_b(c)
+        assert bc == _b_without_the_memo(c)
+        assert all(unit not in key[1:] for key in bc.terms)
+        if c.degree >= 2:
+            assert hochschild_b(bc).is_zero
+    assert A._mono_mul_cache
+    n = len(A.one_monomial)
+    for (a, b), pairs in A._mono_mul_cache.items():
+        for e in (a, b):
+            assert type(e) is tuple and len(e) == n and all(type(x) is int for x in e)
+        for e, c in pairs:
+            assert type(e) is tuple and len(e) == n and all(type(x) is int for x in e)
+            assert not isinstance(c, (Monomial, Scalar)) and c
+
+    calls = []
+    mul = WeylAlgebra.mul
+    monkeypatch.setattr(WeylAlgebra, "mul", lambda self, P, Q: calls.append(1) or mul(self, P, Q))
+    for c in chains:
+        hochschild_b(c)
+    assert calls == []

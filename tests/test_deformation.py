@@ -149,6 +149,44 @@ def test_star_cochain_words():
     assert len(star_cochain(B, 1).terms) == 2
 
 
+def test_star_cochain_is_built_once_per_algebra_and_order():
+    A = make_algebra()
+    m1, m2 = star_cochain(A, 1), star_cochain(A, 2)
+    assert star_cochain(A, 1) is m1 and star_cochain(A, 2) is m2 and m1 is not m2
+    twin = A.with_hbar(2)
+    other = make_algebra()
+    for B in (twin, other):
+        assert star_cochain(B, 1) is not m1 and star_cochain(B, 1).algebra is B
+        assert star_cochain(B, 1) is star_cochain(B, 1)
+    with pytest.raises(UnsupportedElement):
+        star_cochain(A, -1)
+    # arithmetic on the shared operator builds new ones
+    def snapshot(op):
+        return {k: dict(v.terms) for k, v in op.terms.items()}
+
+    before = snapshot(m1)
+    for derived in (m1 + m2, -m1, m1 * 3, 3 * m1, m1.word_product(m1)):
+        assert derived is not m1
+    assert snapshot(m1) == before and star_cochain(A, 1) is m1
+    x, y, _, _ = symbols(A)
+    assert m1(y, x) == full_symbol(A.one)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_symbol_star_with_shared_cochains_matches_the_oracle(rank):
+    rng = random.Random(40 + rank)
+    A = make_algebra(rank=rank)
+    for N in range(5):
+        halg = A.with_hbar(N)
+        for _ in range(3):
+            P = random_weyl_element(A, rng, max_terms=3, bound=N)
+            Q = random_weyl_element(A, rng, max_terms=3, bound=3)
+            rhs = contraction_graded_product(P, Q, N, halg)
+            for _ in range(2):
+                assert symbol_star(full_symbol(P), full_symbol(Q), N, halg) == rhs
+        assert all(star_cochain(halg, k) is halg._star_cache[k] for k in range(1, N + 1))
+
+
 def test_star_product_on_generators():
     A = make_algebra()
     x, y, _, _ = symbols(A)
@@ -368,6 +406,12 @@ def test_t_shift_classical_part_matches():
             assert rep.first_order.is_zero
         else:
             assert not rep.first_order.is_zero
+
+
+def test_t_shift_report_text_at_order_zero_computes_no_deviation():
+    A = make_algebra(rank=1, t=((1,),))
+    assert t_shift_deform(A, 0).as_text() == "t-shift rule at order 0, var 1: hbar^1 deviation not computed at order 0"
+    assert t_shift_deform(A, 1).as_text() == "t-shift rule at order 1, var 1: hbar^1 deviation nonzero"
 
 
 def test_t_shift_first_order_witness():

@@ -293,24 +293,40 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
     order N when halg is not supplied; operands already over an hbar
     algebra are used as-is).  The y (x) x contraction words reproduce the
     normal-ordered operator product on positive-power Weyl elements.
+
+    Each order's symbol is evaluated over the operands' own algebra when it
+    has no hbar, so the partials work on plain slot payloads, and its terms
+    are written straight into hbar slot k of the result's payload series.
+    Operands over an hbar algebra are lifted to halg first, where the
+    truncation of their products must be halg's; slot j of such a payload
+    then moves to slot j + k.
     """
     algebra = f.algebra
     if g.algebra is not algebra:
         raise SignatureMismatch("operands live over different algebras")
     if halg is None:
         halg = algebra if algebra.field.hbar_order is not None else algebra.with_hbar(N)
-    if halg.field.hbar_order is None:
+    hfield = halg.field
+    if hfield.hbar_order is None:
         raise HbarModeOff("star products need an hbar-truncated coefficient field")
-    fl = lift_symbol(f, halg)
-    gl = lift_symbol(g, halg)
-    hb = halg.field.hbar
-    out = fl * gl
-    for k in range(1, N + 1):
-        term = star_cochain(halg, k)(fl, gl)
-        if term.is_zero:
-            continue
-        out = out + hb**k * term
-    return out
+    if algebra.field.hbar_order is None:
+        if (f.terms or g.terms) and algebra.field.ops is not hfield.base.ops:
+            raise SignatureMismatch("scalar does not lift into this field")
+        src = algebra
+    else:
+        src, f, g = halg, lift_symbol(f, halg), lift_symbol(g, halg)
+    coeffs, slots = src.field.ops.coeffs, hfield.slots
+    zero, plus = hfield.base.ops.zero, hfield.base.ops.add
+    orders = [f * g] + [star_cochain(src, k)(f, g) for k in range(1, min(N, slots - 1) + 1)]
+    rows: dict = {}
+    for k, term in enumerate(orders):
+        for e, c in term.terms.items():
+            row = rows.setdefault(e, [zero] * slots)
+            for j, cj in enumerate(coeffs(c)[: slots - k], start=k):
+                if cj:
+                    row[j] = plus(row[j], cj) if row[j] else cj
+    lift = hfield.ops.lift
+    return GrElement(halg, {})._with({e: lift(tuple(row)) for e, row in rows.items()})
 
 
 def gr_hbar_coefficient(f, k: int, base: WeylAlgebra):
@@ -406,7 +422,10 @@ def star_assoc_check(cochains, triples) -> DefectReport:
     sum_{i+j=s} m_i(m_j(f,g),h) - m_i(f,m_j(g,h)) with m_0 the commutative
     product.  Reports the first nonzero order with its residual, scanning
     triples in the order given.  The inner products m_j(f,g) and m_j(g,h)
-    are evaluated once per triple.
+    are evaluated once per triple.  Each order's defect is accumulated on
+    payloads, in one {exponent tuple: payload} dict through the field's
+    ``ops.add`` and ``ops.neg``, and one GrElement is built per order; the
+    residual is that GrElement, never zero.
     """
     cochains = list(cochains)
     N = len(cochains)
@@ -416,15 +435,18 @@ def star_assoc_check(cochains, triples) -> DefectReport:
         return u * v if k == 0 else cochains[k - 1](u, v)
 
     for idx, (f, g, h) in enumerate(triples):
+        ops = f.algebra.field.ops
+        plus, neg = ops.add, ops.neg
         inner: dict[int, tuple[GrElement, GrElement]] = {}
         for s in range(1, N + 1):
-            defect = None
+            acc: dict = {}
             for i in range(s + 1):
                 if s - i not in inner:
                     inner[s - i] = ev(s - i, f, g), ev(s - i, g, h)
                 fg, gh = inner[s - i]
-                left = ev(i, fg, h)
-                defect = (left if defect is None else defect + left) - ev(i, f, gh)
+                add_terms(acc, ev(i, fg, h).terms.items(), plus)
+                add_terms(acc, ((e, neg(c)) for e, c in ev(i, f, gh).terms.items()), plus)
+            defect = f._with(acc)
             if not defect.is_zero:
                 return DefectReport(N, len(triples), s, idx, defect)
     return DefectReport(N, len(triples), None, None, None)

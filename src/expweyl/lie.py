@@ -258,14 +258,19 @@ class Cochain(_Sparse):
         if len(key) != self.degree:
             raise SignatureMismatch("argument arity differs from the degree")
         skey, sign = _sorted_key(tuple(key))
-        val = self.table.get(skey, self.span.zero_coords)
-        return val if sign > 0 else tuple(-c for c in val)
+        field = self.span.field
+        neg = field.ops.neg
+        out = []
+        for j in range(self.span.dim):
+            c = self.terms.get((skey, j))
+            out.append(field.zero if c is None else Scalar(field, c if sign > 0 else neg(c)))
+        return tuple(out)
 
     def items(self):
         return sorted(self.table.items())
 
     def __repr__(self):
-        return f"Cochain(degree={self.degree}, entries={len(self.table)})"
+        return f"Cochain(degree={self.degree}, entries={len({key for key, _ in self.terms})})"
 
 
 def zero_cochain(span: LieSpan, degree: int) -> Cochain:
@@ -323,11 +328,15 @@ def ad_degree(omega: Cochain) -> int | None:
 
 
 def euler_integrate(omega: Cochain) -> Cochain:
-    """Primitive of a homogeneous 2-cocycle of nonzero ad-degree.
+    """Primitive of a homogeneous 2-cochain of nonzero ad-degree d.
 
     phi = (1/d) * omega(h, -) with h the grading element satisfies
-    d(phi) = omega for every cocycle of ad-degree d != 0.  The result is
-    verified anyway; IntegrationFailed carries the residual.
+    d(phi) = omega for every cocycle of ad-degree d != 0.  phi is read off
+    omega's payload terms: each term ((a, b), i) whose index pair holds h
+    gives phi((other,), i) = +c/d when h = a and -c/d when h = b, one
+    ``field.ops`` product each.  The result is verified by comparing d(phi)
+    with omega; only when they differ is the residual d(phi) - omega
+    built, and IntegrationFailed carries it (never zero).
     """
     span = omega.span
     if omega.degree != 2:
@@ -340,8 +349,16 @@ def euler_integrate(omega: Cochain) -> Cochain:
     if d == 0:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
-    phi = Cochain(span, 1, {(j,): omega.value((h, j)) for j in range(span.dim)}) * Fraction(1, d)
-    residual = ce_differential(phi) - omega
-    if not residual.is_zero:
-        raise IntegrationFailed("primitive check d(phi) = omega failed", residual=residual)
+    ops = span.field.ops
+    inv = span.field.payload(Fraction(1, d))
+    terms = {}
+    for ((a, b), i), c in omega.terms.items():
+        if a == h:
+            terms[((b,), i)] = ops.mul(c, inv)
+        elif b == h:
+            terms[((a,), i)] = ops.neg(ops.mul(c, inv))
+    phi = zero_cochain(span, 1)._with(terms)
+    dphi = ce_differential(phi)
+    if dphi != omega:
+        raise IntegrationFailed("primitive check d(phi) = omega failed", residual=dphi - omega)
     return phi

@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import of a package module is referenced in
 that module, every exported name resolves, only scalars.py imports sympy, the
-benchmark's import probe can read ``import expweyl.cli``, and no line is over
-110 characters."""
+benchmark's import probe can read ``import expweyl.cli``, its traced run
+finds the functions it wraps, and no line is over 110 characters."""
 
 import ast
 import importlib
@@ -76,6 +76,18 @@ def test_the_benchmark_import_probe_reads_the_cli_import(monkeypatch):
         env=env, capture_output=True, text=True, check=True,
     )
     assert type(layers.sympy_import_us(child.stderr)) is int
+
+
+def test_the_traced_benchmark_run_finds_the_functions_it_patches(monkeypatch):
+    """The traced benchmark run wraps package functions by module and name
+    (``perfbench/layers.py``); a tree that renames or inlines one records no
+    span for it, or fails the pass."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    tracer, _, loop = run._traced_pass("derived_reports", 0)
+    assert not loop["failures"]
+    recorded = {tracer.names[i] for i in set(tracer.span_name)}
+    assert {"lie.euler_integrate", "lie.ce_differential", "deformation.symbol_star"} <= recorded
 
 
 MAX_LINE = 110

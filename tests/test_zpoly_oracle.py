@@ -8,11 +8,14 @@ exactly: coprime with integer content included, and a positive lex-leading
 coefficient on the denominator.  The oracle is sympy's ring over ZZ, built
 here; the code under test reaches sympy only for gcds where neither side's
 primitive part divides the other.  Forced pairs (p*q*c, p*k) and (p, -p) run
-the exact-division path, and they run it with no ring at all.
+the exact-division path, and they run it with no ring at all; pairs
+(p*q1, p*q2) with a planted common factor p, where neither side divides the
+other, run sympy's gcd on a nonconstant gcd, which random pairs almost never
+reach.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
@@ -23,16 +26,20 @@ RANKS = (2, 3)
 SYMPY_RINGS = {r: ring(",".join(f"g_{j}" for j in range(2, r + 1)), ZZ)[0] for r in RANKS}
 
 
-def sides(rank, max_terms=4):
-    """Nonzero ints and polynomials over Z[g_2..g_r], in the helpers' form."""
+def polys(rank, max_terms=4):
+    """Polynomials with a symbol over Z[g_2..g_r], in the helpers' form."""
     terms = st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * (rank - 1)),
         st.integers(-6, 6).filter(bool),
         min_size=1,
         max_size=max_terms,
     )
-    polys = terms.filter(lambda t: any(any(m) for m in t)).map(_Poly)
-    return st.one_of(st.integers(-12, 12).filter(bool), polys, polys)
+    return terms.filter(lambda t: any(any(m) for m in t)).map(_Poly)
+
+
+def sides(rank, max_terms=4):
+    """Nonzero ints and polynomials over Z[g_2..g_r], in the helpers' form."""
+    return st.one_of(st.integers(-12, 12).filter(bool), polys(rank, max_terms), polys(rank, max_terms))
 
 
 def to_sympy(side, rank):
@@ -96,3 +103,31 @@ def test_divisible_pairs_take_the_exact_division(rank, data):
     for a, b in ((_prod(_prod(p, q), c), _prod(p, k)), (p, _prod(p, -1))):
         check_cofactors(a, b, rank, None)
         check_cofactors(b, a, rank, None)
+
+
+class RecordingRing:
+    """A sympy ring that counts the polynomials ``_cof`` hands to it."""
+
+    def __init__(self, ring_):
+        self.ring = ring_
+        self.calls = 0
+
+    def from_dict(self, terms):
+        self.calls += 1
+        return self.ring.from_dict(terms)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_planted_common_factors_take_the_general_gcd(rank, data):
+    """(p*q1, p*q2) with p, q1 and q2 nonconstant: the gcd is a multiple of
+    p, and where neither primitive part divides the other, sympy's cofactors
+    find it."""
+    p, q1, q2 = (data.draw(polys(rank, 3)) for _ in range(3))
+    a, b = _prod(p, q1), _prod(p, q2)
+    ring_ = RecordingRing(_RatPolyOps(rank).ring)
+    check_cofactors(a, b, rank, ring_)
+    check_cofactors(b, a, rank, ring_)
+    assume(ring_.calls)
+    assert type(_cof(a, b, ring_)[0]) is _Poly

@@ -347,6 +347,8 @@ class WeylAlgebra:
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, object], ...]] = {}
         # products of unit monomials, keyed (a, b); Hochschild b reads them
         self._mono_mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
+        # Hochschild b of each basis tensor, keyed by the tensor's key: (chain key, payload) pairs
+        self._hochschild_cache: dict[tuple[tuple[int, ...], ...], tuple] = {}
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
         # star_cochain(self, k) by k, built once per algebra
         self._star_cache: dict[int, object] = {}

@@ -68,26 +68,33 @@ __all__ = ["main", "run"]
 # -- argument helpers ----------------------------------------------------------
 
 
-def _split_top(src: str) -> list[str]:
-    """Split on commas outside parentheses (tensor factors, pair lists)."""
-    parts, cur, depth = [], [], 0
-    for ch in src:
+def _split_top(src: str) -> list[tuple[int, str]]:
+    """Split on commas outside parentheses (tensor factors, pair lists) into
+    (offset, piece) pairs: each piece stripped, its offset in src."""
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(src):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(depth - 1, 0)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
+        elif ch == "," and depth == 0:
+            parts.append((start, src[start:i]))
+            start = i + 1
+    parts.append((start, src[start:]))
+    return [(at + len(p) - len(p.lstrip()), p.strip()) for at, p in parts]
+
+
+def _parse_piece(algebra, at: int, piece: str):
+    """parse(piece), with a parse error's position counted from offset at."""
+    try:
+        return parse(piece, algebra)
+    except ParseError as e:
+        raise type(e)(e.message, at + e.position) from None
 
 
 def _lattice_arg(text: str, rank: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(p) for p in _split_top(text))
+        coords = tuple(int(p) for _, p in _split_top(text))
     except ValueError:
         raise ParseError("lattice exponent coordinates must be integers", 0)
     if len(coords) != rank:
@@ -116,7 +123,7 @@ def _triples_arg(count: int) -> int:
 
 
 def _parse_chain(algebra, text: str):
-    factors = [parse(p, algebra) for p in _split_top(text)]
+    factors = [_parse_piece(algebra, at, p) for at, p in _split_top(text)]
     return tensor_chain(factors)
 
 
@@ -124,7 +131,7 @@ def _span_arg(algebra, spec: str, grading: int | None):
     preset = PRESETS.get(spec.strip())
     if preset is not None:
         return preset(algebra)
-    basis = [DerivationElement(parse(p, algebra)) for p in _split_top(spec)]
+    basis = [DerivationElement(_parse_piece(algebra, at, p)) for at, p in _split_top(spec)]
     return LieSpan(basis, grading=grading)
 
 
@@ -376,7 +383,7 @@ def _cmd_commspan(ctx, args):
         parts = _split_top(spec)
         if len(parts) != 2:
             raise ParseError("a pair must be two comma-separated expressions", 0)
-        pairs.append((parse(parts[0], A), parse(parts[1], A)))
+        pairs.append(tuple(_parse_piece(A, at, p) for at, p in parts))
     res = commutator_span_check(target, pairs)
     if res.inside:
         combo = [format_scalar(c) for c in res.combination]

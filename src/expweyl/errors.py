@@ -96,6 +96,7 @@ class ParseError(KernelError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
     @property

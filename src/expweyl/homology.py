@@ -88,29 +88,46 @@ def _chain(algebra: WeylAlgebra, degree: int, terms: dict) -> Chain:
 
 
 def hochschild_b(c: Chain) -> Chain:
-    """b(a_0 x ... x a_n) = sum_i (-1)^i (... a_i a_{i+1} ...) + (-1)^n a_n a_0 x ..."""
+    """b(a_0 x ... x a_n) = sum_i (-1)^i (... a_i a_{i+1} ...) + (-1)^n a_n a_0 x ...
+
+    b of each basis tensor is computed once per algebra and kept in
+    ``algebra._hochschild_cache`` as (chain key, payload) pairs, zero sums
+    dropped; b(c) adds coeff * b(key) over c's terms (b(key) itself where
+    coeff is one)."""
     if c.degree == 0:
         raise DegreeZero("b is defined on chains of degree >= 1")
     alg = c.algebra
-    n = c.degree
     ops = alg.field.ops
-    pmul, padd, pneg = ops.mul, ops.add, ops.neg
+    pmul, padd, one = ops.mul, ops.add, ops.one
+    memo = alg._hochschild_cache
+    out: dict = {}
+    for key, coeff in c.terms.items():
+        image = memo.get(key)
+        if image is None:
+            image = memo[key] = _tensor_b(alg, key)
+        add_terms(out, image if coeff == one else ((k, pmul(coeff, v)) for k, v in image), padd)
+    return _chain(alg, c.degree - 1, out)
+
+
+def _tensor_b(alg: WeylAlgebra, key: tuple) -> tuple:
+    """b of the basis tensor key as (chain key, payload) pairs, zero sums dropped."""
+    n = len(key) - 1
+    ops = alg.field.ops
+    padd, pneg = ops.add, ops.neg
     unit = alg.one_monomial
     mono_mul = alg._mono_mul
     out: dict = {}
 
-    def put(neg, coeff, a, b, prefix, suffix):
+    def put(neg, a, b, prefix, suffix):
         # the terms of a*b, placed between prefix and suffix; the unit past
-        # slot 0 is degenerate (the factors of c past slot 0 are not the unit)
-        pairs = ((prefix + (e,) + suffix, pmul(coeff, ce))
-                 for e, ce in mono_mul(a, b) if not prefix or e != unit)
+        # slot 0 is degenerate (the factors of key past slot 0 are not the unit)
+        pairs = ((prefix + (e,) + suffix, ce) for e, ce in mono_mul(a, b) if not prefix or e != unit)
         add_terms(out, ((k, pneg(v)) for k, v in pairs) if neg else pairs, padd)
 
-    for key, coeff in c.terms.items():
-        for i in range(n):
-            put(i % 2, coeff, key[i], key[i + 1], key[:i], key[i + 2 :])
-        put(n % 2, coeff, key[n], key[0], (), key[1:n])
-    return _chain(alg, n - 1, out)
+    for i in range(n):
+        put(i % 2, key[i], key[i + 1], key[:i], key[i + 2 :])
+    put(n % 2, key[n], key[0], (), key[1:n])
+    return tuple((k, v) for k, v in out.items() if v)
 
 
 def connes_B(c: Chain) -> Chain:

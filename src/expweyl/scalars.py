@@ -278,8 +278,13 @@ def _cof(a, b, ring):
         if q is not None:
             return _prod(pa, h), ca // h, _exquo(q, h)
         return tuple(map(_demote, ring.from_dict(a).cofactors(ring.from_dict(b))))
-    g = 1 if k == 1 else gcd(k, p) if type(p) is int else gcd(k, *p.values())
+    g = _content_gcd(k, p)
     return (1, a, b) if g == 1 else (g, _exquo(a, g), _exquo(b, g))
+
+
+def _content_gcd(k: int, p) -> int:
+    """gcd of the int k and the content of the int or polynomial p."""
+    return 1 if k == 1 else gcd(k, p) if type(p) is int else gcd(k, *p.values())
 
 
 def _pair(num, den):
@@ -330,11 +335,14 @@ class _RatPolyOps(_SlotOps):
     Where a pair takes part, each operand reads as a coprime fraction a/b of
     ints or polynomials, and a result without symbols is demoted to an int
     or _Q.  A product (a/b)(c/d) cancels gcd(a, d) and gcd(c, b) before it
-    multiplies; a quotient is the product with the swapped pair d/c, so it
-    takes no gcd of its own; a sum takes g = gcd(b, d) first and then only
-    the gcd of the numerator with g (Henrici).  ``ring``, sympy's sparse ring
-    over pure-Python ints, takes only the gcds that _cof cannot get by exact
-    division.  add, mul and div call none of each other.
+    multiplies.  Where b and d are ints (every value in Q[g], the common
+    case) those are gcds of an int with a content, and mul builds the pair
+    directly, without _cof or _pair's sign rule.  A quotient is the product
+    with the swapped pair d/c, so it takes no gcd of its own; a sum takes
+    g = gcd(b, d) first and then only the gcd of the numerator with g
+    (Henrici).  ``ring``, sympy's sparse ring over pure-Python ints, takes
+    only the gcds that _cof cannot get by exact division.  add, mul and div
+    call none of each other.
     """
 
     def __init__(self, rank: int):
@@ -376,6 +384,11 @@ class _RatPolyOps(_SlotOps):
         if not x or not y:
             return 0
         (a, b), (c, d) = _parts(x), _parts(y)
+        if type(b) is int and type(d) is int:
+            # what _cross computes here: the denominator stays a positive int
+            # and the product of the symbol-bearing numerators keeps a symbol
+            g1, g2 = _content_gcd(d, a), _content_gcd(b, c)
+            return _RatPoly(_prod(_exquo(a, g1), _exquo(c, g2)), (b // g2) * (d // g1))
         return self._cross(a, b, c, d)
 
     def div(self, x, y):

@@ -440,3 +440,66 @@ def test_hochschild_b_reads_the_product_memo(kw, monkeypatch):
     for c in chains:
         hochschild_b(c)
     assert calls == []
+
+
+def _non_unit_scalars(A):
+    """Coefficients other than one: rationals, a symbol at rank >= 2, an hbar series."""
+    F = A.field
+    cs = [F.from_rational(Fraction(-3, 2)), F.from_rational(2), F.from_rational(-1)]
+    if F.rank >= 2:
+        cs.append(F.from_rational(Fraction(5, 3)) * F.generator(2))
+    if F.hbar_order:
+        cs.append(F.hbar + F.from_rational(Fraction(1, 2)))
+    return cs
+
+
+@pytest.mark.parametrize("kw", CACHE_SIGNATURES, ids=["rank1", "rank2", "n2_tower", "tshift2"])
+def test_hochschild_b_reads_each_tensor_image_from_the_algebra_memo(kw, monkeypatch):
+    """b of each basis tensor is kept per algebra as plain (chain key,
+    payload) pairs: b of chains with non-unit coefficients equals the sum of
+    alg.mul products, a new chain over seen tensors multiplies no monomials,
+    and an hbar twin keeps its own memo."""
+    from expweyl.config import SessionConfig, build_algebra
+    from expweyl.homology import Chain, hochschild_b
+    from expweyl.sampling import random_chain
+    from expweyl.scalars import Scalar
+
+    A = build_algebra(SessionConfig(**kw))
+    F = A.field
+    rng = random.Random(23)
+    cs = _non_unit_scalars(A)
+
+    def rescaled(c, alg=A):
+        return Chain(alg, c.degree, {k: rng.choice(cs) * Scalar(F, v) for k, v in c.terms.items()})
+
+    chains = [rescaled(random_chain(A, rng, degree)) for degree in (1, 2, 3) for _ in range(4)]
+    for c in chains:
+        assert hochschild_b(c) == _b_without_the_memo(c)
+    memo = A._hochschild_cache
+    assert set(memo) == {key for c in chains for key in c.terms}
+    for key, image in memo.items():
+        assert type(image) is tuple
+        for k, v in image:
+            assert type(k) is tuple and len(k) == len(key) - 1
+            assert all(type(e) is tuple and all(type(x) is int for x in e) for e in k)
+            assert not isinstance(v, (Monomial, Scalar)) and v
+
+    # one chain per degree over every tensor seen, with fresh coefficients
+    fresh = [rescaled(sum((c for c in chains if c.degree == d), Chain(A, d, {}))) for d in (1, 2, 3)]
+    expected = [_b_without_the_memo(c) for c in fresh]
+    calls = []
+    for name in ("mul", "_mono_mul"):
+        orig = getattr(WeylAlgebra, name)
+        monkeypatch.setattr(WeylAlgebra, name, lambda self, a, b, f=orig: calls.append(1) or f(self, a, b))
+    assert [hochschild_b(c) for c in fresh] == expected
+    assert calls == []
+    monkeypatch.undo()
+
+    twin = A.with_hbar((A.signature.hbar_order or 0) + 1)
+    assert twin._hochschild_cache is not memo
+    before = dict(memo)
+    for c in chains:
+        lifted = Chain(twin, c.degree, {k: twin.field.lift(v, F) for k, v in c.terms.items()})
+        assert hochschild_b(lifted) == _b_without_the_memo(lifted)
+    assert set(twin._hochschild_cache) == set(before)
+    assert memo.keys() == before.keys() and all(memo[k] is v for k, v in before.items())

@@ -274,6 +274,27 @@ def test_deep_nesting_is_a_syntax_error(capsys):
     assert "position 100" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("hochb", "x_1,y_9"), "error[UnknownSymbol]: unknown symbol 'y_9' (at position 4)"),
+        (("hochb", "x_1,(D_1"), "error[SyntaxError]: expected ')' (at position 8)"),
+        (("hochb", "x_1, y_9"), "error[UnknownSymbol]: unknown symbol 'y_9' (at position 5)"),
+        (("hochb", "y_9,x_1"), "error[UnknownSymbol]: unknown symbol 'y_9' (at position 0)"),
+        (("cespan", "D_1,x_1*D_1,%"), "error[SyntaxError]: unexpected character '%' (at position 12)"),
+        (("cespan", "D_1,x_1*D_1,"), "error[SyntaxError]: empty expression (at position 12)"),
+        (("commspan", "1", "D_1, y_3"), "error[UnknownSymbol]: unknown symbol 'y_3' (at position 5)"),
+        (("commspan", "1", "x_1,D_1)"), "error[SyntaxError]: unexpected trailing input ')' (at position 7)"),
+    ],
+    ids=["chain", "chain-paren", "chain-space", "chain-first", "span", "span-empty", "pair", "pair-trailing"],
+)
+def test_a_parse_error_in_a_list_argument_counts_from_the_argument(argv, line, capsys):
+    """A comma-separated argument reports a parse error's position in the
+    whole argument, not in its piece; the first piece's position is its own."""
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_resource_exhaustion_is_an_error_line(capsys, monkeypatch, exc):
     def exhausted(*args, **kwargs):

@@ -81,13 +81,18 @@ def test_the_benchmark_import_probe_reads_the_cli_import(monkeypatch):
 def test_the_traced_benchmark_run_finds_the_functions_it_patches(monkeypatch):
     """The traced benchmark run wraps package functions by module and name
     (``perfbench/layers.py``); a tree that renames or inlines one records no
-    span for it, or fails the pass."""
+    span for it, or fails the pass, and a ``mul`` that leaves the class dict
+    of the payload ops (an alias, say) counts no payload product."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     run = importlib.import_module("run")
     tracer, _, loop = run._traced_pass("derived_reports", 0)
     assert not loop["failures"]
     recorded = {tracer.names[i] for i in set(tracer.span_name)}
-    assert {"lie.euler_integrate", "lie.ce_differential", "deformation.symbol_star"} <= recorded
+    assert {
+        "lie.euler_integrate", "lie.ce_differential", "deformation.symbol_star",
+        "homology.hochschild_b", "homology.window_rank", "linalg.rref", "grading.gr_mul",
+    } <= recorded
+    assert tracer.counts["scalars.payload_mul.calls"] > 0
 
 
 MAX_LINE = 110

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ, PythonIntegerRing
 from sympy.polys.rings import ring
 
-from expweyl import DivisionByZero, NonInvertibleSeries, ScalarField
-from expweyl.scalars import _Q, _Poly, _RatPoly
+from expweyl import DivisionByZero, NonInvertibleSeries, Scalar, ScalarField
+from expweyl.scalars import _Q, _parts, _Poly, _RatPoly
 
 FIELDS = {
     "rank2": ScalarField(rank=2),
@@ -233,3 +233,68 @@ def test_coefficients_are_python_ints_whatever_the_ground_types():
     assert (p.num, p.den) == ({(1,): 1, (0,): -1}, {(1,): 1, (0,): 1})
     assert all(type(c) is int for c in (*p.num.values(), *p.den.values()))
     assert type(((g2 * 2) / 3 * (3 / g2)).pay) is int
+
+
+# -- products in Q[g] ------------------------------------------------------------
+
+def q_values(field):
+    """Nonzero values of Q[g]: a polynomial over a nonzero int, so constants
+    (int or _Q) and pairs with an int denominator."""
+    return st.tuples(polynomials(field), st.integers(-12, 12).filter(bool)).map(
+        lambda pk: pk[0] / pk[1]).filter(bool)
+
+
+def assert_q_product(field, x, y, point):
+    """mul on integer denominators: the payload _cross builds, canonical
+    with an int denominator > 0 coprime to the numerator's content, and
+    the product of the values at point."""
+    ops = field.ops
+    p = ops.mul(x.pay, y.pay)
+    (a, b), (c, d) = _parts(x.pay), _parts(y.pay)
+    crossed = ops._cross(a, b, c, d)
+    assert p == crossed and hash(p) == hash(crossed)
+    s = Scalar(field, p)
+    assert_canonical(s)
+    if type(p) is _RatPoly:
+        assert type(p.den) is int and p.den > 0
+        assert gcd(p.den, *p.num.values()) == 1
+    assert evaluate(s, point) == [evaluate(x, point)[0] * evaluate(y, point)[0]]
+
+
+@pytest.mark.parametrize("name", ["rank2", "rank3"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_q_g_products_match_the_cross_cancel_and_evaluation(name, data):
+    field = FIELDS[name]
+    x, y = data.draw(q_values(field)), data.draw(q_values(field))
+    assert_q_product(field, x, y, data.draw(points(field.rank)))
+
+
+def test_q_g_products_cancel_planted_contents():
+    """Each side's int denominator shares a factor with the other side's
+    numerator content; negative numerators and constant factors included."""
+    F = ScalarField(rank=2)
+    g = F.generator(2)
+    q = F.from_rational
+    cases = [
+        # (6g/5)(5g^2/3) = 2g^3
+        (g * q(Fraction(6, 5)), g * g * q(Fraction(5, 3)), _RatPoly(_Poly({(3,): 2}), 1)),
+        # (3/2)(-4g/9) = -2g/3: a _Q times a pair
+        (q(Fraction(3, 2)), g * q(Fraction(-4, 9)), _RatPoly(_Poly({(1,): -2}), 3)),
+        # 6 (g - 2)/4 = (3g - 6)/2: an int times a pair
+        (q(6), (g - 2) / 4, _RatPoly(_Poly({(1,): 3, (0,): -6}), 2)),
+        # (-10g/21)(7g^2 - 14)/15 = (-2g^3 + 4g)/9
+        (g * q(Fraction(-10, 21)), (g * g * 7 - 14) / 15, _RatPoly(_Poly({(3,): -2, (1,): 4}), 9)),
+    ]
+    for x, y, want in cases:
+        assert (x * y).pay == want == (y * x).pay
+        for point in ((1,), (-2,), (3,)):
+            assert_q_product(F, x, y, point)
+            assert_q_product(F, y, x, point)
+    F3 = ScalarField(rank=3)
+    g2, g3 = F3.generator(2), F3.generator(3)
+    x = g2 * g3 * F3.from_rational(Fraction(10, 21))
+    y = (g2 * 7 - g3 * 14) / 15
+    # a' = 2 g_2 g_3, c' = g_2 - 2 g_3, den 3 * 3
+    assert (x * y).pay == _RatPoly(_Poly({(2, 1): 2, (1, 2): -4}), 9)
+    assert_q_product(F3, x, y, (2, -1))

@@ -21,6 +21,13 @@ a function monomial splits by factor:
 exact for arbitrary lattice powers).  With the t-shift deformation switched on,
 the E rule instead differentiates exp(x^p e^{(t + hbar x) x}) truncated at the
 algebra's hbar order; everything downstream is unchanged.
+
+Each algebra caches, as plain (exponent tuple, payload) rows, the derivative
+of a function monomial in one variable (``_diff_cache``) and the whole
+normal-ordered product D^d * f of a derivative multi-index and a function
+monomial, binomials included (``_diff_pow_cache``), so a product adds the
+left term's exponents to each row of one table and multiplies by its
+coefficient.  The exponent tuples of both caches are interned in ``_exps``.
 """
 
 from __future__ import annotations
@@ -341,9 +348,13 @@ class WeylAlgebra:
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
         self._embed_t = tuple(self.field.embed(ti) for ti in signature.t)
-        # keyed by exponent tuples and holding plain data, no Monomial or Scalar
+        # keyed by exponent tuples and holding plain data, no Monomial or Scalar:
+        # derivatives by (i0, e), Leibniz products D^d * e by (e, d)
         self._diff_cache: dict[tuple[int, tuple[int, ...]], Pairs] = {}
         self._diff_pow_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
+        # one object per tuple those two caches hold: exponent tuples, keys and
+        # rows alike, and the multi-indices d
+        self._exps: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, object], ...]] = {}
         # products of unit monomials, keyed (a, b); Hochschild b reads them
         self._mono_mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
@@ -503,26 +514,51 @@ class WeylAlgebra:
             out.append((shifted(-1, False), field.embed(gamma_i).pay))
 
         merged = add_terms({}, ((de, c) for de, c in out if c), ops.add)
-        result = tuple((de, c) for de, c in merged.items() if c)
-        self._diff_cache[key] = result
+        intern = self._exps.setdefault
+        result = tuple((intern(de, de), c) for de, c in merged.items() if c)
+        self._diff_cache[(i0, intern(e, e))] = result
         return result
 
-    def _diff_pow_mono(self, e: tuple[int, ...], k: tuple[int, ...]) -> Pairs:
-        """k-fold derivative (multi-index) of the function monomial with
-        exponents e; only k = 0 gives the unit coefficient."""
-        ops = self.field.ops
-        if not any(k):
-            return ((e, ops.one),)
-        key = (e, k)
-        hit = self._diff_pow_cache.get(key)
+    def _diff_pow_mono(self, e: tuple[int, ...], d: tuple[int, ...]) -> Pairs:
+        """The normal-ordered product D^d * e of the derivative multi-index d
+        and the function monomial with exponents e: the Leibniz sum of
+        binom(d, k) (D^k e) D^{d-k} over k <= d, as (exps, payload) pairs in
+        the order of k and then of the derivative's rows, each exps with
+        d - k in its D slots and each payload with its binomial.  The first
+        row is (e with d, ``ops.one``); only d = 0 is not cached."""
+        hit = self._diff_pow_cache.get((e, d))
         if hit is not None:
             return hit
-        i0 = next(i for i, ki in enumerate(k) if ki)
-        prev_k = tuple(ki - 1 if i == i0 else ki for i, ki in enumerate(k))
-        prev = self._diff_pow_mono(e, prev_k)
-        pairs = ((de, ops.mul(pc, dc)) for pe, pc in prev for de, dc in self._diff_mono(i0, pe))
-        result = tuple((de, c) for de, c in add_terms({}, pairs, ops.add).items() if c)
-        self._diff_pow_cache[key] = result
+        ops = self.field.ops
+        if not any(d):
+            return ((e, ops.one),)
+        pmul, padd, one, intern = ops.mul, ops.add, ops.one, self._exps.setdefault
+        e, d = intern(e, e), intern(d, d)
+        n = len(d)
+        # the derivatives D^k e by k, each from the one below in its first nonzero
+        # index; merged inline as in mul, since this loop is a cold product's main cost
+        ladder: dict[tuple[int, ...], dict] = {}
+        diff = self._diff_mono
+        rows = []
+        for k, binom, bpay in self._kbinom(d):
+            if any(k):
+                i0 = next(i for i, ki in enumerate(k) if ki)
+                dk_e: dict[tuple[int, ...], object] = {}
+                for pe, pc in ladder[tuple(ki - 1 if i == i0 else ki for i, ki in enumerate(k))].items():
+                    for de, dc in diff(i0, pe):
+                        v = pmul(pc, dc)
+                        cur = dk_e.get(de)
+                        dk_e[de] = v if cur is None else padd(cur, v)
+                if not all(dk_e.values()):
+                    dk_e = {de: c for de, c in dk_e.items() if c}
+            else:
+                dk_e = {e: one}
+            ladder[k] = dk_e
+            d_k = tuple(map(sub, d, k))
+            for de, c in dk_e.items():
+                row = de[:-n] + d_k
+                rows.append((intern(row, row), c if binom == 1 else pmul(bpay, c)))
+        result = self._diff_pow_cache[(e, d)] = tuple(rows)
         return result
 
     def diff_function(self, f: Element, i: int) -> Element:
@@ -566,6 +602,7 @@ class WeylAlgebra:
         ops = self.field.ops
         pmul = ops.mul
         padd = ops.add
+        one = ops.one
         n = self.signature.n
         no_d = (0,) * n
         # each left term's head (all but d) and d, sliced once
@@ -584,16 +621,13 @@ class WeylAlgebra:
                     cur = acc.get(e)
                     acc[e] = c if cur is None else padd(cur, c)
                     continue
-                for k, binom, bpay in self._kbinom(d1):
-                    cb = c if binom == 1 else pmul(c, bpay)
-                    # (D^k fQ) has no D part: add it to eP's head followed by the new d
-                    base = headP + tuple(map(add, map(sub, d1, k), dQ))
-                    k0 = not any(k)
-                    for fe, fc in self._diff_pow_mono(fQ, k):
-                        e = tuple(map(add, base, fe))
-                        v = cb if k0 else pmul(cb, fc)
-                        cur = acc.get(e)
-                        acc[e] = v if cur is None else padd(cur, v)
+                # each row of D^d1 fQ carries its own D part: add eP's head and dQ
+                base = headP + dQ
+                for de, coef in self._diff_pow_mono(fQ, d1):
+                    e = tuple(map(add, base, de))
+                    v = c if coef is one else coef if c is one else pmul(c, coef)
+                    cur = acc.get(e)
+                    acc[e] = v if cur is None else padd(cur, v)
         return P._with(acc)
 
     def _mono_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> Pairs:

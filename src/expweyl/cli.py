@@ -93,15 +93,17 @@ def _parse_piece(algebra, at: int, piece: str):
 
 
 def _lattice_arg(text: str, rank: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(p) for _, p in _split_top(text))
-    except ValueError:
-        raise ParseError("lattice exponent coordinates must be integers", 0)
+    coords = []
+    for at, p in _split_top(text):
+        try:
+            coords.append(int(p))
+        except ValueError:
+            raise ParseError("lattice exponent coordinates must be integers", at) from None
     if len(coords) != rank:
         raise SignatureMismatch(
             f"exponent has {len(coords)} coordinates, signature rank is {rank}"
         )
-    return coords
+    return tuple(coords)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -382,7 +384,9 @@ def _cmd_commspan(ctx, args):
     for spec in args.pairs:
         parts = _split_top(spec)
         if len(parts) != 2:
-            raise ParseError("a pair must be two comma-separated expressions", 0)
+            # the third piece, or the end of a one-piece argument
+            at = parts[2][0] if len(parts) > 2 else len(spec)
+            raise ParseError("a pair must be two comma-separated expressions", at)
         pairs.append(tuple(_parse_piece(A, at, p) for at, p in parts))
     res = commutator_span_check(target, pairs)
     if res.inside:

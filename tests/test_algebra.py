@@ -371,8 +371,16 @@ def test_derivative_caches_hold_plain_data_under_their_call_keys(kw):
         for value in cache.values():
             for e, c in value:
                 assert type(e) is tuple and all(type(x) is int for x in e)
-                assert len(e) == len(A.one_monomial) and not any(e[-n:])
+                assert len(e) == len(A.one_monomial)
                 assert not isinstance(c, (Monomial, Scalar)) and c
+    # a derivative has no D part; a product D^d * e has D parts <= d, and
+    # its first row is e with d in its D slots and the unit coefficient
+    for value in A._diff_cache.values():
+        assert not any(any(e[-n:]) for e, _ in value)
+    for (f, d), value in A._diff_pow_cache.items():
+        assert all(x <= di for e, _ in value for x, di in zip(e[-n:], d))
+        assert value[0][0] == f[:-n] + d and value[0][1] is A.field.ops.one
+        assert all(A._exps[e] is e for e, _ in value)
     e = next(iter(A._diff_pow_cache))[0]
     A._diff_cache.clear()
     A._diff_pow_cache.clear()
@@ -381,6 +389,62 @@ def test_derivative_caches_hold_plain_data_under_their_call_keys(kw):
     A._diff_pow_mono(e, k)
     assert (0, e) in A._diff_cache
     assert (e, k) in A._diff_pow_cache
+
+
+def _leibniz_expansion(A, f, d):
+    """sum over k <= d of binom(d, k) (D^k f) D^(d-k) for the function
+    monomial f, each D^k f taken by repeated diff_function: one more
+    derivative, in k's last nonzero index, of a D^k f found before."""
+    n = A.signature.n
+    out = A.zero
+    derivatives = {}
+    for k in product(*(range(di + 1) for di in d)):
+        if any(k):
+            i = max(j for j, kj in enumerate(k) if kj)
+            g = A.diff_function(derivatives[k[:i] + (k[i] - 1,) + k[i + 1 :]], i + 1)
+        else:
+            g = A.from_term(f)
+        derivatives[k] = g
+        d_k = tuple(di - ki for di, ki in zip(d, k))
+        binom = math.prod(math.comb(di, ki) for di, ki in zip(d, k))
+        out = out + A.zero._with({e[:-n] + d_k: c for e, c in g.terms.items()}) * binom
+    return out
+
+
+@pytest.mark.parametrize("kw", CACHE_SIGNATURES, ids=["rank1", "rank2", "n2_tower", "tshift2"])
+def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
+    """_diff_pow_mono(f, d) is the normal-ordered product D^d * f: its rows,
+    read as an element, are the Leibniz expansion with the binomials, one
+    row per exponent tuple."""
+    from expweyl.config import SessionConfig, build_algebra
+
+    A = build_algebra(SessionConfig(**kw))
+    n = A.signature.n
+    rng = random.Random(31)
+    if n == 1:
+        ds = [(j,) for j in range(1, 5)]
+    else:
+        ds = [d for d in product(range(3), repeat=2) if any(d)]
+    for _ in range(4):
+        for f in random_function_element(A, rng, max_terms=3, bound=2).terms:
+            for d in ds:
+                table = A._diff_pow_mono(f, d)
+                assert len({e for e, _ in table}) == len(table)
+                assert A.zero._with(dict(table)) == _leibniz_expansion(A, f, d)
+
+
+def test_a_high_derivative_power_caches_one_table_per_right_monomial():
+    """D_1^200 * (x_1^3 + E_1^2) equals its expansion and adds one table per
+    monomial of the right factor, keyed (f, (200,)): the derivatives in
+    between are not kept."""
+    from expweyl.config import SessionConfig, build_algebra
+
+    A = build_algebra(SessionConfig())
+    right = A.x(1, 3) + A.E(1, 2)
+    before = set(A._diff_pow_cache)
+    product_ = A.D(1, 200) * right
+    assert set(A._diff_pow_cache) - before == {(f, (200,)) for f in right.terms}
+    assert product_ == sum((_leibniz_expansion(A, f, (200,)) for f in right.terms), A.zero)
 
 
 def _b_without_the_memo(c):

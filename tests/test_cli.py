@@ -295,6 +295,27 @@ def test_a_parse_error_in_a_list_argument_counts_from_the_argument(argv, line, c
     assert (status, out, err) == (1, "", line + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("rank2", "1,x", "0,1"), "error[SyntaxError]: lattice exponent coordinates must be integers (at position 2)"),
+        (("rank2", "1,2", "0,"), "error[SyntaxError]: lattice exponent coordinates must be integers (at position 2)"),
+        (("commspan", "1", "x_1,D_1,x_1"),
+         "error[SyntaxError]: a pair must be two comma-separated expressions (at position 8)"),
+        (("commspan", "1", "x_1"), "error[SyntaxError]: a pair must be two comma-separated expressions (at position 3)"),
+    ],
+    ids=["lattice-second", "lattice-empty", "pair-three", "pair-one"],
+)
+def test_a_refused_piece_of_a_list_argument_reports_its_offset(argv, line, tmp_path, capsys):
+    """A lattice coordinate that is no integer reports where its piece
+    starts; a pair with a third piece reports that piece's offset, and a
+    pair with one piece the end of the argument."""
+    config = tmp_path / "rank2.json"
+    config.write_text(json.dumps({"rank": 2, "t": [[0, 1]]}))
+    status, out, err = run(capsys, "--config", str(config), *argv)
+    assert (status, out, err) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_resource_exhaustion_is_an_error_line(capsys, monkeypatch, exc):
     def exhausted(*args, **kwargs):

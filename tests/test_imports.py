@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import of a package module is referenced in
 that module, every exported name resolves, only scalars.py imports sympy, the
-benchmark's import probe can read ``import expweyl.cli``, its traced run
-finds the functions it wraps, and no line is over 110 characters."""
+benchmark's import probe can read ``import expweyl.cli``, its traced runs
+find the functions they wrap, and no line is over 110 characters."""
 
 import ast
 import importlib
@@ -93,6 +93,20 @@ def test_the_traced_benchmark_run_finds_the_functions_it_patches(monkeypatch):
         "homology.hochschild_b", "homology.window_rank", "linalg.rref", "grading.gr_mul",
     } <= recorded
     assert tracer.counts["scalars.payload_mul.calls"] > 0
+
+
+def test_the_traced_benchmark_run_finds_the_product_kernel(monkeypatch):
+    """The traced assoc_fuzz pass times ``_diff_pow_mono`` and counts its
+    lookups under the keys of ``_diff_pow_cache``, and records a span per
+    ``WeylAlgebra.mul``; a tree that renames either, or changes the cache
+    keys, records no lookups, hits or products."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    tracer, _, loop = run._traced_pass("assoc_fuzz", 0)
+    assert not loop["failures"]
+    assert tracer.counts["algebra.diff_pow.lookups"] > 0
+    assert tracer.counts["algebra.diff_pow.hits"] > 0
+    assert "algebra.mul" in {tracer.names[i] for i in set(tracer.span_name)}
 
 
 MAX_LINE = 110

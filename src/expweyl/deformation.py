@@ -31,7 +31,7 @@ from .errors import (
     SignatureMismatch,
     UnsupportedElement,
 )
-from .grading import GrElement
+from .grading import GrElement, _mul_terms
 from .representation import _compositions
 
 __all__ = [
@@ -111,12 +111,28 @@ def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
     return out
 
 
-def _apply_word(algebra: WeylAlgebra, terms: dict, word: tuple) -> dict:
-    for gen in word:
-        if not terms:
-            break
-        terms = _partial(algebra, terms, gen)
+def _apply_word(algebra: WeylAlgebra, memo: dict, word: tuple) -> dict:
+    """The partial d_word of one operand, read through its memo.
+
+    The memo maps sorted words to that operand's partials and is seeded with
+    {(): terms}.  A word is derived from its prefix word[:-1], itself
+    derived and memoized first, so each distinct (operand, word) costs one
+    _partial step.  Memoized dicts are shared: callers never mutate them."""
+    terms = memo.get(word)
+    if terms is None:
+        j = len(word) - 1
+        while word[:j] not in memo:
+            j -= 1
+        terms = memo[word[:j]]
+        for j in range(j, len(word)):
+            terms = memo[word[: j + 1]] = _partial(algebra, terms, word[j]) if terms else terms
     return terms
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero sums (the dict itself when it has none), as a
+    GrElement would keep them."""
+    return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
 
 
 # -- bidifferential operators -------------------------------------------------
@@ -157,24 +173,35 @@ class PolyDiffOp(_Sparse):
 
     def __call__(self, f: GrElement, g: GrElement) -> GrElement:
         """sum of coeff * (d_wl f) * (d_wr g), accumulated on exponent tuples
-        and payloads into one symbol."""
+        and payloads into one symbol.
+
+        Each operand's partials are memoized for this call only, so a word
+        shared by several terms (or a prefix of a longer word) is derived
+        once; ``symbol_star`` and ``star_assoc_check`` keep the memos across
+        their cochains through ``_eval``."""
         A = self.algebra
         if f.algebra is not A or g.algebra is not A:
             raise SignatureMismatch("operands live over a different algebra instance")
+        return f._with(self._eval({(): f.terms}, {(): g.terms}))
+
+    def _eval(self, pf: dict, pg: dict) -> dict:
+        """The operator on two operands given as partials memos (see
+        ``_apply_word``), as {exponent tuple: payload} with zeros dropped.
+        A coefficient that is the constant unit symbol multiplies nothing."""
+        A = self.algebra
         ops = A.field.ops
+        unit = {A.one_monomial: ops.one}
         out: dict = {}
         for (wl, wr), coeff in self.terms.items():
-            df = _apply_word(A, f.terms, wl)
+            df = _apply_word(A, pf, wl)
             if not df:
                 continue
-            dg = _apply_word(A, g.terms, wr)
+            dg = _apply_word(A, pg, wr)
             if not dg:
                 continue
-            cdf = [(tuple(map(add, ec, ef)), ops.mul(c, cf))
-                   for ec, c in coeff.terms.items() for ef, cf in df.items()]
-            add_terms(out, ((tuple(map(add, e1, eg)), ops.mul(c1, cg))
-                            for e1, c1 in cdf for eg, cg in dg.items()), ops.add)
-        return f._with(out)
+            cdf = df if coeff.terms == unit else _mul_terms(ops, coeff.terms, df)
+            _mul_terms(ops, cdf, dg, out)
+        return _nonzero(out)
 
     def __add__(self, other):
         if not self._check(other):
@@ -300,6 +327,12 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
     Operands over an hbar algebra are lifted to halg first, where the
     truncation of their products must be halg's; slot j of such a payload
     then moves to slot j + k.
+
+    Each operand's partials are memoized once for this call and shared by
+    all orders 1..N (see ``PolyDiffOp._eval``).  Order k applies
+    d_y^kappa with |kappa| = k to f, so when f's y exponents are D powers
+    (nonnegative) every order past f's largest total y-degree is zero and
+    is not evaluated; the result still lives over halg, of order N.
     """
     algebra = f.algebra
     if g.algebra is not algebra:
@@ -317,10 +350,14 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
         src, f, g = halg, lift_symbol(f, halg), lift_symbol(g, halg)
     coeffs, slots = src.field.ops.coeffs, hfield.slots
     zero, plus = hfield.base.ops.zero, hfield.base.ops.add
-    orders = [f * g] + [star_cochain(src, k)(f, g) for k in range(1, min(N, slots - 1) + 1)]
+    n = src.signature.n
+    top = max((sum(e[-n:]) if min(e[-n:]) >= 0 else N for e in f.terms), default=0)
+    pf, pg = {(): f.terms}, {(): g.terms}
+    orders = [(f * g).terms]
+    orders += [star_cochain(src, k)._eval(pf, pg) for k in range(1, min(N, slots - 1, top) + 1)]
     rows: dict = {}
-    for k, term in enumerate(orders):
-        for e, c in term.terms.items():
+    for k, terms in enumerate(orders):
+        for e, c in terms.items():
             row = rows.setdefault(e, [zero] * slots)
             for j, cj in enumerate(coeffs(c)[: slots - k], start=k):
                 if cj:
@@ -422,30 +459,46 @@ def star_assoc_check(cochains, triples) -> DefectReport:
     sum_{i+j=s} m_i(m_j(f,g),h) - m_i(f,m_j(g,h)) with m_0 the commutative
     product.  Reports the first nonzero order with its residual, scanning
     triples in the order given.  The inner products m_j(f,g) and m_j(g,h)
-    are evaluated once per triple.  Each order's defect is accumulated on
-    payloads, in one {exponent tuple: payload} dict through the field's
-    ``ops.add`` and ``ops.neg``, and one GrElement is built per order; the
-    residual is that GrElement, never zero.
+    are evaluated once per triple.
+
+    Within a triple every operand (f, g, h, and each m_j(f,g) and m_j(g,h),
+    m_0 included) is a {exponent tuple: payload} dict with its own partials
+    memo, which every PolyDiffOp over the triple's algebra reads through
+    ``PolyDiffOp._eval``; the memos live for that triple only.  Any other
+    cochain is called on GrElements built from those dicts.  Each order's
+    defect is accumulated on payloads through the field's ``ops.add`` and
+    ``ops.neg``, and one GrElement is built per order; the residual is that
+    GrElement, never zero.
     """
     cochains = list(cochains)
     N = len(cochains)
     triples = list(triples)
 
-    def ev(k, u, v):
-        return u * v if k == 0 else cochains[k - 1](u, v)
-
     for idx, (f, g, h) in enumerate(triples):
-        ops = f.algebra.field.ops
+        A = f.algebra
+        if g.algebra is not A or h.algebra is not A:
+            raise SignatureMismatch("operands live over different algebras")
+        ops = A.field.ops
         plus, neg = ops.add, ops.neg
-        inner: dict[int, tuple[GrElement, GrElement]] = {}
+
+        def ev(k, pu, pv):
+            if k == 0:
+                return _nonzero(_mul_terms(ops, pu[()], pv[()]))
+            m = cochains[k - 1]
+            if isinstance(m, PolyDiffOp) and m.algebra is A:
+                return m._eval(pu, pv)
+            return m(f._with(pu[()]), f._with(pv[()])).terms
+
+        pf, pg, ph = {(): f.terms}, {(): g.terms}, {(): h.terms}
+        inner: dict[int, tuple[dict, dict]] = {}
         for s in range(1, N + 1):
             acc: dict = {}
             for i in range(s + 1):
                 if s - i not in inner:
-                    inner[s - i] = ev(s - i, f, g), ev(s - i, g, h)
-                fg, gh = inner[s - i]
-                add_terms(acc, ev(i, fg, h).terms.items(), plus)
-                add_terms(acc, ((e, neg(c)) for e, c in ev(i, f, gh).terms.items()), plus)
+                    inner[s - i] = {(): ev(s - i, pf, pg)}, {(): ev(s - i, pg, ph)}
+                pfg, pgh = inner[s - i]
+                add_terms(acc, ev(i, pfg, ph).items(), plus)
+                add_terms(acc, ((e, neg(c)) for e, c in ev(i, pf, pgh).items()), plus)
             defect = f._with(acc)
             if not defect.is_zero:
                 return DefectReport(N, len(triples), s, idx, defect)

@@ -97,11 +97,16 @@ def full_symbol(P: Element) -> GrElement:
 def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
-    # accumulated on exponent tuples and payloads, as in WeylAlgebra.mul
-    ops = u.algebra.field.ops
-    pairs = ((tuple(map(add, e1, e2)), ops.mul(c1, c2))
-             for e1, c1 in u.terms.items() for e2, c2 in v.terms.items())
-    return u._with(add_terms({}, pairs, ops.add))
+    return u._with(_mul_terms(u.algebra.field.ops, u.terms, v.terms))
+
+
+def _mul_terms(ops, u: dict, v: dict, out: dict | None = None) -> dict:
+    """gr_mul on {exponent tuple: payload} dicts, accumulated as in
+    WeylAlgebra.mul and added into out (a new dict by default); a zero sum
+    stays for the caller's zero filter."""
+    pmul = ops.mul
+    pairs = ((tuple(map(add, e1, e2)), pmul(c1, c2)) for e1, c1 in u.items() for e2, c2 in v.items())
+    return add_terms({} if out is None else out, pairs, ops.add)
 
 
 @dataclass(frozen=True)

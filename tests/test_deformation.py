@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from expweyl import deformation
 from expweyl.algebra import WeylAlgebra
+from expweyl.config import SessionConfig, build_algebra
 from expweyl.deformation import (
     AntisymMatrix,
     PolyDiffOp,
@@ -20,6 +22,7 @@ from expweyl.deformation import (
     lift_symbol,
     mc_residual,
     poisson_exp,
+    poisson_exp_op,
     poisson_std,
     poisson_std_op,
     rank2_cochain,
@@ -263,6 +266,136 @@ def test_non_cocycle_first_order_defect():
     assert rep.first_nonzero == 1
     assert rep.triple_index == 0
     assert rep.residual == 2 * full_symbol(A.one)
+
+
+# -- memoized partials --------------------------------------------------------
+
+EVAL_SIGNATURES = {
+    "rank1": {},
+    "rank2": {"rank": 2, "t": ((0, 1),)},
+    "n2_tower": {"n": 2, "p": (2, 3), "t": ((1,), (0,))},
+}
+
+
+def chained_partial(f, word):
+    for gen in word:
+        f = gr_partial(f, gen)
+    return f
+
+
+def sum_over_words(op, f, g):
+    """sum of coeff * (d_wl f) * (d_wr g), one gr_partial at a time."""
+    out = GrElement(op.algebra, {})
+    for (wl, wr), coeff in op.terms.items():
+        out = out + coeff * chained_partial(f, wl) * chained_partial(g, wr)
+    return out
+
+
+@pytest.mark.parametrize("hbar", [False, True], ids=["plain", "hbar"])
+@pytest.mark.parametrize("name", EVAL_SIGNATURES)
+def test_the_memoized_evaluator_matches_the_sum_over_words(name, hbar):
+    """Unit coefficients (star_cochain(A, 1)), constant ones (k = 2, 3) and
+    E_i symbols (poisson_exp_op) all agree with chained gr_partial."""
+    A = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
+    rng = random.Random(f"words:{name}:{hbar}")
+    B = A.with_hbar(2) if hbar else A
+
+    def operand(extra):
+        s = lift_symbol(random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(extra), B)
+        return s * (1 + B.field.hbar) if hbar else s
+
+    ops = [star_cochain(B, k) for k in (1, 2, 3)] + [poisson_exp_op(B)]
+    nonzero = [0] * len(ops)
+    for _ in range(6):
+        f, g = operand(A.x(1) * A.D(1, 3)), operand(A.x(1, 3))
+        for i, op in enumerate(ops):
+            got = op(f, g)
+            assert got == sum_over_words(op, f, g)
+            nonzero[i] += not got.is_zero
+    assert all(nonzero)
+
+
+def plain(cochains):
+    return [lambda u, v, m=m: m(u, v) for m in cochains]
+
+
+@pytest.mark.parametrize("name", EVAL_SIGNATURES)
+def test_star_assoc_check_reports_alike_for_operators_and_plain_callables(name):
+    """Operators read shared partials memos; callables get GrElements, whose
+    zero sums are dropped.  Triples (f, f, h) under the antisymmetric bracket
+    give inner products that cancel to zero, so the residual's term order
+    shows whether the dicts kept those zero sums."""
+    A = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
+    x, y = full_symbol(A.x(1)), full_symbol(A.D(1))
+    rng = random.Random(f"plain:{name}")
+    m1, m2, m3 = (star_cochain(A, k) for k in (1, 2, 3))
+    bad = PolyDiffOp(A, [((("y", 1), ("y", 1)), (("x", 1),), 1)])
+    triples = [(y, y, x)]
+    for _ in range(8):
+        f, g, h = (random_symbol(A, rng, max_terms=3, bound=2) for _ in range(3))
+        triples += [(f, g, h), (f, f, h)]
+    cochain_lists = (
+        [m1, m2, m3], [m1, m2 * 2], [m1, m2 + bad], [bad], [poisson_exp_op(A), m2],
+        [poisson_std_op(A), m2 + bad],
+    )
+    failing = 0
+    for cochains in cochain_lists:
+        for triple in triples:
+            want = star_assoc_check(cochains, [triple])
+            for other in (plain(cochains), plain(cochains[:1]) + cochains[1:]):
+                got = star_assoc_check(other, [triple])
+                assert (got.max_order, got.triples, got.first_nonzero, got.triple_index) == (
+                    want.max_order, want.triples, want.first_nonzero, want.triple_index)
+                if want.residual is None:
+                    assert got.residual is None
+                else:
+                    assert list(got.residual.terms.items()) == list(want.residual.terms.items())
+            failing += not want.associative
+    assert failing >= len(triples)
+
+
+def count_partial_steps(monkeypatch):
+    """Record each _partial step as (input terms, generator); holding the
+    input dicts keeps their ids distinct for the whole test."""
+    steps = []
+    real = deformation._partial
+
+    def counting(algebra, terms, gen):
+        steps.append((terms, gen))
+        return real(algebra, terms, gen)
+
+    monkeypatch.setattr(deformation, "_partial", counting)
+    return steps
+
+
+def distinct_steps(steps):
+    return len({(id(terms), gen) for terms, gen in steps})
+
+
+def test_symbol_star_derives_each_operand_word_once(monkeypatch):
+    A = build_algebra(SessionConfig(**EVAL_SIGNATURES["n2_tower"]))
+    f = full_symbol(A.D(1, 4) * A.D(2, 4) + A.x(1) * A.D(1, 2) * A.D(2))
+    g = full_symbol(A.x(1, 4) * A.x(2, 4) + A.x(2, 3))
+    words = [w for k in range(1, 5) for w in star_cochain(A, k).terms]
+
+    def prefixes(side):
+        return {w[side][:j] for w in words for j in range(1, len(w[side]) + 1)}
+
+    steps = count_partial_steps(monkeypatch)
+    star = symbol_star(f, g, 4)
+    assert not star.is_zero
+    assert distinct_steps(steps) == len(steps) <= len(prefixes(0)) + len(prefixes(1))
+
+
+def test_star_assoc_check_derives_each_operand_word_once_per_triple(monkeypatch):
+    A = build_algebra(SessionConfig(**EVAL_SIGNATURES["n2_tower"]))
+    f = full_symbol(A.D(1, 2) * A.D(2, 2) + A.x(1, 2) * A.D(2))
+    g = full_symbol(A.x(1, 2) * A.D(1, 2) * A.x(2) * A.D(2, 2))
+    h = full_symbol(A.x(1, 3) * A.x(2, 2) + A.E(1) * A.x(2))
+    cochains = [star_cochain(A, 1), star_cochain(A, 2)]
+    steps = count_partial_steps(monkeypatch)
+    assert star_assoc_check(cochains, [(f, g, h)]).associative
+    assert steps and distinct_steps(steps) == len(steps)
 
 
 # -- gerstenhaber and maurer-cartan ------------------------------------------

@@ -15,13 +15,14 @@ import pytest
 from expweyl.algebra import WeylAlgebra
 from expweyl.deformation import (
     PolyDiffOp,
+    gr_hbar_coefficient,
     lift_symbol,
     star_assoc_check,
     star_cochain,
     symbol_star,
 )
 from expweyl.errors import IntegrationFailed, SignatureMismatch
-from expweyl.grading import full_symbol
+from expweyl.grading import GrElement, full_symbol
 from expweyl.lie import Cochain, ad_degree, borel, ce_differential, euler_integrate, sl2like
 from expweyl.sampling import random_cochain, random_element, random_weyl_element
 
@@ -125,6 +126,23 @@ def test_symbol_star_over_an_hbar_algebra_matches_the_series_formula(N, rank):
         g = full_symbol(random_element(H1, rng, max_terms=3, bound=2)) * hb
         for halg in (None, H1, A.with_hbar(3), A.with_hbar(N + 1)):
             assert symbol_star(f, g, N, halg) == old_symbol_star(f, g, N, halg)
+
+
+def test_symbol_star_evaluates_no_order_past_the_left_y_degree():
+    """Order k takes k y-partials of f, so past f's largest total y-degree
+    every order is zero: its cochain is not even built, and the result still
+    has order N.  A hand-built y^-1 never runs out of y-partials."""
+    A = WeylAlgebra(n=2, p=(2, 2), t=((0,), (0,)))
+    f = full_symbol(A.D(1, 2) * A.x(2) + A.D(1) * A.D(2))
+    g = full_symbol(A.x(1, 4) * A.x(2, 3) + A.x(1, 2))
+    star = symbol_star(f, g, 6)
+    assert set(A._star_cache) == {1, 2} and star.algebra.field.hbar_order == 6
+    assert star == old_symbol_star(f, g, 6)
+    B = WeylAlgebra()
+    inverse = GrElement(B, {B.one_monomial[:-1] + (-1,): 1})
+    g = full_symbol(B.x(1, 5))
+    assert symbol_star(inverse, g, 4) == old_symbol_star(inverse, g, 4)
+    assert not gr_hbar_coefficient(symbol_star(inverse, g, 4), 4, B).is_zero
 
 
 # -- star_assoc_check ------------------------------------------------------------

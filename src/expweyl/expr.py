@@ -386,7 +386,7 @@ def _scalar_addends(s: Scalar):
     since the grammar has no division to express it.
     """
     addends = []
-    for k in range(len(s.coeffs)):
+    for k in range(s.field.slots):
         data = s.payload_data(k)
         if data[0] == "rat":
             q = data[1]

@@ -10,20 +10,21 @@ off above a fixed order, with componentwise addition, convolution product, and
 division by series with invertible constant term.
 
 Representation: a scalar holds one payload, and its field's ``ops`` is the
-only arithmetic on it.  In a field without an hbar order the payload is a
-slot payload.  At every rank a constant value is a Python int when it is
-integral and otherwise a _Q, a slotted rational in lowest terms; at rank >= 2
-a value with symbols is a _RatPoly, a numerator/denominator pair over
-Z[g_2, ..., g_r] in the canonical form of that UFD's fraction field: the two
-are coprime, integer content included, and the denominator is a positive
-Python int or a polynomial with positive lex-leading coefficient.  A side
-with symbols is a _Poly, a dict from exponent tuples to Python ints.  In an
-hbar field the payload is a _Series, a tuple of slot payloads, one per power
-of hbar.  Each value has one payload, so structural equality is
-canonical-form equality, and every zero payload is falsy, so a zero test is a
-truth test.  Z[g] arithmetic runs on the _Poly dicts here; sympy's sparse
-ring computes only the gcds where neither side's primitive part divides the
-other.
+only arithmetic on it.  A slot payload is a value of the hbar-free field.  At
+every rank a constant value is a Python int when it is integral and otherwise
+a _Q, a slotted rational in lowest terms; at rank >= 2 a value with symbols is
+a _RatPoly, a numerator/denominator pair over Z[g_2, ..., g_r] in the
+canonical form of that UFD's fraction field: the two are coprime, integer
+content included, and the denominator is a positive Python int or a
+polynomial with positive lex-leading coefficient.  A side with symbols is a
+_Poly, a dict from exponent tuples to Python ints.  In an hbar field a value
+without an hbar part is its slot payload too, and a value with one is a
+_Series, a tuple of slot payloads, one per power of hbar.  Each value has
+one payload, so structural equality is canonical-form equality, == and hash
+agree with ints and Fractions, and zero is always the int 0, so a zero test
+is a truth test.  Z[g] arithmetic runs on the _Poly dicts here; sympy's
+sparse ring computes only the gcds where neither side's primitive part
+divides the other.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def _qdiv(x, y):
 
 
 class _SlotOps:
-    """What the two slot payload kinds share: subtraction, the one-slot layout
-    and the int/_Q constants."""
+    """What every payload arithmetic shares: subtraction and the int/_Q
+    constants; the one-slot layout for the two slot payload kinds."""
 
     zero = 0
     one = 1
@@ -159,6 +160,7 @@ class _SlotOps:
         return _qdiv(num, den)
 
 
+# The slot ops stay plain methods: perfbench's tracer wraps them and replays cls.__dict__[op](ops, x, y).
 class _RationalOps(_SlotOps):
     """Rank-1 payloads: a Python int when the value is integral, otherwise a
     _Q.  Zero is the int 0, which is falsy: ``not c`` is the zero test.
@@ -342,7 +344,9 @@ class _RatPolyOps(_SlotOps):
     g = gcd(b, d) first and then only the gcd of the numerator with g
     (Henrici).  ``ring``, sympy's sparse ring over pure-Python ints, takes
     only the gcds that _cof cannot get by exact division.  add, mul and div
-    call none of each other.
+    call none of each other.  add and mul read the pairs inline; where both
+    denominators are ints, add takes their gcd directly and mul takes no
+    content gcd with a denominator of 1.
     """
 
     def __init__(self, rank: int):
@@ -364,9 +368,14 @@ class _RatPolyOps(_SlotOps):
             return y
         if not y:
             return x
-        (a, b), (c, d) = _parts(x), _parts(y)
-        g, b, d = _cof(b, d, self.ring)
-        t = _sum(_prod(a, d), _prod(c, b))
+        a, b = (x.num, x.den) if type(x) is _RatPoly else (x.numerator, x.denominator)
+        c, d = (y.num, y.den) if type(y) is _RatPoly else (y.numerator, y.denominator)
+        if type(b) is int and type(d) is int:
+            g = gcd(b, d)
+            b, d = b // g, d // g
+        else:
+            g, b, d = _cof(b, d, self.ring)
+        t = _sum(a if d == 1 else _prod(a, d), c if b == 1 else _prod(c, b))
         if not t:
             return 0
         den = _prod(b, d)
@@ -383,12 +392,18 @@ class _RatPolyOps(_SlotOps):
             return _qmul(x, y)
         if not x or not y:
             return 0
-        (a, b), (c, d) = _parts(x), _parts(y)
+        a, b = (x.num, x.den) if type(x) is _RatPoly else (x.numerator, x.denominator)
+        c, d = (y.num, y.den) if type(y) is _RatPoly else (y.numerator, y.denominator)
         if type(b) is int and type(d) is int:
             # what _cross computes here: the denominator stays a positive int
             # and the product of the symbol-bearing numerators keeps a symbol
-            g1, g2 = _content_gcd(d, a), _content_gcd(b, c)
-            return _RatPoly(_prod(_exquo(a, g1), _exquo(c, g2)), (b // g2) * (d // g1))
+            if d != 1:
+                g = _content_gcd(d, a)
+                a, d = _exquo(a, g), d // g
+            if b != 1:
+                g = _content_gcd(b, c)
+                c, b = _exquo(c, g), b // g
+            return _RatPoly(_prod(a, c), b * d)
         return self._cross(a, b, c, d)
 
     def div(self, x, y):
@@ -406,54 +421,66 @@ class _RatPolyOps(_SlotOps):
 
 
 class _Series(tuple):
-    """Payload of an hbar field, one slot payload per power of hbar.  Falsy
-    exactly when every slot is zero; without an hbar part it hashes like its
-    constant term, so == and hash agree with ints and Fractions."""
+    """Payload of an hbar-field value with an hbar part: one slot payload per
+    power of hbar, some slot above 0 nonzero.  A value without one is its slot
+    payload, so a _Series is never zero and never equal to a constant."""
 
     __slots__ = ()
 
-    def __bool__(self):
-        return any(self)
 
-    def __hash__(self):
-        return tuple.__hash__(self) if any(self[1:]) else hash(self[0])
+def _series(slots):
+    """The payload with these slots: the constant slot when no slot above it is nonzero."""
+    return _Series(slots) if any(slots[1:]) else slots[0]
 
 
-class _SeriesOps:
+class _SeriesOps(_SlotOps):
     """Payload arithmetic of an hbar field: truncated series over the slot ops.
 
-    Addition is componentwise, the product is the convolution cut off at the
-    last slot, and division multiplies by the inverse series, which exists
-    when the constant term is nonzero.
+    Two slot payloads go to the slot ops.  A nonzero slot payload times a
+    _Series scales its slots, and the slot field has no zero divisors, so the
+    hbar part stays nonzero.  Otherwise addition is componentwise and the
+    product is the convolution cut off at the last slot, both over the
+    nonzero slots only, and a result whose hbar part cancels is its constant
+    slot.  Division multiplies by the inverse series, which exists when the
+    constant term is nonzero.
     """
 
     def __init__(self, ops, slots: int):
         self.ops = ops
         self.slots = slots
-        self.zero = self.lift(())
-        self.one = self.lift((ops.one,))
-        self.hbar = self.lift((ops.zero, ops.one)[:slots])
+        self.hbar = self.lift((0, 1)[:slots])
 
-    def coeffs(self, x: _Series) -> tuple:
-        return tuple(x)
+    def coeffs(self, x) -> tuple:
+        return tuple(x) if type(x) is _Series else (x,) + (0,) * (self.slots - 1)
 
-    def lift(self, coeffs: tuple) -> _Series:
-        """The series with these leading slots, zero above them."""
-        return _Series(coeffs + (self.ops.zero,) * (self.slots - len(coeffs)))
+    def lift(self, coeffs: tuple):
+        """The payload with these leading slots, zero above them."""
+        return _series(coeffs + (0,) * (self.slots - len(coeffs)))
 
-    def add(self, x: _Series, y: _Series) -> _Series:
-        return _Series(map(self.ops.add, x, y))
+    def add(self, x, y):
+        ops = self.ops
+        if type(x) is not _Series:
+            if type(y) is not _Series:
+                return ops.add(x, y)
+            return _Series((ops.add(x, y[0]), *y[1:]))
+        if type(y) is not _Series:
+            return _Series((ops.add(x[0], y), *x[1:]))
+        return _series(tuple(ops.add(a, b) if a and b else a or b for a, b in zip(x, y)))
 
-    def neg(self, x: _Series) -> _Series:
-        return _Series(map(self.ops.neg, x))
+    def neg(self, x):
+        return _Series(map(self.ops.neg, x)) if type(x) is _Series else self.ops.neg(x)
 
-    def sub(self, x: _Series, y: _Series) -> _Series:
-        return _Series(map(self.ops.sub, x, y))
-
-    def mul(self, x: _Series, y: _Series) -> _Series:
+    def mul(self, x, y):
+        ops = self.ops
+        if type(x) is not _Series:
+            if type(y) is not _Series:
+                return ops.mul(x, y)
+            return _Series([ops.mul(x, yj) if yj else 0 for yj in y]) if x else 0
+        if type(y) is not _Series:
+            return _Series([ops.mul(xi, y) if xi else 0 for xi in x]) if y else 0
         # pair only the nonzero slots, and stop at the truncation order
-        ops, slots = self.ops, self.slots
-        out = [ops.zero] * slots
+        slots = self.slots
+        out = [0] * slots
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if xi:
@@ -461,24 +488,25 @@ class _SeriesOps:
                     k = i + j
                     if k >= slots:
                         break
-                    out[k] = ops.add(out[k], ops.mul(xi, yj))
-        return _Series(out)
+                    v = ops.mul(xi, yj)
+                    out[k] = ops.add(out[k], v) if out[k] else v
+        return _series(out)
 
-    def div(self, x: _Series, y: _Series) -> _Series:
-        ops = self.ops
-        if not y:
-            raise DivisionByZero("scalar division by zero")
+    def div(self, x, y):
+        ops, y = self.ops, self.coeffs(y)
         y0 = y[0]
         if not y0:
-            raise NonInvertibleSeries("series has zero constant term")
-        inv = [ops.div(ops.one, y0)]
+            if any(y):
+                raise NonInvertibleSeries("series has zero constant term")
+            raise DivisionByZero("scalar division by zero")
+        inv = [ops.div(1, y0)]
         for k in range(1, self.slots):
-            acc = ops.zero
+            acc = 0
             for j in range(1, k + 1):
                 if y[j]:
                     acc = ops.add(acc, ops.mul(y[j], inv[k - j]))
             inv.append(ops.neg(ops.div(acc, y0)))
-        return self.mul(x, _Series(inv))
+        return self.mul(x, _series(inv))
 
 
 def power(x, k: int, one):
@@ -597,7 +625,7 @@ class Scalar:
     @property
     def is_unit(self) -> bool:
         """Invertible: nonzero constant term."""
-        return bool(self.coeffs[0])
+        return bool(self.field.hbar_coefficient(self.pay, 0))
 
     def hbar_coefficient(self, k: int) -> "Scalar":
         """Coefficient of hbar^k, as a scalar of the hbar-free base field."""
@@ -605,11 +633,11 @@ class Scalar:
 
     def as_rational(self) -> Fraction | None:
         """The value as a plain rational, if it is one; else None."""
-        c0, *rest = self.coeffs
-        if any(rest) or isinstance(c0, _RatPoly):
-            # canonical pairs are never constant (they would be demoted)
+        p = self.pay
+        if type(p) is _Series or type(p) is _RatPoly:
+            # canonical payloads: a constant is an int or a _Q
             return None
-        return Fraction(c0.numerator, c0.denominator)
+        return Fraction(p.numerator, p.denominator)
 
     def payload_data(self, k: int):
         """Slot-k payload as primitive data for renderers.
@@ -618,8 +646,8 @@ class Scalar:
         ("poly", num_terms, den_terms) for symbolic ones, where each terms
         tuple lists (exponents over g_2.., coefficient) descending.
         """
-        p = self.coeffs[k]
-        if isinstance(p, _RatPoly):
+        p = self.field.hbar_coefficient(self.pay, k)
+        if type(p) is _RatPoly:
             # den primitive, num over den's integer content
             c = p.den if type(p.den) is int else gcd(*p.den.values())
             one = (0,) * (self.field.rank - 1)
@@ -697,7 +725,7 @@ class ScalarField:
         the hbar-free base field."""
         if not 0 <= k < self.slots:
             raise HbarModeOff(f"no hbar^{k} slot in this field")
-        return self.ops.coeffs(pay)[k]
+        return pay[k] if type(pay) is _Series else 0 if k else pay
 
     def from_hbar_coefficients(self, cs) -> Scalar:
         """sum_k cs[k] * hbar^k for scalars cs[k] of the base field."""
@@ -722,10 +750,9 @@ class ScalarField:
         return None
 
     def payload(self, value):
-        """A term value as a payload of this field: a Scalar (of this field), a
-        Fraction or, with hbar, an int is coerced; any other value, an int
-        without hbar too, is a payload already."""
-        if isinstance(value, (Scalar, Fraction)) or (type(value) is int and self.hbar_order is not None):
+        """A term value as a payload of this field: a Scalar (of this field) or
+        a Fraction is coerced; any other value, an int too, is a payload already."""
+        if isinstance(value, (Scalar, Fraction)):
             return self.coerce(value).pay
         return value
 
@@ -737,7 +764,7 @@ class ScalarField:
             num, den = value, 1
         else:
             num, den = value.numerator, value.denominator
-        s = Scalar(self, self.ops.lift((self._slot_ops.rational(num, den),)))
+        s = Scalar(self, self.ops.rational(num, den))
         if isinstance(value, int) and -64 <= value <= 256:
             self._int_cache[value] = s
         return s
@@ -748,7 +775,7 @@ class ScalarField:
             raise SignatureMismatch(f"generator index {j} out of range 1..{self.rank}")
         if j == 1:
             return self.one
-        return Scalar(self, self.ops.lift((self._slot_ops.gen(j),)))
+        return Scalar(self, self._slot_ops.gen(j))
 
     def embed(self, coords: tuple[int, ...]) -> Scalar:
         """Lattice embedding of an int tuple: sum of coords[j] * g_j (g_1 = 1)."""

@@ -12,6 +12,7 @@ import pytest
 from expweyl import cli
 from expweyl.cli import main
 from expweyl.config import SessionConfig, build_algebra
+from expweyl.scalars import _SeriesOps
 
 
 def run(capsys, *argv):
@@ -142,6 +143,23 @@ def test_power_of_a_derivative_through_the_interpreter():
         timeout=20,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"D_1^100000\n", b"")
+
+
+def test_a_high_star_order_copies_at_most_one_series(capsys, monkeypatch):
+    """Printing a scalar reads one slot per power of hbar, so a star product
+    at order N copies at most N + 1 slots, not a whole series per slot."""
+    copied = []
+    coeffs = _SeriesOps.coeffs
+
+    def counted(self, x):
+        out = coeffs(self, x)
+        copied.append(len(out))
+        return out
+
+    monkeypatch.setattr(_SeriesOps, "coeffs", counted)
+    order = 2000
+    assert run(capsys, "star", "x_1", "D_1", "--order", str(order)) == (0, "x_1*y_1\n", "")
+    assert sum(copied) <= order + 1
 
 
 # -- configuration -------------------------------------------------------------

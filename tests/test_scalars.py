@@ -20,7 +20,7 @@ from expweyl.algebra import WeylAlgebra
 from expweyl.expr import parse
 from expweyl.linalg import combination
 from expweyl.sampling import random_element, random_scalar
-from expweyl.scalars import _Q, _RatPoly
+from expweyl.scalars import _Q, _RatPoly, _Series
 
 F1 = ScalarField(rank=1)
 F2 = ScalarField(rank=2)
@@ -197,8 +197,9 @@ def test_text_parses_back(name, data):
 
 # -- payload invariants --------------------------------------------------------
 # Rank-1 payloads are ints exactly when the value is integral, every zero
-# payload is falsy, and the hbar convolution skips zero slots.  The oracles
-# below are fractions.Fraction arithmetic, sharing no code with the payloads.
+# payload is falsy, and an hbar payload is a _Series exactly when it has an
+# hbar part.  The oracles below are fractions.Fraction arithmetic, sharing no
+# code with the payloads.
 
 def _payload_fraction(p) -> Fraction:
     return Fraction(int(p.numerator), int(p.denominator))
@@ -274,21 +275,62 @@ def _naive_convolution(x, y, slots):
     return out
 
 
+def _naive_inverse(y, slots):
+    inv = [1 / y[0]]
+    for k in range(1, slots):
+        inv.append(-sum(y[j] * inv[k - j] for j in range(1, k + 1)) / y[0])
+    return inv
+
+
+def _series_operands(data):
+    """An hbar field of order 0..4 and two naive slot lists of Fractions, with
+    zero slots often, so that hbar parts vanish and cancel."""
+    order = data.draw(st.integers(min_value=0, max_value=4))
+    slot_values = st.one_of(st.just(Fraction(0)), rationals())
+    x, y = (data.draw(st.lists(slot_values, min_size=order + 1, max_size=order + 1)) for _ in range(2))
+    return F1.with_hbar(order), x, y
+
+
+def _slot_payloads(field, values) -> tuple:
+    return tuple(field.base.from_rational(v).pay for v in values)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_series_product_matches_naive_convolution(data):
-    order = data.draw(st.integers(min_value=0, max_value=4))
-    field = F1.with_hbar(order)
-    slot_values = st.one_of(st.just(Fraction(0)), rationals())
-    x = data.draw(st.lists(slot_values, min_size=order + 1, max_size=order + 1))
-    y = data.draw(st.lists(slot_values, min_size=order + 1, max_size=order + 1))
-
-    def payloads(values):
-        return tuple(field.from_rational(v).coeffs[0] for v in values)
-
-    got = field.ops.mul(payloads(x), payloads(y))
-    assert [_payload_fraction(p) for p in got] == _naive_convolution(x, y, order + 1)
+    field, x, y = _series_operands(data)
+    ops = field.ops
+    got = ops.coeffs(ops.mul(ops.lift(_slot_payloads(field, x)), ops.lift(_slot_payloads(field, y))))
+    assert [_payload_fraction(p) for p in got] == _naive_convolution(x, y, field.slots)
     assert all(bool(p) == (_payload_fraction(p) != 0) for p in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_series_payloads_are_canonical_and_match_the_naive_oracle(data):
+    """Every op's result is a _Series exactly when its hbar part is nonzero;
+    otherwise it is the slot payload itself."""
+    field, x, y = _series_operands(data)
+    ops, n = field.ops, field.slots
+    a, b = ops.lift(_slot_payloads(field, x)), ops.lift(_slot_payloads(field, y))
+    want = {
+        "add": [u + v for u, v in zip(x, y)],
+        "sub": [u - v for u, v in zip(x, y)],
+        "neg": [-u for u in x],
+        "mul": _naive_convolution(x, y, n),
+    }
+    got = {"add": ops.add(a, b), "sub": ops.sub(a, b), "neg": ops.neg(a), "mul": ops.mul(a, b)}
+    if y[0]:
+        want["div"] = _naive_convolution(x, _naive_inverse(y, n), n)
+        got["div"] = ops.div(a, b)
+    else:
+        with pytest.raises(NonInvertibleSeries if any(y) else DivisionByZero):
+            ops.div(a, b)
+    for op, pay in got.items():
+        assert [_payload_fraction(p) for p in ops.coeffs(pay)] == want[op], op
+        assert (type(pay) is _Series) == any(want[op][1:]), op
+        if type(pay) is not _Series:
+            assert type(pay) in (int, _Q) and pay == want[op][0] and hash(pay) == hash(want[op][0])
 
 
 def test_equal_scalars_hash_equal_across_construction_paths():
@@ -302,7 +344,13 @@ def test_equal_scalars_hash_equal_across_construction_paths():
     hb = FH.hbar
     hbar = [FH.one + g2h * hb, (FH.one + g2h * hb) * (FH.one - hb) / (FH.one - hb),
             g2h * hb + 1, hb * g2h - FH.zero + FH.one]
-    for group in (rank1, rank2, hbar):
+    F1H = F1.with_hbar(2)
+    hb1 = F1H.hbar
+    # the hbar part of (1 + hbar)(1 - hbar + hbar^2) cancels at order 2: the payload is the int 1
+    cancelled = [F1H.one, (F1H.one + hb1) * (F1H.one - hb1 + hb1 * hb1), F1H.from_rational(Fraction(3, 3))]
+    assert type(cancelled[1].pay) is int and cancelled[1] == 1 == Fraction(1)
+    assert hash(cancelled[1]) == hash(1) == hash(Fraction(1))
+    for group in (rank1, rank2, hbar, cancelled):
         for s in group[1:]:
             assert s == group[0]
             assert hash(s) == hash(group[0])

@@ -73,8 +73,12 @@ def stored_form(A, result) -> bool:
             ok = all(is_exponent_tuple(A, e) for e in key)
         else:
             ok = is_exponent_tuple(A, key)
-        kinds = (_Series,) if A.field.hbar_order is not None else (int, _Q, _RatPoly)
-        if not ok or type(value) not in kinds:
+        if type(value) is _Series:
+            # in an hbar field a value without an hbar part is its slot payload
+            ok = ok and A.field.hbar_order is not None and any(value[1:])
+        else:
+            ok = ok and type(value) in (int, _Q, _RatPoly)
+        if not ok:
             return False
     return True
 

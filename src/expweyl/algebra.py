@@ -22,8 +22,9 @@ exact for arbitrary lattice powers).  With the t-shift deformation switched on,
 the E rule instead differentiates exp(x^p e^{(t + hbar x) x}) truncated at the
 algebra's hbar order; everything downstream is unchanged.
 
-Each algebra caches, as plain (exponent tuple, payload) rows, the derivative
-of a function monomial in one variable (``_diff_cache``) and the whole
+Each algebra builds each variable's derivative rule once (``_rule``) and
+caches, as plain (exponent tuple, payload) rows, the derivative of a
+function monomial in one variable (``_diff_cache``) and the whole
 normal-ordered product D^d * f of a derivative multi-index and a function
 monomial, binomials included (``_diff_pow_cache``), so a product adds the
 left term's exponents to each row of one table and multiplies by its
@@ -170,9 +171,11 @@ class _Sparse:
         pay = algebra.field.payload
         self._set_terms({k: pay(v) for k, v in terms.items()})
 
-    def _set_terms(self, terms: Mapping) -> None:
-        """The zero filter: keep the terms with a nonzero payload."""
-        self.terms = {k: v for k, v in terms.items() if v}
+    def _set_terms(self, terms: dict) -> None:
+        """The zero filter: keep the terms with a nonzero payload.  A dict
+        without a zero is kept as it is, so callers pass one they no longer
+        mutate."""
+        self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
 
     def _owner(self):
         return self.algebra
@@ -180,8 +183,9 @@ class _Sparse:
     def _field(self) -> ScalarField:
         return self.algebra.field
 
-    def _with(self, terms: Mapping):
-        """An object with this one's owner data over payload terms, zeros dropped."""
+    def _with(self, terms: dict):
+        """An object with this one's owner data over payload terms, zeros
+        dropped; the object keeps a zero-free dict itself (see _set_terms)."""
         new = object.__new__(type(self))
         for name in self.__slots__:
             setattr(new, name, getattr(self, name))
@@ -347,7 +351,6 @@ class WeylAlgebra:
         self.one_monomial = (0,) * (2 * n * (r + 1))
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
-        self._embed_t = tuple(self.field.embed(ti) for ti in signature.t)
         # keyed by exponent tuples and holding plain data, no Monomial or Scalar:
         # derivatives by (i0, e), Leibniz products D^d * e by (e, d)
         self._diff_cache: dict[tuple[int, tuple[int, ...]], Pairs] = {}
@@ -364,13 +367,15 @@ class WeylAlgebra:
         # star_cochain(self, k) by k, built once per algebra
         self._star_cache: dict[int, object] = {}
         # payloads of hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
-        self._hbar_over_fact: tuple = (self.field.ops.one,)
+        hbar_over_fact = (self.field.ops.one,)
         if signature.t_shift:
             hb = self.field.hbar
-            self._hbar_over_fact = tuple(
+            hbar_over_fact = tuple(
                 (hb**k * self.field.from_rational(Fraction(1, math.factorial(k)))).pay
                 for k in range(signature.hbar_order + 1)
             )
+        # each variable's derivative rule, indexed by i0
+        self._rules = tuple(self._rule(i0, hbar_over_fact) for i0 in range(n))
 
     # -- deformed twins -------------------------------------------------------
 
@@ -469,54 +474,51 @@ class WeylAlgebra:
 
     # -- derivative rule --------------------------------------------------------
 
+    def _rule(self, i0: int, hbar_over_fact: tuple) -> tuple:
+        """Variable i0's derivative rule: the E rows as (exponent delta, payload
+        to scale by a_i), in the order of k and then of the factors p x^{p-1},
+        t x^p and 2 hbar x^{p+1}, each times hbar^k / k! (no t row when t_i
+        is 0); the slices of the beta and gamma rows; the delta that lowers
+        gamma."""
+        sig, field = self.signature, self.field
+        ops, r, p_i, t_i = field.ops, sig.rank, sig.p[i0], sig.t[i0]
+        b0, g0 = self.slot("beta", i0), self.slot("gamma", i0)
+
+        def delta(dgamma: int, t: tuple[int, ...]) -> tuple[int, ...]:
+            out = [0] * len(self.one_monomial)
+            out[b0 : b0 + r] = t
+            out[g0] = dgamma
+            return tuple(out)
+
+        factors = (p_i, field.embed(t_i).pay, ops.mul(ops.hbar, 2) if len(hbar_over_fact) > 1 else 0)
+        rows = []
+        for k, hk in enumerate(hbar_over_fact):
+            for j, c in enumerate(factors):
+                c = c if hk is ops.one else ops.mul(hk, c)
+                if c:
+                    rows.append((delta(p_i - 1 + j + 2 * k, t_i), c))
+        return tuple(rows), slice(b0, b0 + r), slice(g0, g0 + r), delta(-1, (0,) * r)
+
     def _diff_mono(self, i0: int, e: tuple[int, ...]) -> Pairs:
         """Derivative in variable i0 (0-based) of the function monomial with
-        exponents e."""
+        exponents e, by the variable's rule (``_rule``): the E rows scaled by
+        a_i, then beta times e and gamma times e with gamma lowered by one."""
         key = (i0, e)
         hit = self._diff_cache.get(key)
         if hit is not None:
             return hit
-        sig = self.signature
         field = self.field
-        ops = field.ops
-        pmul = ops.mul
-        out: list[tuple[tuple[int, ...], object]] = []
-        r = sig.rank
-        b0, g0 = self.slot("beta", i0), self.slot("gamma", i0)
+        pmul = field.ops.mul
+        e_rows, beta, gamma, down = self._rules[i0]
         a_i = e[i0]
-        beta_i = e[b0 : b0 + r]
-        gamma_i = e[g0 : g0 + r]
-
-        def shifted(dgamma: int, add_t: bool) -> tuple[int, ...]:
-            delta = [0] * len(e)
-            delta[g0] = dgamma
-            if add_t:
-                delta[b0 : b0 + r] = sig.t[i0]
-            return tuple(map(add, e, delta))
-
-        if a_i:
-            p_i = sig.p[i0]
-            a_pay = field.from_rational(a_i).pay
-            p_pay = field.from_rational(p_i).pay
-            t_pay = self._embed_t[i0].pay
-            N = len(self._hbar_over_fact) - 1
-            two_hbar = pmul(ops.hbar, field.from_rational(2).pay) if N else None
-            for k, hk in enumerate(self._hbar_over_fact):
-                base = pmul(a_pay, hk)
-                out.append((shifted(p_i - 1 + 2 * k, True), pmul(base, p_pay)))
-                if t_pay:
-                    out.append((shifted(p_i + 2 * k, True), pmul(base, t_pay)))
-                if k < N:
-                    out.append((shifted(p_i + 1 + 2 * k, True), pmul(base, two_hbar)))
-        if any(beta_i):
-            out.append((e, field.embed(beta_i).pay))
-        if any(gamma_i):
-            out.append((shifted(-1, False), field.embed(gamma_i).pay))
-
-        merged = add_terms({}, ((de, c) for de, c in out if c), ops.add)
+        rows = [(tuple(map(add, e, de)), pmul(a_i, c)) for de, c in e_rows] if a_i else []
+        if any(e[beta]):
+            rows.append((e, field.embed(e[beta]).pay))
+        if any(e[gamma]):
+            rows.append((tuple(map(add, e, down)), field.embed(e[gamma]).pay))
         intern = self._exps.setdefault
-        result = tuple((intern(de, de), c) for de, c in merged.items() if c)
-        self._diff_cache[(i0, intern(e, e))] = result
+        merged = add_terms({}, rows, field.ops.add).items()
+        result = self._diff_cache[(i0, intern(e, e))] = tuple((intern(de, de), c) for de, c in merged if c)
         return result
 
     def _diff_pow_mono(self, e: tuple[int, ...], d: tuple[int, ...]) -> Pairs:
@@ -525,7 +527,8 @@ class WeylAlgebra:
         binom(d, k) (D^k e) D^{d-k} over k <= d, as (exps, payload) pairs in
         the order of k and then of the derivative's rows, each exps with
         d - k in its D slots and each payload with its binomial.  The first
-        row is (e with d, ``ops.one``); only d = 0 is not cached."""
+        row is (e with d, ``ops.one``); a first-order table continues with
+        the ``_diff_cache`` rows themselves.  Only d = 0 is not cached."""
         hit = self._diff_pow_cache.get((e, d))
         if hit is not None:
             return hit
@@ -535,6 +538,12 @@ class WeylAlgebra:
         pmul, padd, one, intern = ops.mul, ops.add, ops.one, self._exps.setdefault
         e, d = intern(e, e), intern(d, d)
         n = len(d)
+        if sum(d) == 1:
+            # D_i e = e D_i + the derivative of e: binomials 1, no ladder
+            head = e[:-n] + d
+            rows = ((intern(head, head), one),) + self._diff_mono(d.index(1), e)
+            self._diff_pow_cache[(e, d)] = rows
+            return rows
         # the derivatives D^k e by k, each from the one below in its first nonzero
         # index; merged inline as in mul, since this loop is a cold product's main cost
         ladder: dict[tuple[int, ...], dict] = {}
@@ -605,8 +614,8 @@ class WeylAlgebra:
         one = ops.one
         n = self.signature.n
         no_d = (0,) * n
-        # each left term's head (all but d) and d, sliced once
-        left = [(eP, eP[:-n], payP, eP[-n:]) for eP, payP in P.terms.items()]
+        # each left term's head (all but d) and d, sliced once; d is None without a D part
+        left = [(eP, eP[:-n], payP, eP[-n:] if any(eP[-n:]) else None) for eP, payP in P.terms.items()]
         acc: dict[tuple[int, ...], object] = {}
         for eQ, payQ in Q.terms.items():
             fQ = eQ[:-n] + no_d
@@ -615,8 +624,8 @@ class WeylAlgebra:
             # of the Leibniz sum contributes
             pure = not any(fQ)
             for eP, headP, payP, d1 in left:
-                c = pmul(payP, payQ)
-                if pure or not any(d1):
+                c = payQ if payP is one else payP if payQ is one else pmul(payP, payQ)
+                if pure or d1 is None:
                     e = tuple(map(add, eP, eQ))
                     cur = acc.get(e)
                     acc[e] = c if cur is None else padd(cur, c)

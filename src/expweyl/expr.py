@@ -23,7 +23,7 @@ from .errors import (
     UnknownSymbol,
     UnsupportedElement,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _Series
 
 __all__ = [
     "parse",
@@ -386,7 +386,10 @@ def _scalar_addends(s: Scalar):
     since the grammar has no division to express it.
     """
     addends = []
-    for k in range(s.field.slots):
+    # only the nonzero hbar slots: those of a _Series, otherwise slot 0 alone
+    pay = s.pay
+    slots = [k for k, c in enumerate(pay) if c] if type(pay) is _Series else [0]
+    for k in slots:
         data = s.payload_data(k)
         if data[0] == "rat":
             q = data[1]

@@ -168,13 +168,13 @@ class _RationalOps(_SlotOps):
     window-rank coefficients) never pay for a gcd."""
 
     def add(self, x, y):
-        return _qadd(x, y)
+        return x + y if type(x) is int and type(y) is int else _qadd(x, y)
 
     def neg(self, x):
         return -x
 
     def mul(self, x, y):
-        return _qmul(x, y)
+        return x * y if type(x) is int and type(y) is int else _qmul(x, y)
 
     def div(self, x, y):
         return _qdiv(x, y)

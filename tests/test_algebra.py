@@ -415,7 +415,9 @@ def _leibniz_expansion(A, f, d):
 def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
     """_diff_pow_mono(f, d) is the normal-ordered product D^d * f: its rows,
     read as an element, are the Leibniz expansion with the binomials, one
-    row per exponent tuple."""
+    row per exponent tuple.  A first-order table D_i * f is (f D_i, 1)
+    followed by the _diff_cache entry of (i, f), the same row objects, and
+    builds no binomial table."""
     from expweyl.config import SessionConfig, build_algebra
 
     A = build_algebra(SessionConfig(**kw))
@@ -428,9 +430,17 @@ def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
     for _ in range(4):
         for f in random_function_element(A, rng, max_terms=3, bound=2).terms:
             for d in ds:
+                kbinoms = set(A._kbinom_cache)
                 table = A._diff_pow_mono(f, d)
                 assert len({e for e, _ in table}) == len(table)
                 assert A.zero._with(dict(table)) == _leibniz_expansion(A, f, d)
+                if sum(d) == 1:
+                    rows = A._diff_cache[(d.index(1), f)]
+                    assert table[0] == (f[:-n] + d, A.field.ops.one)
+                    assert len(table) == len(rows) + 1
+                    assert all(got is row for got, row in zip(table[1:], rows))
+                    assert set(A._kbinom_cache) == kbinoms
+    assert not any(sum(d) == 1 for d in A._kbinom_cache)
 
 
 def test_a_high_derivative_power_caches_one_table_per_right_monomial():

@@ -12,7 +12,7 @@ import pytest
 from expweyl import cli
 from expweyl.cli import main
 from expweyl.config import SessionConfig, build_algebra
-from expweyl.scalars import _SeriesOps
+from expweyl.scalars import Scalar, _SeriesOps
 
 
 def run(capsys, *argv):
@@ -160,6 +160,22 @@ def test_a_high_star_order_copies_at_most_one_series(capsys, monkeypatch):
     order = 2000
     assert run(capsys, "star", "x_1", "D_1", "--order", str(order)) == (0, "x_1*y_1\n", "")
     assert sum(copied) <= order + 1
+
+
+def test_a_high_star_order_prints_each_nonzero_slot_once(capsys, monkeypatch):
+    """The formatter reads only a scalar's nonzero hbar slots, so printing
+    the product's one coefficient 1 at order N reads one slot, not N + 1."""
+    read = []
+    payload_data = Scalar.payload_data
+
+    def counted(self, k):
+        out = payload_data(self, k)
+        read.append(out)
+        return out
+
+    monkeypatch.setattr(Scalar, "payload_data", counted)
+    assert run(capsys, "star", "x_1", "D_1", "--order", "2000") == (0, "x_1*y_1\n", "")
+    assert read == [("rat", 1)]
 
 
 # -- configuration -------------------------------------------------------------

@@ -82,9 +82,12 @@ class Model:
                 a = sp.cancel(e.args[0] / inner)
                 if a.is_Integer:
                     return Ti**a
-            raise AssertionError(f"unrecognized tower factor {e}")
+            # with t_i = 0 and no t-shift a tower factor is exp(a*x_i**p_i), whose
+            # argument holds no exp; an argument with one must be a tower factor
+            assert not e.args[0].has(sp.exp), f"unrecognized tower factor {e}"
+            return e
 
-        expr = expr.replace(lambda e: e.func is sp.exp and e.args[0].has(sp.exp), power)
+        expr = expr.replace(lambda e: e.func is sp.exp, power)
         if self.N is None:
             return expr
 
@@ -151,7 +154,7 @@ def _t(rng, rank):
             return t
 
 
-# (n, rank, p, t-shift order or None); every t is nonzero
+# (n, rank, p, t-shift order or None); every t is drawn nonzero
 CASES = [
     (1, 1, (1,), None),
     (1, 1, (2,), None),
@@ -167,14 +170,27 @@ CASES = [
     (1, 2, (2,), 2),
 ]
 
+# (n, rank, p, t-shift order or None, t) with some t_i = 0, where the rule has
+# no t row; p_i >= 2 there, since for p_i = 1 the tower E_i = exp(x_i) and
+# e^{x_i} are one function to sympy
+ZERO_T_CASES = [
+    (2, 1, (2, 3), None, ((1,), (0,))),
+    (1, 2, (2,), None, ((0, 0),)),
+    (1, 1, (2,), 2, ((0,),)),
+]
 
-@pytest.mark.parametrize(
-    "n, rank, p, N",
-    [pytest.param(n, r, p, N, id=f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}") for n, r, p, N in CASES],
-)
-def test_derivative_rule_matches_sympy(n, rank, p, N):
+
+def _params(extra=()):
+    """CASES with a t drawn per test (t None), then ZERO_T_CASES."""
+    cases = [(n, r, p, N, None) for n, r, p, N in CASES] + ZERO_T_CASES
+    ids = [f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}" + ("-zero-t" if t else "") for n, r, p, N, t in cases]
+    return [pytest.param(*case, *extra, id=i) for case, i in zip(cases, ids)]
+
+
+@pytest.mark.parametrize("n, rank, p, N, t", _params())
+def test_derivative_rule_matches_sympy(n, rank, p, N, t):
     rng = random.Random(f"{n}:{rank}:{p}:{N}")
-    t = tuple(_t(rng, rank) for _ in range(n))
+    t = t or tuple(_t(rng, rank) for _ in range(n))
     if N is None:
         A = WeylAlgebra(n=n, rank=rank, p=p, t=t)
     else:
@@ -205,20 +221,16 @@ def test_the_canonical_form_tells_apart_a_wrong_rule():
 
 
 @pytest.mark.parametrize(
-    "n, rank, p, N, H",
-    [
-        pytest.param(n, r, p, N, None, id=f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}")
-        for n, r, p, N in CASES
-    ]
-    + [pytest.param(2, 2, (3, 1), None, 2, id="n2-rank2-p3,1-hbar2")],
+    "n, rank, p, N, t, H",
+    _params((None,)) + [pytest.param(2, 2, (3, 1), None, None, 2, id="n2-rank2-p3,1-hbar2")],
 )
-def test_action_is_a_homomorphism(n, rank, p, N, H, monkeypatch):
+def test_action_is_a_homomorphism(n, rank, p, N, t, H, monkeypatch):
     """act(P*Q, f) == act(P, act(Q, f)) on every signature above and on a
     plain hbar twin (order H): the action, tied to sympy by the test above,
     is the oracle for the product kernel on every payload kind.  P and Q have
     D-orders up to 3."""
     rng = random.Random(f"act:{n}:{rank}:{p}:{N}:{H}")
-    t = tuple(_t(rng, rank) for _ in range(n))
+    t = t or tuple(_t(rng, rank) for _ in range(n))
     if N is None:
         A = WeylAlgebra(n=n, rank=rank, p=p, t=t)
         A = A if H is None else A.with_hbar(H)
@@ -254,16 +266,13 @@ def _coefficient(D, j: int):
     return sum((A.from_term(m.exps[:-n] + (0,) * n, c) for m, c in terms if m.d[j]), A.zero)
 
 
-@pytest.mark.parametrize(
-    "n, rank, p, N",
-    [pytest.param(n, r, p, N, id=f"n{n}-rank{r}-p{','.join(map(str, p))}-tshift{N}") for n, r, p, N in CASES],
-)
-def test_witt_bracket_matches_sympy(n, rank, p, N):
+@pytest.mark.parametrize("n, rank, p, N, t", _params())
+def test_witt_bracket_matches_sympy(n, rank, p, N, t):
     """[u, v] for u = sum f_i D_i and v = sum g_j D_j has coefficients
     u(g_j) - v(f_j), computed with sympy.diff on the tower expressions; the
     bracket is mul's commutator, so this checks the Leibniz path of mul."""
     rng = random.Random(f"witt:{n}:{rank}:{p}:{N}")
-    t = tuple(_t(rng, rank) for _ in range(n))
+    t = t or tuple(_t(rng, rank) for _ in range(n))
     if N is None:
         A = WeylAlgebra(n=n, rank=rank, p=p, t=t)
     else:

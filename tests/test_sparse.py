@@ -122,3 +122,23 @@ def test_cochain_table_round_trips():
     assert omega.value((1, 2)) == tuple(-c for c in omega.value((2, 1)))
     assert omega.value((1, 1)) == S1.zero_coords
     assert set(omega.table) == {(0, 1), (1, 2)}
+
+
+def test_the_zero_filter_keeps_a_zero_free_dict_and_products_own_theirs():
+    """_with adopts a dict without a zero as it is and drops the zero from
+    one that holds one, leaving that dict alone; a product's terms are a new
+    dict, neither operand's nor any value of the algebra's caches."""
+    A = A1
+    x = element(A)
+    one = A.field.ops.one
+    clean = {A.one_monomial: one, A.monomial(1, d=1): 2}
+    assert x._with(clean).terms is clean
+    dirty = {A.one_monomial: one, A.monomial(1, d=1): 0}
+    kept = x._with(dirty).terms
+    assert kept == {A.one_monomial: one}
+    assert len(dirty) == 2
+    for P, Q in ((x, element(A)), (x, A.one), (A.one, x), (A.D(1), A.E(1)), (x, x)):
+        R = A.mul(P, Q)
+        assert R.terms is not P.terms and R.terms is not Q.terms
+        caches = (A._diff_cache, A._diff_pow_cache, A._mono_mul_cache, A._hochschild_cache)
+        assert all(R.terms is not v for cache in caches for v in cache.values())

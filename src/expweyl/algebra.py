@@ -358,7 +358,6 @@ class WeylAlgebra:
         # one object per tuple those two caches hold: exponent tuples, keys and
         # rows alike, and the multi-indices d
         self._exps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._kbinom_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int, object], ...]] = {}
         # products of unit monomials, keyed (a, b); Hochschild b reads them
         self._mono_mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Pairs] = {}
         # Hochschild b of each basis tensor, keyed by the tensor's key: (chain key, payload) pairs
@@ -528,13 +527,11 @@ class WeylAlgebra:
         the order of k and then of the derivative's rows, each exps with
         d - k in its D slots and each payload with its binomial.  The first
         row is (e with d, ``ops.one``); a first-order table continues with
-        the ``_diff_cache`` rows themselves.  Only d = 0 is not cached."""
+        the ``_diff_cache`` rows themselves.  ``mul`` asks only for a nonzero d."""
         hit = self._diff_pow_cache.get((e, d))
         if hit is not None:
             return hit
         ops = self.field.ops
-        if not any(d):
-            return ((e, ops.one),)
         pmul, padd, one, intern = ops.mul, ops.add, ops.one, self._exps.setdefault
         e, d = intern(e, e), intern(d, d)
         n = len(d)
@@ -549,7 +546,7 @@ class WeylAlgebra:
         ladder: dict[tuple[int, ...], dict] = {}
         diff = self._diff_mono
         rows = []
-        for k, binom, bpay in self._kbinom(d):
+        for k in product(*(range(di + 1) for di in d)):
             if any(k):
                 i0 = next(i for i, ki in enumerate(k) if ki)
                 dk_e: dict[tuple[int, ...], object] = {}
@@ -564,9 +561,10 @@ class WeylAlgebra:
                 dk_e = {e: one}
             ladder[k] = dk_e
             d_k = tuple(map(sub, d, k))
+            binom = math.prod(map(math.comb, d, k))
             for de, c in dk_e.items():
                 row = de[:-n] + d_k
-                rows.append((intern(row, row), c if binom == 1 else pmul(bpay, c)))
+                rows.append((intern(row, row), c if binom == 1 else pmul(binom, c)))
         result = self._diff_pow_cache[(e, d)] = tuple(rows)
         return result
 
@@ -585,22 +583,6 @@ class WeylAlgebra:
     def _check(self, e: Element) -> None:
         if not isinstance(e, Element) or e.algebra is not self:
             raise SignatureMismatch("element belongs to a different algebra")
-
-    def _kbinom(self, d1: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, object], ...]:
-        """Leibniz splittings k of a derivative multi-index, each with its
-        binomial as an int and as a payload."""
-        hit = self._kbinom_cache.get(d1)
-        if hit is not None:
-            return hit
-        rows = []
-        for k in product(*(range(di + 1) for di in d1)):
-            binom = 1
-            for di, ki in zip(d1, k):
-                binom = binom * math.comb(di, ki)
-            rows.append((k, binom, self.field.from_rational(binom).pay))
-        result = tuple(rows)
-        self._kbinom_cache[d1] = result
-        return result
 
     def mul(self, P: Element, Q: Element) -> Element:
         """Normal-ordered product, accumulated on coefficient payloads with

@@ -132,7 +132,9 @@ def _parse_chain(algebra, text: str):
 def _span_arg(algebra, spec: str, grading: int | None):
     preset = PRESETS.get(spec.strip())
     if preset is not None:
-        return preset(algebra)
+        span = preset(algebra)
+        # a preset's own grading unless --grading names another basis element
+        return span if grading in (None, span.grading) else LieSpan(span.basis, grading=grading)
     basis = [DerivationElement(_parse_piece(algebra, at, p)) for at, p in _split_top(spec)]
     return LieSpan(basis, grading=grading)
 

@@ -44,7 +44,6 @@ __all__ = [
     "lambda_bracket",
     "star_cochain",
     "symbol_star",
-    "lift_symbol",
     "gr_power",
     "gr_hbar_coefficient",
     "contraction_graded_product",
@@ -305,28 +304,17 @@ def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
     return op
 
 
-def lift_symbol(f: GrElement, target: WeylAlgebra) -> GrElement:
-    """The same symbol over an ops-sharing twin algebra."""
-    if f.algebra is target:
-        return f
-    lift, source = target.field.lift, f.algebra.field
-    return GrElement(target, {e: lift(c, source) for e, c in f.terms.items()})
-
-
 def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = None) -> GrElement:
     """Star product of symbols truncated at hbar^N.
 
-    The result lives over an hbar twin of the operand algebra (created at
-    order N when halg is not supplied; operands already over an hbar
-    algebra are used as-is).  The y (x) x contraction words reproduce the
+    The operands are classical symbols, over an algebra without hbar; the
+    result lives over an hbar twin of that algebra (created at order N when
+    halg is not supplied).  The y (x) x contraction words reproduce the
     normal-ordered operator product on positive-power Weyl elements.
 
-    Each order's symbol is evaluated over the operands' own algebra when it
-    has no hbar, so the partials work on plain slot payloads, and its terms
-    are written straight into hbar slot k of the result's payload series.
-    Operands over an hbar algebra are lifted to halg first, where the
-    truncation of their products must be halg's; slot j of such a payload
-    then moves to slot j + k.
+    Each order's symbol is evaluated over the operands' algebra, so the
+    partials work on plain slot payloads, and its terms are written straight
+    into hbar slot k of the result's payload series.
 
     Each operand's partials are memoized once for this call and shared by
     all orders 1..N (see ``PolyDiffOp._eval``).  Order k applies
@@ -337,31 +325,26 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
     algebra = f.algebra
     if g.algebra is not algebra:
         raise SignatureMismatch("operands live over different algebras")
+    if algebra.field.hbar_order is not None:
+        raise SignatureMismatch("star products take symbols over an algebra without hbar")
     if halg is None:
-        halg = algebra if algebra.field.hbar_order is not None else algebra.with_hbar(N)
+        halg = algebra.with_hbar(N)
     hfield = halg.field
     if hfield.hbar_order is None:
         raise HbarModeOff("star products need an hbar-truncated coefficient field")
-    if algebra.field.hbar_order is None:
-        if (f.terms or g.terms) and algebra.field.ops is not hfield.base.ops:
-            raise SignatureMismatch("scalar does not lift into this field")
-        src = algebra
-    else:
-        src, f, g = halg, lift_symbol(f, halg), lift_symbol(g, halg)
-    coeffs, slots = src.field.ops.coeffs, hfield.slots
-    zero, plus = hfield.base.ops.zero, hfield.base.ops.add
-    n = src.signature.n
+    if (f.terms or g.terms) and algebra.field.ops is not hfield.base.ops:
+        raise SignatureMismatch("scalar does not lift into this field")
+    zero, slots = hfield.base.ops.zero, hfield.slots
+    n = algebra.signature.n
     top = max((sum(e[-n:]) if min(e[-n:]) >= 0 else N for e in f.terms), default=0)
     pf, pg = {(): f.terms}, {(): g.terms}
     orders = [(f * g).terms]
-    orders += [star_cochain(src, k)._eval(pf, pg) for k in range(1, min(N, slots - 1, top) + 1)]
+    orders += [star_cochain(algebra, k)._eval(pf, pg) for k in range(1, min(N, slots - 1, top) + 1)]
+    # order k writes slot k of each row once
     rows: dict = {}
     for k, terms in enumerate(orders):
         for e, c in terms.items():
-            row = rows.setdefault(e, [zero] * slots)
-            for j, cj in enumerate(coeffs(c)[: slots - k], start=k):
-                if cj:
-                    row[j] = plus(row[j], cj) if row[j] else cj
+            rows.setdefault(e, [zero] * slots)[k] = c
     lift = hfield.ops.lift
     return GrElement(halg, {})._with({e: lift(tuple(row)) for e, row in rows.items()})
 
@@ -402,6 +385,8 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
     if halg is None:
         halg = algebra.with_hbar(N)
     field, hfield = algebra.field, halg.field
+    if (P.terms or Q.terms) and field.ops is not hfield.base.ops:
+        raise SignatureMismatch("scalar does not lift into this field")
     ops, hops = field.ops, hfield.ops
     hb, hbar_pows = hfield.hbar.pay, [hops.one]
     for _ in range(N):
@@ -419,7 +404,7 @@ def contraction_graded_product(P: Element, Q: Element, N: int, halg: WeylAlgebra
                 for e, c in prod.terms.items():
                     k = dPQ - sum(e[-n:])
                     if k <= N:
-                        yield e, hops.mul(hfield.lift(ops.mul(cPQ, c), field), hbar_pows[k])
+                        yield e, hops.mul(ops.mul(cPQ, c), hbar_pows[k])
 
     return GrElement(halg, add_terms({}, weighted_terms(), hops.add))
 

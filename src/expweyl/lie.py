@@ -207,8 +207,8 @@ class Cochain(_Sparse):
     the nonzero payload at that place; degree-0 cochains use the one index
     tuple ().  The constructor takes a ``table`` from index tuples to
     coordinate tuples, and unsorted tuples are folded in with the
-    permutation sign; the read-only ``table`` and ``value`` rebuild that
-    form in Scalars.
+    permutation sign; the read-only ``table`` rebuilds that form in
+    Scalars.
     """
 
     __slots__ = ("span", "degree")
@@ -252,19 +252,6 @@ class Cochain(_Sparse):
         for (key, j), c in self.terms.items():
             rows.setdefault(key, list(self.span.zero_coords))[j] = Scalar(field, c)
         return {key: tuple(row) for key, row in rows.items()}
-
-    def value(self, key: tuple[int, ...]) -> tuple[Scalar, ...]:
-        """Evaluate on a basis index tuple (any order; repeats give zero)."""
-        if len(key) != self.degree:
-            raise SignatureMismatch("argument arity differs from the degree")
-        skey, sign = _sorted_key(tuple(key))
-        field = self.span.field
-        neg = field.ops.neg
-        out = []
-        for j in range(self.span.dim):
-            c = self.terms.get((skey, j))
-            out.append(field.zero if c is None else Scalar(field, c if sign > 0 else neg(c)))
-        return tuple(out)
 
     def items(self):
         return sorted(self.table.items())

@@ -627,10 +627,6 @@ class Scalar:
         """Invertible: nonzero constant term."""
         return bool(self.field.hbar_coefficient(self.pay, 0))
 
-    def hbar_coefficient(self, k: int) -> "Scalar":
-        """Coefficient of hbar^k, as a scalar of the hbar-free base field."""
-        return Scalar(self.field.base, self.field.hbar_coefficient(self.pay, k))
-
     def as_rational(self) -> Fraction | None:
         """The value as a plain rational, if it is one; else None."""
         p = self.pay
@@ -710,15 +706,6 @@ class ScalarField:
     def with_hbar(self, order: int) -> "ScalarField":
         """An hbar-truncated twin of this field (payloads interoperable)."""
         return ScalarField(self.rank, order, _slot_ops=self._slot_ops, _base=self.base)
-
-    def lift(self, pay, source: "ScalarField"):
-        """A payload of the ops-sharing twin field source, reinterpreted in this field."""
-        if source is self:
-            return pay
-        coeffs = source.ops.coeffs(pay)
-        if source._slot_ops is not self._slot_ops or len(coeffs) > self.slots:
-            raise SignatureMismatch("scalar does not lift into this field")
-        return self.ops.lift(coeffs)
 
     def hbar_coefficient(self, pay, k: int):
         """The coefficient of hbar^k in a payload of this field, a payload of

@@ -240,7 +240,7 @@ def test_t_shift_order_zero_is_classical():
 def test_t_shift_has_nonzero_order_hbar_term():
     A = make_algebra().with_t_shift(2)
     d = A.diff_function(A.E(1), 1)
-    assert any(not c.hbar_coefficient(1).is_zero for _, c in d.sorted_terms())
+    assert any(A.field.hbar_coefficient(c.pay, 1) for _, c in d.sorted_terms())
 
 
 def test_monomial_identity_and_sorting():
@@ -335,9 +335,8 @@ def test_pure_derivative_right_terms_take_no_derivatives():
     )
     A._diff_cache.clear()
     A._diff_pow_cache.clear()
-    A._kbinom_cache.clear()
     assert P * Q == want
-    assert not (A._diff_cache or A._diff_pow_cache or A._kbinom_cache)
+    assert not (A._diff_cache or A._diff_pow_cache)
     D = A.D(1, 50000)
     assert D * D == A.D(1, 100000)
 
@@ -416,8 +415,7 @@ def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
     """_diff_pow_mono(f, d) is the normal-ordered product D^d * f: its rows,
     read as an element, are the Leibniz expansion with the binomials, one
     row per exponent tuple.  A first-order table D_i * f is (f D_i, 1)
-    followed by the _diff_cache entry of (i, f), the same row objects, and
-    builds no binomial table."""
+    followed by the _diff_cache entry of (i, f), the same row objects."""
     from expweyl.config import SessionConfig, build_algebra
 
     A = build_algebra(SessionConfig(**kw))
@@ -430,7 +428,6 @@ def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
     for _ in range(4):
         for f in random_function_element(A, rng, max_terms=3, bound=2).terms:
             for d in ds:
-                kbinoms = set(A._kbinom_cache)
                 table = A._diff_pow_mono(f, d)
                 assert len({e for e, _ in table}) == len(table)
                 assert A.zero._with(dict(table)) == _leibniz_expansion(A, f, d)
@@ -439,8 +436,6 @@ def test_each_leibniz_product_is_one_table_equal_to_its_expansion(kw):
                     assert table[0] == (f[:-n] + d, A.field.ops.one)
                     assert len(table) == len(rows) + 1
                     assert all(got is row for got, row in zip(table[1:], rows))
-                    assert set(A._kbinom_cache) == kbinoms
-    assert not any(sum(d) == 1 for d in A._kbinom_cache)
 
 
 def test_a_high_derivative_power_caches_one_table_per_right_monomial():
@@ -573,7 +568,7 @@ def test_hochschild_b_reads_each_tensor_image_from_the_algebra_memo(kw, monkeypa
     assert twin._hochschild_cache is not memo
     before = dict(memo)
     for c in chains:
-        lifted = Chain(twin, c.degree, {k: twin.field.lift(v, F) for k, v in c.terms.items()})
+        lifted = Chain(twin, c.degree, {k: twin.field.ops.lift(F.ops.coeffs(v)) for k, v in c.terms.items()})
         assert hochschild_b(lifted) == _b_without_the_memo(lifted)
     assert set(twin._hochschild_cache) == set(before)
     assert memo.keys() == before.keys() and all(memo[k] is v for k, v in before.items())

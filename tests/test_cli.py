@@ -581,6 +581,32 @@ def test_ced_and_eulerint(capsys):
     assert "d phi == omega: true" in out
 
 
+PRESET_BASES = {"borel": "D_1, x_1*D_1", "sl2like": "D_1, x_1*D_1, x_1^2*D_1"}
+
+
+@pytest.mark.parametrize("command", ["cespan", "ced", "eulerint"])
+def test_a_preset_takes_grading_like_its_typed_out_basis(command, capsys):
+    """--grading names a basis element of a preset as of the same basis typed
+    out: x D (index 1) grades both, D and x^2 D act off the diagonal, and an
+    index past the basis is refused."""
+    results = {}
+    for preset, basis in PRESET_BASES.items():
+        for grading in ("0", "1", "2", "5"):
+            got = run(capsys, "--seed", "3", command, preset, "--grading", grading)
+            assert got == run(capsys, "--seed", "3", command, basis, "--grading", grading)
+            results[preset, grading] = got[0], got[2].split(":")[0]
+    assert results == {
+        ("borel", "0"): (1, "error[NotHomogeneous]"),
+        ("borel", "1"): (0, ""),
+        ("borel", "2"): (1, "error[SignatureMismatch]"),
+        ("borel", "5"): (1, "error[SignatureMismatch]"),
+        ("sl2like", "0"): (1, "error[NotHomogeneous]"),
+        ("sl2like", "1"): (0, ""),
+        ("sl2like", "2"): (1, "error[NotHomogeneous]"),
+        ("sl2like", "5"): (1, "error[SignatureMismatch]"),
+    }
+
+
 def test_eulerint_on_an_ungraded_span_is_an_error_line(capsys):
     status, out, err = run(capsys, "eulerint", "D_1, x_1*D_1")
     assert (status, out, err) == (1, "", "error[NotHomogeneous]: span has no grading element\n")

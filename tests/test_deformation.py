@@ -19,7 +19,6 @@ from expweyl.deformation import (
     gr_power,
     hochschild_coboundary,
     lambda_bracket,
-    lift_symbol,
     mc_residual,
     poisson_exp,
     poisson_exp_op,
@@ -195,14 +194,14 @@ def test_star_product_on_generators():
     x, y, _, _ = symbols(A)
     s = symbol_star(y, x, 2)
     halg = s.algebra
-    xh, yh = lift_symbol(x, halg), lift_symbol(y, halg)
+    xh, yh, _, _ = symbols(halg)
     hb = halg.field.hbar
-    one = lift_symbol(full_symbol(A.one), halg)
+    one = full_symbol(halg.one)
     assert s == xh * yh + hb * one
     assert symbol_star(x, y, 2) == xh * yh
     # f * 1 = f and 1 * f = f
     f = full_symbol(A.x(1, 2)) + y
-    fl = lift_symbol(f, halg)
+    fl = GrElement(halg, f.terms)
     assert symbol_star(f, full_symbol(A.one), 2, halg) == fl
     assert symbol_star(full_symbol(A.one), f, 2, halg) == fl
 
@@ -232,6 +231,29 @@ def test_star_matches_contraction_oracle():
             lhs = symbol_star(full_symbol(P), full_symbol(Q), N, halg)
             rhs = contraction_graded_product(P, Q, N, halg)
             assert lhs == rhs
+
+
+def test_star_products_refuse_operands_or_targets_with_other_scalars():
+    A = make_algebra(rank=1)
+    halg = A.with_hbar(2)
+    x, y, _, _ = symbols(halg)
+    # symbols carrying hbar are not classical symbols
+    with pytest.raises(SignatureMismatch):
+        symbol_star(y, x, 2)
+    with pytest.raises(SignatureMismatch):
+        symbol_star(y, x, 2, halg)
+    # a target whose scalars are not the operands'
+    rank2 = make_algebra(rank=2).with_hbar(2)
+    x, y, _, _ = symbols(A)
+    with pytest.raises(SignatureMismatch):
+        symbol_star(y, x, 2, rank2)
+    with pytest.raises(SignatureMismatch):
+        contraction_graded_product(A.D(1), A.x(1), 2, rank2)
+    with pytest.raises(SignatureMismatch):
+        contraction_graded_product(A.D(1), A.zero, 2, rank2)
+    # zero operands have no scalar to refuse, as in symbol_star
+    assert symbol_star(x - x, y - y, 2, rank2).is_zero
+    assert contraction_graded_product(A.zero, A.zero, 2, rank2).is_zero
 
 
 def test_contraction_oracle_rejects_exponentials():
@@ -301,7 +323,7 @@ def test_the_memoized_evaluator_matches_the_sum_over_words(name, hbar):
     B = A.with_hbar(2) if hbar else A
 
     def operand(extra):
-        s = lift_symbol(random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(extra), B)
+        s = GrElement(B, (random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(extra)).terms)
         return s * (1 + B.field.hbar) if hbar else s
 
     ops = [star_cochain(B, k) for k in (1, 2, 3)] + [poisson_exp_op(B)]
@@ -482,7 +504,7 @@ def test_rank2_product_and_commutator():
     prod = rank2_product(A, c, (1, 0), (0, 1))
     halg = prod.algebra
     hb = halg.field.hbar
-    E = lift_symbol(full_symbol(A.E(1)), halg)
+    E = full_symbol(halg.E(1))
     xg = gr_power(halg, (1, 1))
     assert prod == xg + hb * (E * xg)
     comm = rank2_commutator(A, c, (1, 0), (0, 1))
@@ -522,7 +544,7 @@ def test_rank2_cochain_domain_checks():
     with pytest.raises(UnsupportedElement):
         rank2_cochain(make_algebra(n=2).with_hbar(1), c)
     m1 = rank2_cochain(halg, c)
-    y = lift_symbol(full_symbol(A.D(1)), halg)
+    y = full_symbol(halg.D(1))
     with pytest.raises(UnsupportedElement):
         m1(y, y)
 

@@ -213,7 +213,7 @@ def test_hbar_linear_algebra_matches_the_expanded_sympy_system(drawn):
     assert got is not None and len(got) == m
     for i, c in enumerate(got):
         for t in range(slots):
-            q = c.hbar_coefficient(t).as_rational()
+            q = F.hbar_coefficient(c.pay, t)
             assert sympy.Rational(q.numerator, q.denominator) == want[i * slots + t]
     solved = {}
     for c, v in zip(got, vectors):

@@ -147,9 +147,9 @@ def test_hbar_mode_gates():
     with pytest.raises(HbarModeOff):
         F2.hbar
     s = FH.hbar * FH.generator(2) + FH.one
-    assert s.hbar_coefficient(0) == FH.base.one
-    assert s.hbar_coefficient(1) == FH.base.generator(2)
-    assert s.hbar_coefficient(2).is_zero
+    assert FH.hbar_coefficient(s.pay, 0) == FH.base.one.pay
+    assert FH.hbar_coefficient(s.pay, 1) == FH.base.generator(2).pay
+    assert not FH.hbar_coefficient(s.pay, 2)
 
 
 def test_cross_field_mixing_rejected():

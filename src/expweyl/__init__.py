@@ -31,7 +31,6 @@ from .errors import (
     WindowOverflow,
     ZeroElement,
 )
-from .scalars import Scalar, ScalarField
 
 __all__ = [
     "Scalar",
@@ -57,3 +56,18 @@ __all__ = [
     "ParseError",
     "UnknownSymbol",
 ]
+
+
+def __getattr__(name):  # PEP 562: the scalars, and sympy with them, load on first use
+    if name in ("Scalar", "ScalarField"):
+        from . import scalars
+
+        return getattr(scalars, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def main():
+    """The ``expweyl`` console script: runs ``python -m expweyl.cli``."""
+    import runpy
+
+    runpy.run_module("expweyl.cli", run_name="__main__")

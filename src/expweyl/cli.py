@@ -16,8 +16,12 @@ algebra directly, so ``hbar`` is only parseable when an order is set.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    gc.disable()  # the modules below load with no collection: see the end of this file
+
+import argparse
 import json
 import random
 import re
@@ -58,7 +62,6 @@ from .homology import commutator_span_check, connes_B, hochschild_b, tensor_chai
 from .lie import PRESETS, DerivationElement, LieSpan, ce_differential, euler_integrate, witt_bracket
 from .representation import act, faithfulness_probe, noetherian_witness
 from .sampling import random_cochain, random_symbol
-from .selftest import run_selftest
 
 SCHEMA = "expweyl/1"
 
@@ -132,9 +135,8 @@ def _parse_chain(algebra, text: str):
 def _span_arg(algebra, spec: str, grading: int | None):
     preset = PRESETS.get(spec.strip())
     if preset is not None:
-        span = preset(algebra)
         # a preset's own grading unless --grading names another basis element
-        return span if grading in (None, span.grading) else LieSpan(span.basis, grading=grading)
+        return preset(algebra) if grading is None else preset(algebra, grading=grading)
     basis = [DerivationElement(_parse_piece(algebra, at, p)) for at, p in _split_top(spec)]
     return LieSpan(basis, grading=grading)
 
@@ -481,6 +483,8 @@ def _cmd_mc(ctx, args):
 
 
 def _cmd_selftest(ctx, args):
+    from .selftest import run_selftest  # compiled only for this command
+
     results = run_selftest(ctx.config.seed)
     lines = [r.as_text() for r in results]
     ok = all(r.ok for r in results)
@@ -690,4 +694,9 @@ def run(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Run as the program, this module loads the package and sympy with the collector off
+    # (~130 collections walking long-lived objects otherwise), then freezes them so the
+    # collector skips them.  A library import keeps the collector as it finds it.
+    gc.freeze()
+    gc.enable()
     sys.exit(run())

@@ -164,18 +164,14 @@ def _poly_derivation(algebra: WeylAlgebra, power: int) -> DerivationElement:
     return DerivationElement(algebra.x(1, power) * algebra.D(1))
 
 
-def borel(algebra: WeylAlgebra) -> LieSpan:
-    """Span of {D, x D} on variable 1, graded by x D."""
-    return LieSpan(
-        [_poly_derivation(algebra, 0), _poly_derivation(algebra, 1)], grading=1
-    )
+def borel(algebra: WeylAlgebra, grading: int = 1) -> LieSpan:
+    """Span of {D, x D} on variable 1, graded by basis element ``grading`` (x D)."""
+    return LieSpan([_poly_derivation(algebra, k) for k in range(2)], grading=grading)
 
 
-def sl2like(algebra: WeylAlgebra) -> LieSpan:
-    """Span of {D, x D, x^2 D} on variable 1, graded by x D."""
-    return LieSpan(
-        [_poly_derivation(algebra, k) for k in range(3)], grading=1
-    )
+def sl2like(algebra: WeylAlgebra, grading: int = 1) -> LieSpan:
+    """Span of {D, x D, x^2 D} on variable 1, graded by basis element ``grading`` (x D)."""
+    return LieSpan([_poly_derivation(algebra, k) for k in range(3)], grading=grading)
 
 
 PRESETS = {"borel": borel, "sl2like": sl2like}

@@ -10,7 +10,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from itertools import product
 
 from expweyl.algebra import WeylAlgebra

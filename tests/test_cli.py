@@ -762,12 +762,71 @@ def test_run_freezes_once_and_returns_the_status(monkeypatch, capsys):
     assert freezes == [1, 1]
 
 
-def test_console_script_is_the_process_entry():
+def _console_script() -> str:
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts["expweyl"] == "expweyl.cli:run"
+        return tomllib.load(fh)["project"]["scripts"]["expweyl"]
+
+
+def test_console_script_is_the_process_entry():
+    assert _console_script() == "expweyl:main"
+
+
+@pytest.mark.parametrize("argv, status", [(["comm", "D_1", "x_1"], 0), (["noetherian", "0"], 1)])
+def test_console_script_runs_like_the_module(argv, status):
+    """The installed ``expweyl`` wrapper imports the target and exits with
+    what it returns; it prints and exits as ``python -m expweyl.cli`` does."""
+    module, name = _console_script().split(":")
+    wrapper = f"import sys; from {module} import {name}; sys.exit({name}())"
+    script = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, timeout=60)
+    direct = subprocess.run([sys.executable, "-m", "expweyl.cli", *argv], capture_output=True, timeout=60)
+    assert script.returncode == direct.returncode == status
+    assert (script.stdout, script.stderr) == (direct.stdout, direct.stderr)
+
+
+# Runs ``python -m expweyl.cli comm D_1 x_1`` through runpy, as the interpreter
+# does, and notes at cli.py's first line and at the call of its ``main``: the
+# collections so far, whether the collector is on, whether selftest is loaded.
+_ENTRY_PROBE = """
+import gc, json, runpy, sys
+collections, seen = [], {}
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.endswith("cli.py") and code.co_name in ("<module>", "main"):
+        state = [len(collections), gc.isenabled(), "expweyl.selftest" in sys.modules]
+        seen.setdefault(code.co_name, state)
+
+sys.argv = ["expweyl", "comm", "D_1", "x_1"]
+sys.setprofile(profile)
+try:
+    runpy.run_module("expweyl.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    sys.setprofile(None)
+    print(json.dumps({"seen": seen, "status": exc.code}))
+"""
+
+
+def test_a_cold_call_loads_with_the_collector_off_and_runs_main_with_it_on():
+    child = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE], capture_output=True, text=True, timeout=60, check=True
+    )
+    out, report = child.stdout.splitlines()
+    got = json.loads(report)
+    assert (out, got["status"]) == ("1", 0)
+    start, at_main = got["seen"]["<module>"], got["seen"]["main"]
+    # the collector is on when cli.py starts and runs no collection from there to main,
+    # which runs with it on again and without selftest loaded
+    assert start[1] and at_main[0] == start[0]
+    assert at_main[1:] == [True, False]
+
+
+def test_a_library_import_of_the_cli_leaves_the_collector_alone():
+    probe = "import gc, expweyl.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert child.stdout == "True 0\n"
 
 
 @pytest.mark.parametrize("structured", [False, True])

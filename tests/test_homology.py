@@ -8,8 +8,6 @@ import pytest
 from expweyl.algebra import WeylAlgebra
 from expweyl.errors import DegreeZero, SignatureMismatch, WindowOverflow
 from expweyl.homology import (
-    Chain,
-    SpanCheck,
     Window,
     commutator_span_check,
     connes_B,

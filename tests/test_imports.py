@@ -29,9 +29,17 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", MODULES)
+# the package's modules by name, the tests' and scripts' by path from the root
+CHECKED = {m: PACKAGE / m for m in MODULES} | {
+    p.relative_to(ROOT).as_posix(): p
+    for folder in ("tests", "scripts")
+    for p in sorted((ROOT / folder).glob("*.py"))
+}
+
+
+@pytest.mark.parametrize("module", CHECKED)
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(CHECKED[module].read_text(encoding="utf-8"))
     imported = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -62,6 +70,14 @@ def test_only_scalars_imports_sympy(module):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             roots.append(node.module.split(".")[0])
     assert "sympy" not in roots, f"{module} imports sympy"
+
+
+def test_the_package_root_loads_no_sympy():
+    """``python -m expweyl.cli`` imports the package before cli.py's first
+    line; only cli.py's own imports may load the scalars and sympy."""
+    probe = "import sys, expweyl; print(sorted(m for m in sys.modules if m.startswith(('sympy', 'expweyl'))))"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert child.stdout == "['expweyl', 'expweyl.errors']\n"
 
 
 def test_the_benchmark_import_probe_reads_the_cli_import(monkeypatch):

@@ -7,7 +7,6 @@ payload goes into the kernel's vectors, and once as a sympy expression, and comp
 
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -349,6 +349,13 @@ class WeylAlgebra:
         n, r = signature.n, signature.rank
         # the exponent tuple of the unit monomial
         self.one_monomial = (0,) * (2 * n * (r + 1))
+        # the variables whose E_i is the lattice exponential exp(g_1 x_i):
+        # p_i = 1 and t_i = 0, unless a t-shift with hbar makes E_i
+        # exp(x_i e^{hbar x_i^2}); ``_fold`` keeps their E powers in beta
+        shifted = signature.t_shift and signature.hbar_order
+        self._exp_towers = tuple(
+            i0 for i0 in range(n) if signature.p[i0] == 1 and not any(signature.t[i0]) and not shifted
+        )
         self.zero = Element(self, {})
         self.one = Element(self, {self.one_monomial: self.field.one})
         # keyed by exponent tuples and holding plain data, no Monomial or Scalar:
@@ -365,6 +372,9 @@ class WeylAlgebra:
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
         # star_cochain(self, k) by k, built once per algebra
         self._star_cache: dict[int, object] = {}
+        # the symbol partial along a sorted word of each unit monomial e, by
+        # word and then e: () when it vanishes, else (exponent tuple, payload)
+        self._word_cache: dict[tuple, dict[tuple[int, ...], tuple]] = {}
         # payloads of hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
         hbar_over_fact = (self.field.ops.one,)
         if signature.t_shift:
@@ -433,7 +443,9 @@ class WeylAlgebra:
         return starts[part] + i0 * (r if part in ("beta", "gamma") else 1)
 
     def monomial(self, i: int, *, a: int = 0, beta=None, gamma=None, d: int = 0) -> tuple[int, ...]:
-        """The exponent tuple of E_i^a e^{beta x_i} x_i^gamma D_i^d, one variable."""
+        """The exponent tuple of E_i^a e^{beta x_i} x_i^gamma D_i^d, one
+        variable, with the E power folded into beta where E_i is exp(g_1 x_i)
+        (see ``_fold``)."""
         i0 = self._var(i)
         r = self.signature.rank
         exps = list(self.one_monomial)
@@ -443,7 +455,18 @@ class WeylAlgebra:
             if coords is not None:
                 start = self.slot(part, i0)
                 exps[start : start + r] = coords
-        return tuple(exps)
+        return self._fold(tuple(exps))
+
+    def _fold(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """e with the E power a_i of each variable in ``_exp_towers`` moved
+        into the first coordinate of its beta row: E_i^a = exp(a g_1 x_i),
+        so one function has one monomial.  Products keep the form, since the
+        derivative of a beta row creates no E power."""
+        for i0 in self._exp_towers:
+            if e[i0]:
+                b = self.slot("beta", i0)
+                e = e[:i0] + (0,) + e[i0 + 1 : b] + (e[b] + e[i0],) + e[b + 1 :]
+        return e
 
     def x(self, i: int, power: int | Sequence[int] = 1) -> Element:
         """x_i^power, power a lattice element (int means a plain power)."""

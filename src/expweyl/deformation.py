@@ -85,28 +85,61 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     rule applies formally, negative exponents included.  For ("x", i) the
     coefficient is the embedded lattice exponent and the whole power vector
     drops by g_1, so x_i^alpha differentiates to alpha x_i^(alpha - g_1).
+    The rows are those of the one-tag word (gen,) (see ``_word_terms``).
     """
     _check_gen(f.algebra, gen)
-    return f._with(_partial(f.algebra, f.terms, gen))
+    return f._with(_word_terms(f.algebra, f.terms, (gen,)))
 
 
-def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
-    """gr_partial on {exponent tuple: payload}: the tag's slot drops by one
-    and the payload is multiplied by the exponent's (the embedded lattice
-    row for ("x", i)).  A fixed shift keeps the tuples distinct: nothing to
-    merge."""
+def _word_row(algebra: WeylAlgebra, word: tuple, e: tuple[int, ...]) -> tuple:
+    """The partial d_word of the unit monomial e: () when it vanishes, else
+    (exponent tuple, payload) with the multipliers of the word's tags
+    multiplied together.  Built from the row of word[:-1], read from
+    ``algebra._word_cache`` or built and put there first, so each row costs
+    one tag: its slot drops by one and the payload multiplies by its
+    exponent (the embedded lattice row for ("x", i)), with no product by
+    one."""
     field = algebra.field
-    pmul = field.ops.mul
+    one = field.ops.one
+    prefix, gen = word[:-1], word[-1]
+    if prefix:
+        rows = algebra._word_cache.setdefault(prefix, {})
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = _word_row(algebra, prefix, e)
+    else:
+        row = (e, one)
+    if not row:
+        return ()
+    e, pay = row
     kind, i0 = gen[0], gen[1] - 1
     part = {"E": "a", "u": "beta", "x": "gamma", "y": "d"}[kind]
     pos = algebra.slot(part, i0) + (gen[2] - 1 if kind == "u" else 0)
-    width = algebra.signature.rank if kind == "x" else 1
+    expo = e[pos : pos + (algebra.signature.rank if kind == "x" else 1)]
+    if not any(expo):
+        return ()
+    m = (field.embed(expo) if kind == "x" else field.from_rational(expo[0])).pay
+    pay = m if pay is one else pay if m == one else field.ops.mul(pay, m)
+    return e[:pos] + (expo[0] - 1,) + e[pos + 1 :], one if pay == one else pay
+
+
+def _word_terms(algebra: WeylAlgebra, terms: dict, word: tuple) -> dict:
+    """d_word on {exponent tuple: payload}, one payload product per term
+    (none where the row's payload is ``ops.one``).  Each monomial's row is
+    read from ``algebra._word_cache[word][e]``, built there on first use.  A
+    word is a fixed shift of the exponents, so the tuples stay distinct:
+    nothing to merge."""
+    rows = algebra._word_cache.setdefault(word, {})
+    ops = algebra.field.ops
+    pmul, one = ops.mul, ops.one
     out = {}
     for e, c in terms.items():
-        row = e[pos : pos + width]
-        if any(row):
-            expo = field.embed(row) if kind == "x" else field.from_rational(row[0])
-            out[e[:pos] + (row[0] - 1,) + e[pos + 1 :]] = pmul(c, expo.pay)
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = _word_row(algebra, word, e)
+        if row:
+            de, p = row
+            out[de] = c if p is one else pmul(c, p)
     return out
 
 
@@ -114,17 +147,13 @@ def _apply_word(algebra: WeylAlgebra, memo: dict, word: tuple) -> dict:
     """The partial d_word of one operand, read through its memo.
 
     The memo maps sorted words to that operand's partials and is seeded with
-    {(): terms}.  A word is derived from its prefix word[:-1], itself
-    derived and memoized first, so each distinct (operand, word) costs one
-    _partial step.  Memoized dicts are shared: callers never mutate them."""
+    {(): terms}.  A word it lacks is derived from the terms in one pass
+    (``_word_terms``), so each distinct (operand, word) costs one payload
+    product per term, and each (word, monomial) row is built once per
+    algebra.  Memoized dicts are shared: callers never mutate them."""
     terms = memo.get(word)
     if terms is None:
-        j = len(word) - 1
-        while word[:j] not in memo:
-            j -= 1
-        terms = memo[word[:j]]
-        for j in range(j, len(word)):
-            terms = memo[word[: j + 1]] = _partial(algebra, terms, word[j]) if terms else terms
+        terms = memo[word] = _word_terms(algebra, memo[()], word)
     return terms
 
 
@@ -175,8 +204,8 @@ class PolyDiffOp(_Sparse):
         and payloads into one symbol.
 
         Each operand's partials are memoized for this call only, so a word
-        shared by several terms (or a prefix of a longer word) is derived
-        once; ``symbol_star`` and ``star_assoc_check`` keep the memos across
+        shared by several terms is derived once, from the algebra's word
+        rows; ``symbol_star`` and ``star_assoc_check`` keep the memos across
         their cochains through ``_eval``."""
         A = self.algebra
         if f.algebra is not A or g.algebra is not A:
@@ -351,11 +380,14 @@ def symbol_star(f: GrElement, g: GrElement, N: int, halg: WeylAlgebra | None = N
 
 def gr_hbar_coefficient(f, k: int, base: WeylAlgebra):
     """The hbar^k coefficient of a symbol (GrElement) or an operator
-    (Element), of the same type, over the classical algebra."""
+    (Element), of the same type, over the classical algebra.  An E power
+    that the base algebra keeps as an exponential (a t-shift twin's E_i over
+    a base where E_i is exp(g_1 x_i)) is folded into it."""
     field = f.algebra.field
     if base.field is not field.base:
         raise SignatureMismatch("base algebra does not match the coefficient field")
-    return type(f)(base, {e: field.hbar_coefficient(c, k) for e, c in f.terms.items()})
+    pairs = ((base._fold(e), field.hbar_coefficient(c, k)) for e, c in f.terms.items())
+    return type(f)(base, add_terms({}, pairs, base.field.ops.add))
 
 
 # -- operator-level oracle ----------------------------------------------------

@@ -104,6 +104,9 @@ class LieSpan:
                 pairs = tuple((k, c.pay) for k, c in enumerate(coords) if c)
                 self._struct[(i, j)] = pairs
                 self._struct[(j, i)] = tuple((k, neg(c)) for k, c in pairs)
+        # the CE differential on basis cochains, one sparse matrix per
+        # degree k, built by ``ce_differential`` on first use (``_ce_matrix``)
+        self._ce_cache: dict[int, dict] = {}
         self.grading = grading
         self.degrees: tuple[int, ...] | None = None
         if grading is not None:
@@ -260,43 +263,70 @@ def zero_cochain(span: LieSpan, degree: int) -> Cochain:
     return Cochain(span, degree, {})
 
 
+def _ce_matrix(span: LieSpan, k: int) -> dict:
+    """The CE differential from degree k to k + 1 as a sparse matrix, built
+    once per span and degree and kept in ``span._ce_cache``.
+
+    Each input place (key, j), the coordinate j of a cochain's value on the
+    increasing index tuple key, maps to its column: the ((idx, i), payload)
+    pairs of d applied to that basis cochain, zero sums dropped.  The
+    matrix is filled in one pass of ``ce_differential``'s formula over the
+    (k+1)-subsets idx.
+    """
+    matrix = span._ce_cache.get(k)
+    if matrix is not None:
+        return matrix
+    dim, struct = span.dim, span._struct
+    ops = span.field.ops
+    neg = ops.neg
+    columns: dict[tuple[tuple[int, ...], int], dict] = {}
+
+    def value(args: tuple[int, ...], sign: int):
+        """The input places (key, j) of sign * omega(args), each with its sign."""
+        skey, s = _sorted_key(args)
+        return () if skey is None else [((skey, j), s * sign) for j in range(dim)]
+
+    def put(place, out, sign, c):
+        add_terms(columns.setdefault(place, {}), ((out, c if sign > 0 else neg(c)),), ops.add)
+
+    for idx in combinations(range(dim), k + 1):
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                # positions a+1, b+1 in the 1-based formula: (-1)^{a+b+2}
+                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+                for m, cm in struct[(idx[a], idx[b])]:
+                    for place, s in value((m,) + rest, (-1) ** (a + b)):
+                        put(place, (idx, place[1]), s, cm)
+            # (-1)^{(a+1)+1}
+            for place, s in value(idx[:a] + idx[a + 1 :], (-1) ** a):
+                for i, c in struct[(idx[a], place[1])]:
+                    put(place, (idx, i), s, c)
+    matrix = span._ce_cache[k] = {
+        place: tuple((out, v) for out, v in col.items() if v) for place, col in columns.items()
+    }
+    return matrix
+
+
 def ce_differential(omega: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential with adjoint coefficients.
 
     With 1-based argument positions,
     (d w)(x_1,...,x_{k+1}) = sum_{a<b} (-1)^{a+b} w([x_a,x_b], ..., ^x_a, ..., ^x_b, ...)
                            + sum_a (-1)^{a+1} [x_a, w(..., ^x_a, ...)].
-    Accumulated on payloads with the field's ops.
+    d is read from the span's matrix for omega's degree (``_ce_matrix``,
+    built on first use): the sum of c times the column of each term
+    ((key, j), c), accumulated on payloads with the field's ops; the terms
+    come out sorted by (index tuple, coordinate).
     """
     span, k = omega.span, omega.degree
     ops = span.field.ops
-    # structure constants [e_i, e_j] and omega's values as (index, payload) pairs
-    struct = span._struct
-    values: dict[tuple[int, ...], list] = {}
-    for (key, j), c in omega.terms.items():
-        values.setdefault(key, []).append((j, c))
-
-    def value(args: tuple[int, ...], sign: int):
-        """The (index, payload) pairs of sign * omega(args)."""
-        skey, s = _sorted_key(args)
-        pairs = values.get(skey, ())
-        return pairs if s * sign > 0 else [(j, ops.neg(v)) for j, v in pairs]
-
-    terms = {}
-    for idx in combinations(range(span.dim), k + 1):
-        acc: dict[int, object] = {}
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                # positions a+1, b+1 in the 1-based formula: (-1)^{a+b+2}
-                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
-                for m, cm in struct[(idx[a], idx[b])]:
-                    pairs = value((m,) + rest, (-1) ** (a + b))
-                    add_terms(acc, ((j, ops.mul(v, cm)) for j, v in pairs), ops.add)
-            # (-1)^{(a+1)+1}
-            for j, v in value(idx[:a] + idx[a + 1 :], (-1) ** a):
-                add_terms(acc, ((i, ops.mul(v, c)) for i, c in struct[(idx[a], j)]), ops.add)
-        terms.update(((idx, j), v) for j, v in sorted(acc.items()))
-    return zero_cochain(span, k + 1)._with(terms)
+    pmul, padd, one = ops.mul, ops.add, ops.one
+    matrix = _ce_matrix(span, k)
+    out: dict = {}
+    for place, c in omega.terms.items():
+        col = matrix.get(place, ())
+        add_terms(out, col if c == one else ((o, pmul(c, v)) for o, v in col), padd)
+    return zero_cochain(span, k + 1)._with(dict(sorted(out.items())))
 
 
 def ad_degree(omega: Cochain) -> int | None:
@@ -318,8 +348,10 @@ def euler_integrate(omega: Cochain) -> Cochain:
     omega's payload terms: each term ((a, b), i) whose index pair holds h
     gives phi((other,), i) = +c/d when h = a and -c/d when h = b, one
     ``field.ops`` product each.  The result is verified by comparing d(phi)
-    with omega; only when they differ is the residual d(phi) - omega
-    built, and IntegrationFailed carries it (never zero).
+    with omega, d(phi) read by ``ce_differential`` from the span's degree-1
+    matrix (built by the first call on the span); only when they differ is
+    the residual d(phi) - omega built, and IntegrationFailed carries it
+    (never zero).
     """
     span = omega.span
     if omega.degree != 2:

@@ -243,6 +243,46 @@ def test_t_shift_has_nonzero_order_hbar_term():
     assert any(A.field.hbar_coefficient(c.pay, 1) for _, c in d.sorted_terms())
 
 
+@pytest.mark.parametrize(
+    "kw, folded",
+    [
+        ({"p": (1,), "t": ((0,),)}, (1,)),
+        ({"rank": 2, "p": (1,), "t": ((0, 0),)}, (1,)),
+        ({"n": 2, "p": (1, 1), "t": ((0,), (0,))}, (1, 2)),
+        ({"n": 2, "p": (1, 2), "t": ((0,), (0,))}, (1,)),
+    ],
+    ids=["rank1", "rank2", "n2", "n2-p12"],
+)
+def test_a_tower_with_p_1_and_t_0_is_the_exponential_exp_g1_x(kw, folded):
+    """With p_i = 1 and t_i = 0, E_i = exp(x_i e^{0 x_i}) is exp(g_1 x_i),
+    and the algebra keeps one monomial for it: E_i^k - exp(k x_i) is zero
+    and exp_degree(E_i) is g_1.  A t-shift with hbar deforms E_i to
+    exp(x_i e^{hbar x_i^2}), so that twin keeps E_i apart; at order 0 the
+    shift vanishes."""
+    from expweyl.deformation import t_shift_deform
+    from expweyl.grading import exp_degree
+
+    A = make_algebra(**kw)
+    g1 = A.lattice(1)
+    for i in range(1, A.signature.n + 1):
+        if i not in folded:
+            assert A.E(i) != A.exp_sym(i, 1)
+            continue
+        for k in (1, 2, -3):
+            assert (A.E(i, k) - A.exp_sym(i, k)).is_zero
+            assert (A.E(i, k) * A.exp_sym(i, -k)) == A.one
+        assert exp_degree(A.E(i)) == g1
+        assert A.commutator(A.D(i), A.E(i)) == A.E(i)
+        assert A.with_hbar(2).E(i) == A.with_hbar(2).exp_sym(i, 1)
+        assert A.with_t_shift(0).E(i) == A.with_t_shift(0).exp_sym(i, 1)
+        shifted = A.with_t_shift(2)
+        assert shifted.E(i) != shifted.exp_sym(i, 1)
+        # the classical part of the shifted rule is read back into A's form
+        rep = t_shift_deform(A, 2, var=i)
+        assert rep.classical == A.mul(A.D(i), A.E(i))
+        assert not rep.first_order.is_zero
+
+
 def test_monomial_identity_and_sorting():
     e = (1, 2, 0, 3)
     m = Monomial(e, 1)

@@ -713,6 +713,23 @@ def test_tshift_command(tmp_path, capsys):
     assert doc["first_order"] != "0"
 
 
+def test_a_tower_that_is_an_exponential_gets_the_exponential_verdicts(tmp_path, capsys):
+    """With p = 1 and t = 0, E_1 is exp(1*x_1): the probe finds the
+    difference zero and the degree reads the exponential's."""
+    cfg = tmp_path / "p1t0.json"
+    cfg.write_text(json.dumps({"p": [1], "t": [[0]]}))
+    for argv, want in [
+        (["probe", "E_1 - exp(1*x_1)"], "zero: true\n"),
+        (["comm", "E_1 - exp(1*x_1)", "D_1"], "0\n"),
+        (["degree", "E_1"], "(1)\n"),
+        (["degree", "exp(1*x_1)"], "(1)\n"),
+        (["normalize", "E_1^2"], "exp(2*x_1)\n"),
+    ]:
+        assert run(capsys, "--config", str(cfg), *argv) == (0, want, "")
+    status, out, _ = run(capsys, "--config", str(cfg), "--format", "structured", "probe", "E_1 - exp(1*x_1)")
+    assert status == 0 and json.loads(out)["zero"] is True
+
+
 def test_mc_command(capsys):
     _, out, _ = run(capsys, "--seed", "4", "mc", "--triples", "4")
     assert out == "maurer-cartan residual zero on 4 triples\n"

@@ -376,22 +376,32 @@ def test_star_assoc_check_reports_alike_for_operators_and_plain_callables(name):
     assert failing >= len(triples)
 
 
-def count_partial_steps(monkeypatch):
-    """Record each _partial step as (input terms, generator); holding the
-    input dicts keeps their ids distinct for the whole test."""
-    steps = []
-    real = deformation._partial
+def count_word_steps(monkeypatch):
+    """Record each operand's word derivation as (input terms, word) and each
+    row build as (algebra, word, monomial); holding the input dicts keeps
+    their ids distinct for the whole test."""
+    steps, rows = [], []
+    real_terms, real_row = deformation._word_terms, deformation._word_row
 
-    def counting(algebra, terms, gen):
-        steps.append((terms, gen))
-        return real(algebra, terms, gen)
+    def counting_terms(algebra, terms, word):
+        steps.append((terms, word))
+        return real_terms(algebra, terms, word)
 
-    monkeypatch.setattr(deformation, "_partial", counting)
-    return steps
+    def counting_row(algebra, word, e):
+        rows.append((algebra, word, e))
+        return real_row(algebra, word, e)
+
+    monkeypatch.setattr(deformation, "_word_terms", counting_terms)
+    monkeypatch.setattr(deformation, "_word_row", counting_row)
+    return steps, rows
 
 
 def distinct_steps(steps):
-    return len({(id(terms), gen) for terms, gen in steps})
+    return len({(id(terms), word) for terms, word in steps})
+
+
+def distinct_rows(rows):
+    return len({(id(algebra), word, e) for algebra, word, e in rows})
 
 
 def test_symbol_star_derives_each_operand_word_once(monkeypatch):
@@ -400,13 +410,11 @@ def test_symbol_star_derives_each_operand_word_once(monkeypatch):
     g = full_symbol(A.x(1, 4) * A.x(2, 4) + A.x(2, 3))
     words = [w for k in range(1, 5) for w in star_cochain(A, k).terms]
 
-    def prefixes(side):
-        return {w[side][:j] for w in words for j in range(1, len(w[side]) + 1)}
-
-    steps = count_partial_steps(monkeypatch)
+    steps, rows = count_word_steps(monkeypatch)
     star = symbol_star(f, g, 4)
     assert not star.is_zero
-    assert distinct_steps(steps) == len(steps) <= len(prefixes(0)) + len(prefixes(1))
+    assert distinct_steps(steps) == len(steps) <= len({w[0] for w in words}) + len({w[1] for w in words})
+    assert rows and distinct_rows(rows) == len(rows) <= sum(len(terms) for terms, _ in steps)
 
 
 def test_star_assoc_check_derives_each_operand_word_once_per_triple(monkeypatch):
@@ -415,9 +423,56 @@ def test_star_assoc_check_derives_each_operand_word_once_per_triple(monkeypatch)
     g = full_symbol(A.x(1, 2) * A.D(1, 2) * A.x(2) * A.D(2, 2))
     h = full_symbol(A.x(1, 3) * A.x(2, 2) + A.E(1) * A.x(2))
     cochains = [star_cochain(A, 1), star_cochain(A, 2)]
-    steps = count_partial_steps(monkeypatch)
+    steps, rows = count_word_steps(monkeypatch)
     assert star_assoc_check(cochains, [(f, g, h)]).associative
     assert steps and distinct_steps(steps) == len(steps)
+    assert rows and distinct_rows(rows) == len(rows)
+    # a second check of the triple derives each operand word again, from
+    # fresh memos, but every (word, monomial) row is read from the algebra
+    first, built = len(steps), len(rows)
+    assert star_assoc_check(cochains, [(f, g, h)]).associative
+    assert distinct_steps(steps[first:]) == len(steps) - first == first
+    assert len(rows) == built
+
+
+@pytest.mark.parametrize("name", EVAL_SIGNATURES)
+def test_star_cochains_read_each_word_row_from_the_algebra_memo(name, monkeypatch):
+    """The algebra's word memo holds, by word and then unit monomial e, the
+    partial of e along the whole word with the multipliers multiplied
+    together: each row equals chained gr_partial on a fresh algebra, a new
+    evaluation over seen monomials builds no row, and an hbar twin keeps
+    its own memo."""
+    A = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
+    rng = random.Random(f"rows:{name}")
+    ops = [star_cochain(A, k) for k in (1, 2, 3)] + [poisson_exp_op(A)]
+    pairs = [
+        (random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(A.x(1) * A.D(1, 3)),
+         random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(A.x(1, 3)))
+        for _ in range(4)
+    ]
+    values = [op(f, g) for f, g in pairs for op in ops]
+    memo = A._word_cache
+    rows = [(word, e, row) for word, word_rows in memo.items() for e, row in word_rows.items()]
+    assert any(row for _, _, row in rows) and not all(row for _, _, row in rows)
+    fresh = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
+    one = fresh.field.one
+    for word, e, row in rows:
+        assert type(word) is tuple and word == tuple(sorted(word))
+        assert row == () or (type(row) is tuple and len(row) == 2 and row[1])
+        want = {row[0]: row[1]} if row else {}
+        assert chained_partial(GrElement(fresh, {e: one}), word).terms == want
+
+    monkeypatch.setattr(deformation, "_word_row", lambda *args: pytest.fail("row built twice"))
+    assert [op(f * 2, g) for f, g in pairs for op in ops] == [v * 2 for v in values]
+    monkeypatch.undo()
+
+    twin = A.with_hbar(2)
+    for f, g in pairs:
+        fh, gh = GrElement(twin, f.terms), GrElement(twin, g.terms)
+        assert star_cochain(twin, 2)(fh, gh) == sum_over_words(star_cochain(twin, 2), fh, gh)
+    assert twin._word_cache is not memo and twin._word_cache
+    after = [(word, e, row) for word, word_rows in memo.items() for e, row in word_rows.items()]
+    assert len(after) == len(rows) and all(a[2] is b[2] for a, b in zip(after, rows))
 
 
 # -- gerstenhaber and maurer-cartan ------------------------------------------

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from expweyl.algebra import WeylAlgebra
+from expweyl import lie
+from expweyl.algebra import WeylAlgebra, add_terms
 from expweyl.errors import (
     DegreeZero,
     IntegrationFailed,
@@ -176,6 +178,78 @@ def test_d_squared_zero():
             for _ in range(5):
                 omega = random_cochain(span, rng, degree)
                 assert ce_differential(ce_differential(omega)).is_zero
+
+
+def direct_d(omega):
+    """The CE differential evaluated term by term from omega's values, the
+    formula of ``ce_differential`` without the span's matrix: per index
+    tuple, the coordinates accumulate in the formula's order and are emitted
+    sorted."""
+    span, k = omega.span, omega.degree
+    ops = span.field.ops
+    values = {}
+    for (key, j), c in omega.terms.items():
+        values.setdefault(key, []).append((j, c))
+
+    def value(args, sign):
+        skey, s = lie._sorted_key(args)
+        pairs = values.get(skey, ())
+        return pairs if s * sign > 0 else [(j, ops.neg(v)) for j, v in pairs]
+
+    terms = {}
+    for idx in combinations(range(span.dim), k + 1):
+        acc = {}
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+                for m, cm in span._struct[(idx[a], idx[b])]:
+                    pairs = value((m,) + rest, (-1) ** (a + b))
+                    add_terms(acc, ((j, ops.mul(v, cm)) for j, v in pairs), ops.add)
+            for j, v in value(idx[:a] + idx[a + 1 :], (-1) ** a):
+                add_terms(acc, ((i, ops.mul(v, c)) for i, c in span._struct[(idx[a], j)]), ops.add)
+        terms.update(((idx, j), v) for j, v in sorted(acc.items()) if v)
+    return terms
+
+
+CE_SPANS = {
+    "borel": lambda: borel(make_algebra()),
+    "sl2like": lambda: sl2like(make_algebra()),
+    "sl2like-hbar": lambda: sl2like(make_algebra().with_hbar(2)),
+}
+
+
+@pytest.mark.parametrize("name", CE_SPANS)
+def test_ce_differential_reads_one_matrix_per_degree_with_the_direct_terms(name):
+    """d of seeded random cochains at degrees 0-3 equals the direct
+    formula's terms, in the same order; each degree's matrix is built on
+    the first call, and later calls read the same object and add nothing."""
+    span = CE_SPANS[name]()
+    field = span.field
+    rng = random.Random(f"ce-matrix:{name}")
+    scales = [field.one, field.from_rational(Fraction(-2, 3))]
+    if field.hbar_order:
+        scales.append(field.one + field.hbar * field.from_rational(3))
+    assert span._ce_cache == {}
+    matrices = {}
+    for degree in range(4):
+        for trial in range(6):
+            omega = random_cochain(span, rng, degree) * scales[trial % len(scales)]
+            if trial == 1 and omega.terms:
+                # a sparse cochain: one index tuple only
+                key = next(iter(omega.terms))[0]
+                omega = omega._with({p: c for p, c in omega.terms.items() if p[0] == key})
+            got = ce_differential(omega)
+            assert list(got.terms.items()) == list(direct_d(omega).items())
+            if trial == 0:
+                matrices[degree] = span._ce_cache[degree]
+                sizes = {k: len(m) for k, m in span._ce_cache.items()}
+            assert span._ce_cache[degree] is matrices[degree]
+            assert {k: len(m) for k, m in span._ce_cache.items()} == sizes
+    assert set(span._ce_cache) == {0, 1, 2, 3}
+    for k, matrix in span._ce_cache.items():
+        for (key, j), column in matrix.items():
+            assert len(key) == k and 0 <= j < span.dim
+            assert all(len(idx) == k + 1 and 0 <= i < span.dim and v for (idx, i), v in column)
 
 
 def test_euler_integrate_constructed_coboundary():

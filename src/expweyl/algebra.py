@@ -248,7 +248,9 @@ class _Sparse:
 
 
 class Element(_Sparse):
-    """Finite scalar combination of monomials; immutable by convention."""
+    """Finite scalar combination of monomials; immutable by convention.
+    The constructor takes canonical exponent tuples, E powers folded as
+    ``WeylAlgebra._fold`` folds them; ``WeylAlgebra.from_term`` folds."""
 
     __slots__ = ("algebra",)
 
@@ -372,9 +374,6 @@ class WeylAlgebra:
         self._twin_cache: dict[tuple, "WeylAlgebra"] = {}
         # star_cochain(self, k) by k, built once per algebra
         self._star_cache: dict[int, object] = {}
-        # the symbol partial along a sorted word of each unit monomial e, by
-        # word and then e: () when it vanishes, else (exponent tuple, payload)
-        self._word_cache: dict[tuple, dict[tuple[int, ...], tuple]] = {}
         # payloads of hbar^k / k! for k up to the t-shift order; order 0 is the classical rule
         hbar_over_fact = (self.field.ops.one,)
         if signature.t_shift:
@@ -429,11 +428,12 @@ class WeylAlgebra:
         return self.from_term(self.one_monomial, c)
 
     def from_term(self, exps: tuple[int, ...], coeff: Scalar | int = 1) -> Element:
-        """coeff times the monomial with exponent tuple exps."""
+        """coeff times the monomial with exponent tuple exps, its E powers
+        folded as ``monomial`` folds them (see ``_fold``)."""
         c = self.field.coerce(coeff)
         if c is None:
             raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
-        return self.zero._with({exps: c.pay})
+        return self.zero._with({self._fold(exps): c.pay})
 
     def slot(self, part: str, i0: int) -> int:
         """Index in an exponent tuple of variable i0's entry in part ("a",

@@ -85,61 +85,28 @@ def gr_partial(f: GrElement, gen: tuple) -> GrElement:
     rule applies formally, negative exponents included.  For ("x", i) the
     coefficient is the embedded lattice exponent and the whole power vector
     drops by g_1, so x_i^alpha differentiates to alpha x_i^(alpha - g_1).
-    The rows are those of the one-tag word (gen,) (see ``_word_terms``).
     """
     _check_gen(f.algebra, gen)
-    return f._with(_word_terms(f.algebra, f.terms, (gen,)))
+    return f._with(_partial(f.algebra, f.terms, gen))
 
 
-def _word_row(algebra: WeylAlgebra, word: tuple, e: tuple[int, ...]) -> tuple:
-    """The partial d_word of the unit monomial e: () when it vanishes, else
-    (exponent tuple, payload) with the multipliers of the word's tags
-    multiplied together.  Built from the row of word[:-1], read from
-    ``algebra._word_cache`` or built and put there first, so each row costs
-    one tag: its slot drops by one and the payload multiplies by its
-    exponent (the embedded lattice row for ("x", i)), with no product by
-    one."""
+def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
+    """gr_partial on {exponent tuple: payload}: the tag's slot drops by one
+    and the payload is multiplied by the exponent's (the embedded lattice
+    row for ("x", i)).  A fixed shift keeps the tuples distinct: nothing to
+    merge."""
     field = algebra.field
-    one = field.ops.one
-    prefix, gen = word[:-1], word[-1]
-    if prefix:
-        rows = algebra._word_cache.setdefault(prefix, {})
-        row = rows.get(e)
-        if row is None:
-            row = rows[e] = _word_row(algebra, prefix, e)
-    else:
-        row = (e, one)
-    if not row:
-        return ()
-    e, pay = row
+    pmul = field.ops.mul
     kind, i0 = gen[0], gen[1] - 1
     part = {"E": "a", "u": "beta", "x": "gamma", "y": "d"}[kind]
     pos = algebra.slot(part, i0) + (gen[2] - 1 if kind == "u" else 0)
-    expo = e[pos : pos + (algebra.signature.rank if kind == "x" else 1)]
-    if not any(expo):
-        return ()
-    m = (field.embed(expo) if kind == "x" else field.from_rational(expo[0])).pay
-    pay = m if pay is one else pay if m == one else field.ops.mul(pay, m)
-    return e[:pos] + (expo[0] - 1,) + e[pos + 1 :], one if pay == one else pay
-
-
-def _word_terms(algebra: WeylAlgebra, terms: dict, word: tuple) -> dict:
-    """d_word on {exponent tuple: payload}, one payload product per term
-    (none where the row's payload is ``ops.one``).  Each monomial's row is
-    read from ``algebra._word_cache[word][e]``, built there on first use.  A
-    word is a fixed shift of the exponents, so the tuples stay distinct:
-    nothing to merge."""
-    rows = algebra._word_cache.setdefault(word, {})
-    ops = algebra.field.ops
-    pmul, one = ops.mul, ops.one
+    width = algebra.signature.rank if kind == "x" else 1
     out = {}
     for e, c in terms.items():
-        row = rows.get(e)
-        if row is None:
-            row = rows[e] = _word_row(algebra, word, e)
-        if row:
-            de, p = row
-            out[de] = c if p is one else pmul(c, p)
+        row = e[pos : pos + width]
+        if any(row):
+            expo = field.embed(row) if kind == "x" else field.from_rational(row[0])
+            out[e[:pos] + (row[0] - 1,) + e[pos + 1 :]] = pmul(c, expo.pay)
     return out
 
 
@@ -147,13 +114,17 @@ def _apply_word(algebra: WeylAlgebra, memo: dict, word: tuple) -> dict:
     """The partial d_word of one operand, read through its memo.
 
     The memo maps sorted words to that operand's partials and is seeded with
-    {(): terms}.  A word it lacks is derived from the terms in one pass
-    (``_word_terms``), so each distinct (operand, word) costs one payload
-    product per term, and each (word, monomial) row is built once per
-    algebra.  Memoized dicts are shared: callers never mutate them."""
+    {(): terms}.  A word is derived from its prefix word[:-1], itself
+    derived and memoized first, so each distinct (operand, word) costs one
+    _partial step.  Memoized dicts are shared: callers never mutate them."""
     terms = memo.get(word)
     if terms is None:
-        terms = memo[word] = _word_terms(algebra, memo[()], word)
+        j = len(word) - 1
+        while word[:j] not in memo:
+            j -= 1
+        terms = memo[word[:j]]
+        for j in range(j, len(word)):
+            terms = memo[word[: j + 1]] = _partial(algebra, terms, word[j]) if terms else terms
     return terms
 
 
@@ -173,8 +144,8 @@ class PolyDiffOp(_Sparse):
     generator tags; partials commute, so words are kept sorted.
     Coefficients are symbols over the same algebra (plain scalars, ints,
     and fractions are promoted to constants), so the values of ``terms``
-    are GrElements, and sums and scalings act on them, not on payloads.
-    Calling the operator on a pair of symbols is bilinear by construction.
+    are GrElements, added as such by ``+``; operators are not negated or
+    scaled.  Calling the operator on a pair of symbols is bilinear.
     """
 
     __slots__ = ("algebra",)
@@ -204,8 +175,8 @@ class PolyDiffOp(_Sparse):
         and payloads into one symbol.
 
         Each operand's partials are memoized for this call only, so a word
-        shared by several terms is derived once, from the algebra's word
-        rows; ``symbol_star`` and ``star_assoc_check`` keep the memos across
+        shared by several terms (or a prefix of a longer word) is derived
+        once; ``symbol_star`` and ``star_assoc_check`` keep the memos across
         their cochains through ``_eval``."""
         A = self.algebra
         if f.algebra is not A or g.algebra is not A:
@@ -236,30 +207,8 @@ class PolyDiffOp(_Sparse):
             return NotImplemented
         return self._with(add_terms(dict(self.terms), other.terms.items()))
 
-    def __neg__(self):
-        return self._with({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        c = self._field().coerce(other)
-        if c is None:
-            return NotImplemented
-        return self._with({k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def word_product(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        """Factor-wise product: words concatenate, coefficients multiply.
-
-        This is the composition of the underlying bilinear forms only when
-        the coefficients are constants, which covers bracket powers.
-        """
-        if other.algebra is not self.algebra:
-            raise SignatureMismatch("operators over different algebras")
-        terms = []
-        for (wl1, wr1), c1 in self.terms.items():
-            for (wl2, wr2), c2 in other.terms.items():
-                terms.append((wl1 + wl2, wr1 + wr2, c1 * c2))
-        return PolyDiffOp(self.algebra, terms)
+    # the inherited negation and scalings would run payload ops on GrElements
+    __neg__ = __sub__ = __mul__ = __rmul__ = None
 
     def __repr__(self):
         return f"PolyDiffOp({len(self.terms)} words)"
@@ -312,7 +261,7 @@ def star_cochain(algebra: WeylAlgebra, k: int) -> PolyDiffOp:
     sum over |kappa| = k of (1/kappa!) d_y^kappa (x) d_x^kappa.
 
     Built once per algebra and k; the operator is shared, so callers treat
-    it as immutable (its arithmetic builds new operators)."""
+    it as immutable (a sum builds a new operator)."""
     if k < 0:
         raise UnsupportedElement("cochain order must be nonnegative")
     hit = algebra._star_cache.get(k)

@@ -60,7 +60,8 @@ def power_degree(P: Element) -> tuple[int, ...]:
 
 class GrElement(_Sparse):
     """Finite scalar combination of monomials read in the commutative graded
-    algebra, where the derivative powers d are the exponents of the y_i."""
+    algebra, where the derivative powers d are the exponents of the y_i.
+    Like ``Element``'s, the constructor takes canonical exponent tuples."""
 
     __slots__ = ("algebra",)
 

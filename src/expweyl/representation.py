@@ -15,22 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .algebra import Element, Monomial, WeylAlgebra, add_terms
-from .errors import (
-    NotAFunction,
-    SignatureMismatch,
-    UnsupportedElement,
-    ZeroElement,
-)
+from .algebra import Element, WeylAlgebra, add_terms
+from .errors import NotAFunction, SignatureMismatch, UnsupportedElement
 from .expr import _int_text
 from .scalars import Scalar
 
 __all__ = [
     "act",
-    "augment",
     "faithfulness_probe",
     "noetherian_witness",
-    "reduce_to_constant",
     "ProbeReport",
     "NoetherianReport",
 ]
@@ -54,12 +47,6 @@ def act(P: Element, f: Element) -> Element:
         head = e[:-n] + (0,) * n
         add_terms(acc, ((tuple(map(add, head, eg)), ops.mul(c, cg)) for eg, cg in g.terms.items()), ops.add)
     return f._with(acc)
-
-
-def augment(P: Element) -> Element:
-    """Drop every term carrying a derivative (evaluation against the constant 1)."""
-    n = P.algebra.signature.n
-    return P._with({e: c for e, c in P.terms.items() if not any(e[-n:])})
 
 
 @dataclass(frozen=True)
@@ -145,37 +132,3 @@ def noetherian_witness(algebra: WeylAlgebra, n: int) -> NoetherianReport:
         and vn1.is_zero
     )
     return NoetherianReport(n=n, value_n=vn, value_n_plus_1=vn1, certified=ok)
-
-
-def reduce_to_constant(f: Element) -> tuple[int, ...]:
-    """Derivative multi-index g with act(D^g, f) a nonzero constant.
-
-    Defined for genuine polynomials only: no E factors, no exponential
-    factors, and all power exponents natural multiples of the unit generator.
-    Chooses the graded-lex maximal exponent; every other exponent of equal or
-    lower total degree then loses some variable, so the value is g! times the
-    leading coefficient.
-    """
-    algebra = f.algebra
-    if f.is_zero:
-        raise ZeroElement("cannot reduce the zero element")
-    exps = []
-    for e in f.terms:
-        m = Monomial(e, algebra.signature.n)
-        if any(m.a) or any(m.d):
-            raise UnsupportedElement("only polynomial elements reduce to constants")
-        if any(any(row) for row in m.beta):
-            raise UnsupportedElement("exponential factors never reduce to constants")
-        for row in m.gamma:
-            if any(row[1:]) or row[0] < 0:
-                raise UnsupportedElement("power exponents must be natural multiples of the unit")
-        exps.append(tuple(row[0] for row in m.gamma))
-    gamma = max(exps, key=lambda e: (sum(e), e))
-    op = algebra.one
-    for i, gi in enumerate(gamma, start=1):
-        op = op * algebra.D(i, gi)
-    value = act(op, f)
-    got = value.as_scalar()
-    if got is None or got.is_zero:
-        raise UnsupportedElement("reduction did not land on a nonzero constant")
-    return gamma

@@ -255,8 +255,9 @@ def test_t_shift_has_nonzero_order_hbar_term():
 )
 def test_a_tower_with_p_1_and_t_0_is_the_exponential_exp_g1_x(kw, folded):
     """With p_i = 1 and t_i = 0, E_i = exp(x_i e^{0 x_i}) is exp(g_1 x_i),
-    and the algebra keeps one monomial for it: E_i^k - exp(k x_i) is zero
-    and exp_degree(E_i) is g_1.  A t-shift with hbar deforms E_i to
+    and the algebra keeps one monomial for it: E_i^k - exp(k x_i) is zero,
+    also from a tuple given to ``from_term`` unfolded, and exp_degree(E_i)
+    is g_1.  A t-shift with hbar deforms E_i to
     exp(x_i e^{hbar x_i^2}), so that twin keeps E_i apart; at order 0 the
     shift vanishes."""
     from expweyl.deformation import t_shift_deform
@@ -270,6 +271,10 @@ def test_a_tower_with_p_1_and_t_0_is_the_exponential_exp_g1_x(kw, folded):
             continue
         for k in (1, 2, -3):
             assert (A.E(i, k) - A.exp_sym(i, k)).is_zero
+            # a caller-built tuple with the E power in its a slot folds too
+            unfolded = list(A.one_monomial)
+            unfolded[A.slot("a", i - 1)] = k
+            assert (A.from_term(tuple(unfolded)) - A.exp_sym(i, k)).is_zero
             assert (A.E(i, k) * A.exp_sym(i, -k)) == A.one
         assert exp_degree(A.E(i)) == g1
         assert A.commutator(A.D(i), A.E(i)) == A.E(i)

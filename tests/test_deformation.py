@@ -162,12 +162,12 @@ def test_star_cochain_is_built_once_per_algebra_and_order():
         assert star_cochain(B, 1) is star_cochain(B, 1)
     with pytest.raises(UnsupportedElement):
         star_cochain(A, -1)
-    # arithmetic on the shared operator builds new ones
+    # sums on the shared operator build new ones
     def snapshot(op):
         return {k: dict(v.terms) for k, v in op.terms.items()}
 
     before = snapshot(m1)
-    for derived in (m1 + m2, -m1, m1 * 3, 3 * m1, m1.word_product(m1)):
+    for derived in (m1 + m2, m1 + m1, word_product(m1, m1)):
         assert derived is not m1
     assert snapshot(m1) == before and star_cochain(A, 1) is m1
     x, y, _, _ = symbols(A)
@@ -357,7 +357,7 @@ def test_star_assoc_check_reports_alike_for_operators_and_plain_callables(name):
         f, g, h = (random_symbol(A, rng, max_terms=3, bound=2) for _ in range(3))
         triples += [(f, g, h), (f, f, h)]
     cochain_lists = (
-        [m1, m2, m3], [m1, m2 * 2], [m1, m2 + bad], [bad], [poisson_exp_op(A), m2],
+        [m1, m2, m3], [m1, m2 + m2], [m1, m2 + bad], [bad], [poisson_exp_op(A), m2],
         [poisson_std_op(A), m2 + bad],
     )
     failing = 0
@@ -376,32 +376,22 @@ def test_star_assoc_check_reports_alike_for_operators_and_plain_callables(name):
     assert failing >= len(triples)
 
 
-def count_word_steps(monkeypatch):
-    """Record each operand's word derivation as (input terms, word) and each
-    row build as (algebra, word, monomial); holding the input dicts keeps
-    their ids distinct for the whole test."""
-    steps, rows = [], []
-    real_terms, real_row = deformation._word_terms, deformation._word_row
+def count_partial_steps(monkeypatch):
+    """Record each _partial step as (input terms, generator); holding the
+    input dicts keeps their ids distinct for the whole test."""
+    steps = []
+    real = deformation._partial
 
-    def counting_terms(algebra, terms, word):
-        steps.append((terms, word))
-        return real_terms(algebra, terms, word)
+    def counting(algebra, terms, gen):
+        steps.append((terms, gen))
+        return real(algebra, terms, gen)
 
-    def counting_row(algebra, word, e):
-        rows.append((algebra, word, e))
-        return real_row(algebra, word, e)
-
-    monkeypatch.setattr(deformation, "_word_terms", counting_terms)
-    monkeypatch.setattr(deformation, "_word_row", counting_row)
-    return steps, rows
+    monkeypatch.setattr(deformation, "_partial", counting)
+    return steps
 
 
 def distinct_steps(steps):
-    return len({(id(terms), word) for terms, word in steps})
-
-
-def distinct_rows(rows):
-    return len({(id(algebra), word, e) for algebra, word, e in rows})
+    return len({(id(terms), gen) for terms, gen in steps})
 
 
 def test_symbol_star_derives_each_operand_word_once(monkeypatch):
@@ -410,11 +400,13 @@ def test_symbol_star_derives_each_operand_word_once(monkeypatch):
     g = full_symbol(A.x(1, 4) * A.x(2, 4) + A.x(2, 3))
     words = [w for k in range(1, 5) for w in star_cochain(A, k).terms]
 
-    steps, rows = count_word_steps(monkeypatch)
+    def prefixes(side):
+        return {w[side][:j] for w in words for j in range(1, len(w[side]) + 1)}
+
+    steps = count_partial_steps(monkeypatch)
     star = symbol_star(f, g, 4)
     assert not star.is_zero
-    assert distinct_steps(steps) == len(steps) <= len({w[0] for w in words}) + len({w[1] for w in words})
-    assert rows and distinct_rows(rows) == len(rows) <= sum(len(terms) for terms, _ in steps)
+    assert distinct_steps(steps) == len(steps) <= len(prefixes(0)) + len(prefixes(1))
 
 
 def test_star_assoc_check_derives_each_operand_word_once_per_triple(monkeypatch):
@@ -423,56 +415,9 @@ def test_star_assoc_check_derives_each_operand_word_once_per_triple(monkeypatch)
     g = full_symbol(A.x(1, 2) * A.D(1, 2) * A.x(2) * A.D(2, 2))
     h = full_symbol(A.x(1, 3) * A.x(2, 2) + A.E(1) * A.x(2))
     cochains = [star_cochain(A, 1), star_cochain(A, 2)]
-    steps, rows = count_word_steps(monkeypatch)
+    steps = count_partial_steps(monkeypatch)
     assert star_assoc_check(cochains, [(f, g, h)]).associative
     assert steps and distinct_steps(steps) == len(steps)
-    assert rows and distinct_rows(rows) == len(rows)
-    # a second check of the triple derives each operand word again, from
-    # fresh memos, but every (word, monomial) row is read from the algebra
-    first, built = len(steps), len(rows)
-    assert star_assoc_check(cochains, [(f, g, h)]).associative
-    assert distinct_steps(steps[first:]) == len(steps) - first == first
-    assert len(rows) == built
-
-
-@pytest.mark.parametrize("name", EVAL_SIGNATURES)
-def test_star_cochains_read_each_word_row_from_the_algebra_memo(name, monkeypatch):
-    """The algebra's word memo holds, by word and then unit monomial e, the
-    partial of e along the whole word with the multipliers multiplied
-    together: each row equals chained gr_partial on a fresh algebra, a new
-    evaluation over seen monomials builds no row, and an hbar twin keeps
-    its own memo."""
-    A = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
-    rng = random.Random(f"rows:{name}")
-    ops = [star_cochain(A, k) for k in (1, 2, 3)] + [poisson_exp_op(A)]
-    pairs = [
-        (random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(A.x(1) * A.D(1, 3)),
-         random_symbol(A, rng, max_terms=3, bound=3) + full_symbol(A.x(1, 3)))
-        for _ in range(4)
-    ]
-    values = [op(f, g) for f, g in pairs for op in ops]
-    memo = A._word_cache
-    rows = [(word, e, row) for word, word_rows in memo.items() for e, row in word_rows.items()]
-    assert any(row for _, _, row in rows) and not all(row for _, _, row in rows)
-    fresh = build_algebra(SessionConfig(**EVAL_SIGNATURES[name]))
-    one = fresh.field.one
-    for word, e, row in rows:
-        assert type(word) is tuple and word == tuple(sorted(word))
-        assert row == () or (type(row) is tuple and len(row) == 2 and row[1])
-        want = {row[0]: row[1]} if row else {}
-        assert chained_partial(GrElement(fresh, {e: one}), word).terms == want
-
-    monkeypatch.setattr(deformation, "_word_row", lambda *args: pytest.fail("row built twice"))
-    assert [op(f * 2, g) for f, g in pairs for op in ops] == [v * 2 for v in values]
-    monkeypatch.undo()
-
-    twin = A.with_hbar(2)
-    for f, g in pairs:
-        fh, gh = GrElement(twin, f.terms), GrElement(twin, g.terms)
-        assert star_cochain(twin, 2)(fh, gh) == sum_over_words(star_cochain(twin, 2), fh, gh)
-    assert twin._word_cache is not memo and twin._word_cache
-    after = [(word, e, row) for word, word_rows in memo.items() for e, row in word_rows.items()]
-    assert len(after) == len(rows) and all(a[2] is b[2] for a, b in zip(after, rows))
 
 
 # -- gerstenhaber and maurer-cartan ------------------------------------------
@@ -507,12 +452,24 @@ def test_mc_residual_vanishes_for_star_truncation():
         assert mc_residual(m1, m2, f, g, h).is_zero
 
 
+def word_product(P, Q, c=1):
+    """c times the factor-wise product of two operators: words concatenate,
+    coefficients multiply.  This is the composition of the underlying
+    bilinear forms only when the coefficients are constants, which covers
+    bracket powers."""
+    return PolyDiffOp(P.algebra, [
+        (wl1 + wl2, wr1 + wr2, c1 * c2 * c)
+        for (wl1, wr1), c1 in P.terms.items()
+        for (wl2, wr2), c2 in Q.terms.items()
+    ])
+
+
 def test_mc_residual_vanishes_for_bracket_square():
     # second-order cochain (1/2) P.P pairs with the full antisymmetric bracket
     A = make_algebra()
     rng = random.Random(19)
     P = poisson_std_op(A)
-    m2 = P.word_product(P).scale(Fraction(1, 2))
+    m2 = word_product(P, P, Fraction(1, 2))
     for _ in range(6):
         f, g, h = (random_symbol(A, rng) for _ in range(3))
         assert mc_residual(P, m2, f, g, h).is_zero

@@ -7,15 +7,13 @@ from itertools import islice, product
 
 import pytest
 
-from expweyl.algebra import WeylAlgebra
+from expweyl.algebra import Element, WeylAlgebra
 from expweyl.errors import NotAFunction, UnsupportedElement, ZeroElement
 from expweyl.representation import (
     _graded_lex_points,
     act,
-    augment,
     faithfulness_probe,
     noetherian_witness,
-    reduce_to_constant,
 )
 from expweyl.sampling import random_element, random_function_element
 
@@ -83,6 +81,12 @@ def test_homomorphism_oracle(twin, monkeypatch):
         assert act(PQ, f) == act(P, act(Q, f))
 
 
+def augment(P: Element) -> Element:
+    """Drop every term carrying a derivative (evaluation against the constant 1)."""
+    n = P.algebra.signature.n
+    return P._with({e: c for e, c in P.terms.items() if not any(e[-n:])})
+
+
 def test_act_equals_augment_of_mul():
     # the closed form of the action: normal order, then evaluate at 1
     A = make_algebra()
@@ -138,6 +142,42 @@ def test_probe_points_are_lazy():
     A = make_algebra(n=2)
     rep = faithfulness_probe(A.x(1) * A.D(1), maxdeg=10**9)
     assert rep.witness_input == A.x(1) and rep.witness_output == A.x(1)
+
+
+def reduce_to_constant(f: Element) -> tuple[int, ...]:
+    """Derivative multi-index g with act(D^g, f) a nonzero constant, which
+    states simplicity: every nonzero polynomial reduces to a constant.
+
+    Defined for genuine polynomials only: no E factors, no exponential
+    factors, and all power exponents natural multiples of the unit generator.
+    Chooses the graded-lex maximal exponent; every other exponent of equal or
+    lower total degree then loses some variable, so the value is g! times the
+    leading coefficient.
+    """
+    algebra = f.algebra
+    n, r = algebra.signature.n, algebra.signature.rank
+    if f.is_zero:
+        raise ZeroElement("cannot reduce the zero element")
+    exps = []
+    for e in f.terms:
+        # an exponent tuple is a | beta | gamma | d, with n * r entries per lattice part
+        if any(e[:n]) or any(e[-n:]):
+            raise UnsupportedElement("only polynomial elements reduce to constants")
+        if any(e[n : n + n * r]):
+            raise UnsupportedElement("exponential factors never reduce to constants")
+        gamma_rows = [e[n + n * r + i * r : n + n * r + (i + 1) * r] for i in range(n)]
+        for row in gamma_rows:
+            if any(row[1:]) or row[0] < 0:
+                raise UnsupportedElement("power exponents must be natural multiples of the unit")
+        exps.append(tuple(row[0] for row in gamma_rows))
+    gamma = max(exps, key=lambda e: (sum(e), e))
+    op = algebra.one
+    for i, gi in enumerate(gamma, start=1):
+        op = op * algebra.D(i, gi)
+    got = act(op, f).as_scalar()
+    if got is None or got.is_zero:
+        raise UnsupportedElement("reduction did not land on a nonzero constant")
+    return gamma
 
 
 def test_reduce_to_constant():

@@ -105,8 +105,8 @@ def _partial(algebra: WeylAlgebra, terms: dict, gen: tuple) -> dict:
     for e, c in terms.items():
         row = e[pos : pos + width]
         if any(row):
-            expo = field.embed(row) if kind == "x" else field.from_rational(row[0])
-            out[e[:pos] + (row[0] - 1,) + e[pos + 1 :]] = pmul(c, expo.pay)
+            expo = field.embed(row).pay if kind == "x" else row[0]
+            out[e[:pos] + (row[0] - 1,) + e[pos + 1 :]] = pmul(c, expo)
     return out
 
 
@@ -523,8 +523,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
         raise UnsupportedElement("lattice deformation is defined for one variable")
     if c.rank != algebra.signature.rank:
         raise SignatureMismatch("pairing rank does not match the signature")
-    field = algebra.field
-    ops = field.ops
+    ops = algebra.field.ops
 
     def pure_power(e: tuple[int, ...]) -> tuple[int, ...]:
         # one variable: a | beta | gamma | d, with gamma the second half but d
@@ -544,7 +543,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
                     beta = pure_power(eg)
                     pair = c.pairing(alpha, beta)
                     if pair != 0:
-                        coeff = ops.mul(ops.mul(cf, cg), field.from_rational(pair).pay)
+                        coeff = ops.mul(ops.mul(cf, cg), ops.rational(pair.numerator, pair.denominator))
                         yield algebra.monomial(1, a=1, gamma=tuple(map(add, alpha, beta))), coeff
 
         return f._with(add_terms({}, paired_terms(), ops.add))

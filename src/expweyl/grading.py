@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .algebra import Element, Monomial, _Sparse, add_terms, filtration_order
+from .algebra import Element, Monomial, _Sparse, add_terms, filtration_order, monomial_sort_key
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
 
 __all__ = [
@@ -124,8 +124,10 @@ class FiltrationReport:
 def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     """Check ord(PQ) <= ord P + ord Q and strict order drop of the commutator.
 
-    Violations are reported with the offending top monomial's exponent tuple
-    as witness; the kernel itself never assumes either property.
+    Violations are reported with the exponent tuple of the offending
+    element's first top-order term in printing order (the largest
+    monomial_sort_key) as witness, so it does not depend on how the input
+    was written; the kernel itself never assumes either property.
     """
     if P.is_zero or Q.is_zero:
         raise ZeroElement("diagnostics need nonzero operands")
@@ -140,7 +142,7 @@ def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     witness = None
     if not (submult and strict):
         n = algebra.signature.n
-        witness = max((comm if submult else pq).terms, key=lambda e: filtration_order(e, n))
+        witness = max((comm if submult else pq).terms, key=lambda e: monomial_sort_key(e, n))
     return FiltrationReport(
         ord_p=op,
         ord_q=oq,

@@ -365,7 +365,7 @@ def euler_integrate(omega: Cochain) -> Cochain:
         raise DegreeZero("cochain has ad-degree zero")
     h = span.grading
     ops = span.field.ops
-    inv = span.field.payload(Fraction(1, d))
+    inv = ops.rational(1, d)
     terms = {}
     for ((a, b), i), c in omega.terms.items():
         if a == h:

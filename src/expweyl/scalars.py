@@ -29,7 +29,6 @@ divides the other.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
@@ -69,15 +68,7 @@ class _Q:
         return NotImplemented
 
     def __hash__(self):
-        # Fraction's rule: |numerator| / denominator modulo the hash modulus,
-        # and inf when the denominator has no inverse there
-        try:
-            h = hash(hash(abs(self.numerator)) * pow(self.denominator, -1, sys.hash_info.modulus))
-        except ValueError:
-            h = sys.hash_info.inf
-        if self.numerator < 0:
-            h = -h
-        return -2 if h == -1 else h
+        return hash(Fraction(self.numerator, self.denominator))
 
     def __neg__(self):
         return _Q(-self.numerator, self.denominator)
@@ -157,7 +148,7 @@ class _SlotOps:
 
     def rational(self, num: int, den: int):
         """The payload of num/den (den nonzero)."""
-        return _qdiv(num, den)
+        return num if den == 1 else _qdiv(num, den)
 
 
 # The slot ops stay plain methods: perfbench's tracer wraps them and replays cls.__dict__[op](ops, x, y).
@@ -528,6 +519,26 @@ def power(x, k: int, one):
 # Scalars
 # ---------------------------------------------------------------------------
 
+def _operators(op):
+    """The forward and reverse operators of the payload op ``op(ops)``, as
+    Fraction builds its own: the other operand is coerced into self's field
+    (a Scalar of that field as it is), and one coerce rejects is NotImplemented."""
+
+    def forward(self, other):
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = field.coerce(other)
+            if other is None:
+                return NotImplemented
+        return Scalar(field, op(field.ops)(self.pay, other.pay))
+
+    def reverse(self, other):
+        other = self.field.coerce(other)
+        return NotImplemented if other is None else forward(other, self)
+
+    return forward, reverse
+
+
 class Scalar:
     """Immutable field element: one payload, computed on by its field's ops."""
 
@@ -538,56 +549,14 @@ class Scalar:
         self.pay = pay
 
     # -- arithmetic ---------------------------------------------------------
-    # A Scalar of the same field skips coerce.
 
-    def __add__(self, other):
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            other = field.coerce(other)
-            if other is None:
-                return NotImplemented
-        return Scalar(field, field.ops.add(self.pay, other.pay))
-
-    __radd__ = __add__
+    __add__, __radd__ = _operators(lambda ops: ops.add)
+    __sub__, __rsub__ = _operators(lambda ops: ops.sub)
+    __mul__, __rmul__ = _operators(lambda ops: ops.mul)
+    __truediv__, __rtruediv__ = _operators(lambda ops: ops.div)
 
     def __neg__(self):
         return Scalar(self.field, self.field.ops.neg(self.pay))
-
-    def __sub__(self, other):
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            other = field.coerce(other)
-            if other is None:
-                return NotImplemented
-        return Scalar(field, field.ops.sub(self.pay, other.pay))
-
-    def __rsub__(self, other):
-        o = self.field.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            other = field.coerce(other)
-            if other is None:
-                return NotImplemented
-        return Scalar(field, field.ops.mul(self.pay, other.pay))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self.field.coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field.ops.div(self.pay, o.pay))
-
-    def __rtruediv__(self, other):
-        o = self.field.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -691,7 +660,6 @@ class ScalarField:
         self._base = _base
         self.zero = Scalar(self, self.ops.zero)
         self.one = Scalar(self, self.ops.one)
-        self._int_cache: dict[int, Scalar] = {0: self.zero, 1: self.one}
         self._embed_cache: dict[tuple[int, ...], Scalar] = {}
 
     @property
@@ -744,17 +712,7 @@ class ScalarField:
         return value
 
     def from_rational(self, value: int | Fraction) -> Scalar:
-        if isinstance(value, int):
-            cached = self._int_cache.get(value)
-            if cached is not None:
-                return cached
-            num, den = value, 1
-        else:
-            num, den = value.numerator, value.denominator
-        s = Scalar(self, self.ops.rational(num, den))
-        if isinstance(value, int) and -64 <= value <= 256:
-            self._int_cache[value] = s
-        return s
+        return Scalar(self, self.ops.rational(value.numerator, value.denominator))
 
     def generator(self, j: int) -> Scalar:
         """The scalar g_j (1-based); g_1 is the unit."""

@@ -1,5 +1,6 @@
 """Command surface: golden transcripts, structured output, error codes."""
 
+import argparse
 import gc
 import json
 import subprocess
@@ -40,6 +41,17 @@ def test_golden_noetherian(capsys):
     status, out, _ = run(capsys, "noetherian", "3")
     assert status == 0
     assert out == "(6, 0)\n"
+
+
+def test_every_command_has_a_golden_case():
+    parser = cli._build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    ran = {
+        next((a for a in case["argv"] if a in commands), None)
+        for path in (Path(__file__).parent / "golden").glob("*_commands.json")
+        for case in json.loads(path.read_text())["cases"]
+    }
+    assert sorted(set(commands) - ran) == []
 
 
 def test_golden_transcripts_via_interpreter():
@@ -107,7 +119,8 @@ LATTICE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "lattice_command
 )
 def test_golden_lattice_commands(case, tmp_path, capsys):
     # tuple, g_j and integer lattice exponents at ranks 1-3 and n 2 / rank 2,
-    # with the refusals of malformed lattice input
+    # with the refusals of malformed lattice input; ord, grdiag (two spellings
+    # of one element), noetherian, hochb, connesB and selftest at ranks 1 and 2
     paths = {}
     for name, fields in LATTICE_GOLDEN["configs"].items():
         paths[name] = tmp_path / f"{name}.json"

@@ -6,6 +6,7 @@ import pytest
 
 from expweyl.algebra import WeylAlgebra
 from expweyl.errors import NotHomogeneous, ZeroElement
+from expweyl.expr import parse
 from expweyl.grading import (
     exp_degree,
     filtration_diagnostic,
@@ -127,6 +128,17 @@ def test_diagnostic_refutes_on_e_pair():
     w = rep.witness
     assert w is not None
     assert w == (1, 1, 2, 0)  # a, beta, gamma, d
+
+
+def test_diagnostic_witness_does_not_depend_on_how_the_input_is_written():
+    # [P, E] has two terms of top order 3, E x D and E^2 x; the two spellings
+    # of P store its terms in two dict orders, and either way the witness is
+    # the first top-order term in printing order
+    A = make_algebra(t=((0,),))
+    for text in ("D_1^2 + E_1*D_1", "E_1*D_1 + D_1^2"):
+        rep = filtration_diagnostic(parse(text, A), A.E(1))
+        assert rep.ord_comm == 3 and not rep.strict_drop
+        assert rep.witness == (1, 0, 1, 1)  # E_1*x_1*D_1
 
 
 def test_diagnostic_equal_arguments_vacuous():

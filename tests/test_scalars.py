@@ -1,5 +1,6 @@
 """Scalar field: canonical forms, field axioms, lattice embedding, hbar mode."""
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from expweyl.algebra import WeylAlgebra
 from expweyl.expr import parse
 from expweyl.linalg import combination
 from expweyl.sampling import random_element, random_scalar
-from expweyl.scalars import _Q, _RatPoly, _Series
+from expweyl.scalars import Scalar, _Q, _RatPoly, _Series
 
 F1 = ScalarField(rank=1)
 F2 = ScalarField(rank=2)
@@ -155,6 +156,28 @@ def test_hbar_mode_gates():
 def test_cross_field_mixing_rejected():
     with pytest.raises(SignatureMismatch):
         F1.one + F2.one
+
+
+@pytest.mark.parametrize("slot", [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")])
+def test_every_operator_coerces_by_the_same_rule(slot):
+    # an int or a Fraction on either side and a same-field Scalar are coerced,
+    # another field's Scalar is refused, anything else is NotImplemented
+    op = getattr(operator, slot.strip("_").removeprefix("r"))
+    reverse = slot.startswith("__r")
+    s = F1.from_rational(Fraction(3, 2))
+    method = getattr(s, slot)
+    for other in (4, Fraction(-5, 7), F1.from_rational(Fraction(2, 9))):
+        value = other.as_rational() if isinstance(other, Scalar) else other
+        want = op(value, Fraction(3, 2)) if reverse else op(Fraction(3, 2), value)
+        got = method(other)
+        assert type(got) is Scalar and got.field is F1 and got == want
+        if not isinstance(other, Scalar):
+            assert (op(other, s) if reverse else op(s, other)) == want
+    with pytest.raises(SignatureMismatch):
+        method(F2.one)
+    assert method("2") is NotImplemented
+    with pytest.raises(TypeError):
+        op("2", s) if reverse else op(s, "2")
 
 
 # -- serialization -----------------------------------------------------------

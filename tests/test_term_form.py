@@ -4,21 +4,25 @@ After ``A.mul``, ``gr_mul``, ``act``, ``hochschild_b`` and ``ce_differential``
 the result's ``terms`` map exponent tuples (tuples of them for a chain,
 (index tuple, coordinate) places for a cochain) to payloads of the field,
 and no ``Monomial`` or ``Scalar`` was constructed inside the call.  The
+derived layers above them (``symbol_star``, ``star_assoc_check``,
+``euler_integrate`` and the rank-2 ``m1``) construct none either.  The
 derivative caches and the lattice embedding build Scalars once, the first
 time they meet an exponent, so each call is made twice and counted the
 second time.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from expweyl.algebra import Monomial, WeylAlgebra
+from expweyl.deformation import AntisymMatrix, gr_power, rank2_cochain, star_assoc_check, star_cochain, symbol_star
 from expweyl.grading import full_symbol, gr_mul
 from expweyl.homology import hochschild_b, tensor_chain
-from expweyl.lie import Cochain, ce_differential, sl2like
+from expweyl.lie import Cochain, ce_differential, euler_integrate, sl2like
 from expweyl.representation import act
-from expweyl.sampling import random_element, random_function_element
+from expweyl.sampling import random_cochain, random_element, random_function_element
 from expweyl.scalars import Scalar, _Q, _RatPoly, _Series
 
 
@@ -83,6 +87,22 @@ def stored_form(A, result) -> bool:
     return True
 
 
+def built_by(run, monkeypatch):
+    """The names of the Monomials and Scalars that run() constructs, and its result."""
+    built = []
+    for cls in (Monomial, Scalar):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    result = run()
+    monkeypatch.undo()
+    return built, result
+
+
 @pytest.mark.parametrize("call", ["mul", "gr_mul", "act", "hochschild_b", "ce_differential"])
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
 def test_kernels_store_exponent_tuples_and_payloads(kind, call, monkeypatch):
@@ -93,16 +113,34 @@ def test_kernels_store_exponent_tuples_and_payloads(kind, call, monkeypatch):
     if kind == "rank2-symbolic":
         assert any(type(v) is _RatPoly for v in first.terms.values())
 
-    built = []
-    for cls in (Monomial, Scalar):
-        init = cls.__init__
+    built, second = built_by(run, monkeypatch)
+    assert built == []
+    assert second == first
 
-        def counted(self, *args, _init=init, _name=cls.__name__):
-            built.append(_name)
-            _init(self, *args)
 
-        monkeypatch.setattr(cls, "__init__", counted)
-    second = run()
-    monkeypatch.undo()
+def derived_inputs():
+    A = rank1()
+    # large exponents: a partial multiplies by its exponent as a payload, whatever its size
+    f = full_symbol(A.D(1, 257) + A.E(1) * A.D(1))
+    g = full_symbol(A.x(1, 258) + A.E(1) * A.x(1))
+    h = full_symbol(A.E(1, 2) * A.D(1, 2) + A.x(1))
+    star = [star_cochain(A, 1), star_cochain(A, 2)]
+    span = sl2like(A)
+    omega = ce_differential(random_cochain(span, random.Random(3), 1, ad_degree=2))
+    halg = WeylAlgebra(n=1, rank=2, p=(2,), t=((0, 1),)).with_hbar(1)
+    m1 = rank2_cochain(halg, AntisymMatrix(((0, Fraction(1, 3)), (Fraction(-1, 3), 0))))
+    return {
+        "symbol_star": lambda: symbol_star(f, g, 2),
+        "star_assoc_check": lambda: star_assoc_check(star, [(f, g, h)]),
+        "euler_integrate": lambda: euler_integrate(omega),
+        "rank2_m1": lambda: m1(gr_power(halg, (2, 1)), gr_power(halg, (-1, 3))),
+    }
+
+
+@pytest.mark.parametrize("call", ["symbol_star", "star_assoc_check", "euler_integrate", "rank2_m1"])
+def test_derived_layers_build_no_monomial_or_scalar(call, monkeypatch):
+    run = derived_inputs()[call]
+    first = run()
+    built, second = built_by(run, monkeypatch)
     assert built == []
     assert second == first

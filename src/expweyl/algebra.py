@@ -153,10 +153,10 @@ class _Sparse:
     exponent tuple, a chain's the tuple of its factors' exponent tuples, and
     every value is a payload of the owner's field, so ``+``, ``-``, scalar
     ``*``, ``==`` and ``hash`` run on plain data through ``field.ops``.  The
-    constructor coerces a Scalar, int or Fraction value to its payload and
-    keeps any other value, a payload already; the kernels build their
-    results through ``_with``, which only drops zeros.  A Monomial view and
-    a Scalar are built only for callers that ask for them (``sorted_terms``).
+    constructor takes each value through ``ScalarField.payload``, which
+    refuses a non-scalar; the kernels build their results through
+    ``_with``, which only drops zeros.  A Monomial view and a Scalar are
+    built only for callers that ask for them (``sorted_terms``).
     A subclass keeps its owner data in its own ``__slots__``; ``_owner()``
     names the owner, and two objects combine only when their owners are
     ``==``; ``_field()`` gives the scalars.  By default a combination lives
@@ -430,10 +430,7 @@ class WeylAlgebra:
     def from_term(self, exps: tuple[int, ...], coeff: Scalar | int = 1) -> Element:
         """coeff times the monomial with exponent tuple exps, its E powers
         folded as ``monomial`` folds them (see ``_fold``)."""
-        c = self.field.coerce(coeff)
-        if c is None:
-            raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
-        return self.zero._with({self._fold(exps): c.pay})
+        return self.zero._with({self._fold(exps): self.field.payload(coeff)})
 
     def slot(self, part: str, i0: int) -> int:
         """Index in an exponent tuple of variable i0's entry in part ("a",

@@ -476,11 +476,13 @@ def star_assoc_check(cochains, triples) -> DefectReport:
 
 @dataclass(frozen=True)
 class AntisymMatrix:
-    """Antisymmetric pairing on lattice exponents, given by entries c[j][k]."""
+    """Antisymmetric pairing on lattice exponents, given by int or Fraction entries c[j][k]."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        if not all(isinstance(c, (int, Fraction)) for row in self.entries for c in row):
+            raise SignatureMismatch("pairing entries must be ints or Fractions")
         rows = tuple(tuple(Fraction(c) for c in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         r = len(rows)

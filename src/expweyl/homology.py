@@ -25,7 +25,7 @@ from .scalars import Scalar
 
 class Chain(_Sparse):
     """Degree-n chain: dict from (n+1)-tuples of exponent tuples to payloads;
-    the constructor coerces its values as Element's does."""
+    the constructor takes its values through ``ScalarField.payload``."""
 
     __slots__ = ("algebra", "degree")
 
@@ -65,11 +65,8 @@ def tensor_chain(factors, coeff=1) -> Chain:
         raise SignatureMismatch("a chain needs at least one tensor factor")
     algebra = factors[0].algebra
     field = algebra.field
-    c0 = field.coerce(coeff)
-    if c0 is None:
-        raise SignatureMismatch(f"not a scalar: {type(coeff).__name__}")
     pmul = field.ops.mul
-    terms = {(): c0.pay}
+    terms = {(): field.payload(coeff)}
     for f in factors:
         if f.algebra.signature != algebra.signature:
             raise SignatureMismatch("tensor factors over different signatures")

@@ -139,18 +139,6 @@ class LieSpan:
     def zero_coords(self) -> tuple[Scalar, ...]:
         return (self.field.zero,) * self.dim
 
-    def coords(self, values) -> tuple[Scalar, ...]:
-        """Coerce a sequence of scalars / ints / fractions to a coordinate tuple."""
-        out = []
-        for v in values:
-            c = self.field.coerce(v)
-            if c is None:
-                raise SignatureMismatch("coordinates must be scalars, ints or fractions")
-            out.append(c)
-        if len(out) != self.dim:
-            raise SignatureMismatch(f"need {self.dim} coordinates, got {len(out)}")
-        return tuple(out)
-
     # bracket in coordinates ----------------------------------------------
 
     def bracket_coords(self, i: int, j: int) -> tuple[Scalar, ...]:
@@ -205,9 +193,9 @@ class Cochain(_Sparse):
     ``terms`` maps (strictly increasing index tuple, output coordinate j) to
     the nonzero payload at that place; degree-0 cochains use the one index
     tuple ().  The constructor takes a ``table`` from index tuples to
-    coordinate tuples, and unsorted tuples are folded in with the
-    permutation sign; the read-only ``table`` rebuilds that form in
-    Scalars.
+    coordinate tuples, each coordinate through ``ScalarField.payload``, and
+    unsorted tuples are folded in with the permutation sign; the read-only
+    ``table`` rebuilds that form in Scalars.
     """
 
     __slots__ = ("span", "degree")
@@ -215,13 +203,15 @@ class Cochain(_Sparse):
     def __init__(self, span: LieSpan, degree: int, table):
         if degree < 0:
             raise SignatureMismatch("cochain degree must be >= 0")
-        ops = span.field.ops
+        pay, ops = span.field.payload, span.field.ops
         terms: dict[tuple[tuple[int, ...], int], object] = {}
         for key, val in table.items():
             key = tuple(key)
             if len(key) != degree:
                 raise SignatureMismatch("table key arity differs from the degree")
-            coords = span.coords(val)
+            coords = [pay(v) for v in val]
+            if len(coords) != span.dim:
+                raise SignatureMismatch(f"need {span.dim} coordinates, got {len(coords)}")
             skey, sign = _sorted_key(key)
             if skey is None:
                 if any(coords):
@@ -232,7 +222,7 @@ class Cochain(_Sparse):
             for i in skey:
                 if not 0 <= i < span.dim:
                     raise SignatureMismatch("basis index out of range")
-            pays = (c.pay if sign > 0 else ops.neg(c.pay) for c in coords)
+            pays = coords if sign > 0 else map(ops.neg, coords)
             add_terms(terms, (((skey, j), c) for j, c in enumerate(pays)), ops.add)
         self.span = span
         self.degree = degree

@@ -569,7 +569,8 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            # payloads are canonical: a constant is an int or a _Q
+            return self.pay == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return other.field is self.field and self.pay == other.pay
@@ -633,6 +634,9 @@ class Scalar:
 # ---------------------------------------------------------------------------
 # Field
 # ---------------------------------------------------------------------------
+
+_PAYLOAD_TYPES = frozenset((int, _Q, _RatPoly, _Series))
+
 
 class ScalarField:
     """Context object: rank, optional hbar truncation order; the generators
@@ -705,11 +709,15 @@ class ScalarField:
         return None
 
     def payload(self, value):
-        """A term value as a payload of this field: a Scalar (of this field) or
-        a Fraction is coerced; any other value, an int too, is a payload already."""
-        if isinstance(value, (Scalar, Fraction)):
-            return self.coerce(value).pay
-        return value
+        """The one entry rule for a sparse value's coefficients: a payload (an
+        int, _Q, _RatPoly or _Series) as it is, another scalar through coerce;
+        a value that is no scalar raises SignatureMismatch."""
+        if type(value) in _PAYLOAD_TYPES:
+            return value
+        c = self.coerce(value)
+        if c is None:
+            raise SignatureMismatch(f"not a scalar: {type(value).__name__}")
+        return c.pay
 
     def from_rational(self, value: int | Fraction) -> Scalar:
         return Scalar(self, self.ops.rational(value.numerator, value.denominator))

@@ -510,6 +510,15 @@ def test_antisym_matrix_validation():
         AntisymMatrix(((0, 1),))
 
 
+def test_antisym_matrix_takes_int_and_fraction_entries_only():
+    third = Fraction(1, 3)
+    assert AntisymMatrix(((0, third), (-third, 0))).entries == ((0, third), (-third, 0))
+    # refused before the antisymmetry check, antisymmetric or not
+    for rows in (((0, 0.5), (-0.5, 0)), ((0, 0.1), (0, 0)), ((0, "1/3"), (0, 0)), ((0, None), (0, 0))):
+        with pytest.raises(SignatureMismatch, match="ints or Fractions"):
+            AntisymMatrix(rows)
+
+
 def test_rank2_product_and_commutator():
     A = make_algebra()
     c = AntisymMatrix(((0, 1), (-1, 0)))

@@ -125,13 +125,15 @@ def test_coordinates_from_another_field_are_refused():
     s = sl2like(make_algebra())
     other = make_algebra().field
     zero, one = s.field.zero, s.field.one
-    assert s.coords((1, Fraction(1, 2), zero)) == (one, one / 2, zero)
+    assert Cochain(s, 1, {(0,): (1, Fraction(1, 2), zero)}).table == {(0,): (one, one / 2, zero)}
     with pytest.raises(SignatureMismatch):
-        s.coords((one, other.one, zero))
+        Cochain(s, 1, {(0,): (one, other.one, zero)})
     with pytest.raises(SignatureMismatch):
         Cochain(s, 1, {(0,): (other.one, zero, zero)})
     with pytest.raises(SignatureMismatch):
-        s.coords(("1", 0, 0))
+        Cochain(s, 1, {(0,): ("1", 0, 0)})
+    with pytest.raises(SignatureMismatch, match="need 3 coordinates, got 2"):
+        Cochain(s, 1, {(0,): (one, zero)})
 
 
 def test_cochain_alternating():

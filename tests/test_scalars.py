@@ -22,6 +22,7 @@ from expweyl.expr import parse
 from expweyl.linalg import combination
 from expweyl.sampling import random_element, random_scalar
 from expweyl.scalars import Scalar, _Q, _RatPoly, _Series
+from test_term_form import built_by
 
 F1 = ScalarField(rank=1)
 F2 = ScalarField(rank=2)
@@ -178,6 +179,22 @@ def test_every_operator_coerces_by_the_same_rule(slot):
     assert method("2") is NotImplemented
     with pytest.raises(TypeError):
         op("2", s) if reverse else op(s, "2")
+
+
+def test_equality_with_ints_and_fractions_compares_payloads(monkeypatch):
+    half = Fraction(1, 2)
+    for field in (F1, F2, FH):
+        assert field.from_rational(3) == 3 == field.from_rational(Fraction(6, 2))
+        assert field.from_rational(half) == half and field.from_rational(half) != 1
+        assert field.zero == 0 and field.one == 1 and field.one == True
+        assert field.from_rational(2) != True
+    g2 = F2.generator(2)
+    assert g2 != 1 and g2 != 0 and g2 != half
+    assert FH.hbar != 0 and FH.hbar != 1 and FH.hbar + 1 != 1
+    assert FH.one == 1 and FH.one == Fraction(1)
+    s = F1.from_rational(3)
+    built, equal = built_by(lambda: s == 3, monkeypatch)
+    assert equal and built == []
 
 
 # -- serialization -----------------------------------------------------------

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from expweyl.algebra import WeylAlgebra
+from expweyl.algebra import Element, WeylAlgebra
 from expweyl.deformation import poisson_std_op
 from expweyl.errors import SignatureMismatch
-from expweyl.grading import full_symbol
-from expweyl.homology import tensor_chain
+from expweyl.grading import GrElement, full_symbol
+from expweyl.homology import Chain, tensor_chain
 from expweyl.lie import Cochain, DerivationElement, borel, sl2like
 from expweyl.linalg import combination
 
@@ -111,6 +111,31 @@ def test_scalars_of_another_field_are_refused():
     for kind in SCALED:
         with pytest.raises(SignatureMismatch):
             CASES[kind][0] * A2.field.one
+
+
+U = A1.one_monomial
+# constructor -> (build from one coefficient v, and return the payload stored for it)
+CONSTRUCTORS = {
+    "Element": lambda v: Element(A1, {U: v}).terms[U],
+    "GrElement": lambda v: GrElement(A1, {U: v}).terms[U],
+    "Chain": lambda v: Chain(A1, 0, {(U,): v}).terms[(U,)],
+    "Cochain": lambda v: Cochain(S1, 1, {(0,): (v, 0, 0)}).terms[((0,), 0)],
+    "from_term": lambda v: A1.from_term(U, v).terms[U],
+    "tensor_chain": lambda v: tensor_chain([A1.one], v).terms[(U,)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTORS))
+def test_every_constructor_takes_its_coefficients_through_payload(kind):
+    build = CONSTRUCTORS[kind]
+    for value in (0.5, "1", None, object()):
+        with pytest.raises(SignatureMismatch):
+            build(value)
+    stored = build(True)
+    assert stored == 1 and type(stored) is int
+    if kind == "Element":
+        two = (Element(A1, {U: True}) + A1.one).terms[U]
+        assert two == 2 and type(two) is int
 
 
 def test_operators_are_not_negated_subtracted_or_scaled():

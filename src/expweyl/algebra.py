@@ -29,6 +29,9 @@ normal-ordered product D^d * f of a derivative multi-index and a function
 monomial, binomials included (``_diff_pow_cache``), so a product adds the
 left term's exponents to each row of one table and multiplies by its
 coefficient.  The exponent tuples of both caches are interned in ``_exps``.
+Every exponent sum goes through ``_add_exps``, the algebra's
+``scalars.tuple_adder`` for its tuple length: one unrolled expression,
+with no iterator built per sum.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     NotAFunction,
     SignatureMismatch,
 )
-from .scalars import Scalar, ScalarField, power
+from .scalars import Scalar, ScalarField, power, tuple_adder
 
 __all__ = [
     "Signature", "Monomial", "Element", "WeylAlgebra", "add_terms", "filtration_order", "monomial_sort_key",
@@ -349,8 +352,9 @@ class WeylAlgebra:
             _field = ScalarField(signature.rank, signature.hbar_order)
         self.field = _field
         n, r = signature.n, signature.rank
-        # the exponent tuple of the unit monomial
+        # the exponent tuple of the unit monomial, and the sum of two exponent tuples
         self.one_monomial = (0,) * (2 * n * (r + 1))
+        self._add_exps = tuple_adder(len(self.one_monomial))
         # the variables whose E_i is the lattice exponential exp(g_1 x_i):
         # p_i = 1 and t_i = 0, unless a t-shift with hbar makes E_i
         # exp(x_i e^{hbar x_i^2}); ``_fold`` keeps their E powers in beta
@@ -526,15 +530,15 @@ class WeylAlgebra:
         hit = self._diff_cache.get(key)
         if hit is not None:
             return hit
-        field = self.field
+        field, add = self.field, self._add_exps
         pmul = field.ops.mul
         e_rows, beta, gamma, down = self._rules[i0]
         a_i = e[i0]
-        rows = [(tuple(map(add, e, de)), pmul(a_i, c)) for de, c in e_rows] if a_i else []
+        rows = [(add(e, de), pmul(a_i, c)) for de, c in e_rows] if a_i else []
         if any(e[beta]):
             rows.append((e, field.embed(e[beta]).pay))
         if any(e[gamma]):
-            rows.append((tuple(map(add, e, down)), field.embed(e[gamma]).pay))
+            rows.append((add(e, down), field.embed(e[gamma]).pay))
         intern = self._exps.setdefault
         merged = add_terms({}, rows, field.ops.add).items()
         result = self._diff_cache[(i0, intern(e, e))] = tuple((intern(de, de), c) for de, c in merged if c)
@@ -614,6 +618,7 @@ class WeylAlgebra:
         pmul = ops.mul
         padd = ops.add
         one = ops.one
+        add = self._add_exps
         n = self.signature.n
         no_d = (0,) * n
         # each left term's head (all but d) and d, sliced once; d is None without a D part
@@ -628,14 +633,14 @@ class WeylAlgebra:
             for eP, headP, payP, d1 in left:
                 c = payQ if payP is one else payP if payQ is one else pmul(payP, payQ)
                 if pure or d1 is None:
-                    e = tuple(map(add, eP, eQ))
+                    e = add(eP, eQ)
                     cur = acc.get(e)
                     acc[e] = c if cur is None else padd(cur, c)
                     continue
                 # each row of D^d1 fQ carries its own D part: add eP's head and dQ
                 base = headP + dQ
                 for de, coef in self._diff_pow_mono(fQ, d1):
-                    e = tuple(map(add, base, de))
+                    e = add(base, de)
                     v = c if coef is one else coef if c is one else pmul(c, coef)
                     cur = acc.get(e)
                     acc[e] = v if cur is None else padd(cur, v)

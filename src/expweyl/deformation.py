@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .algebra import Element, Monomial, WeylAlgebra, _Sparse, add_terms
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .grading import GrElement, _mul_terms
 from .representation import _compositions
+from .scalars import tuple_adder
 
 __all__ = [
     "gr_partial",
@@ -198,8 +198,8 @@ class PolyDiffOp(_Sparse):
             dg = _apply_word(A, pg, wr)
             if not dg:
                 continue
-            cdf = df if coeff.terms == unit else _mul_terms(ops, coeff.terms, df)
-            _mul_terms(ops, cdf, dg, out)
+            cdf = df if coeff.terms == unit else _mul_terms(A, coeff.terms, df)
+            _mul_terms(A, cdf, dg, out)
         return _nonzero(out)
 
     def __add__(self, other):
@@ -449,7 +449,7 @@ def star_assoc_check(cochains, triples) -> DefectReport:
 
         def ev(k, pu, pv):
             if k == 0:
-                return _nonzero(_mul_terms(ops, pu[()], pv[()]))
+                return _nonzero(_mul_terms(A, pu[()], pv[()]))
             m = cochains[k - 1]
             if isinstance(m, PolyDiffOp) and m.algebra is A:
                 return m._eval(pu, pv)
@@ -526,6 +526,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
     if c.rank != algebra.signature.rank:
         raise SignatureMismatch("pairing rank does not match the signature")
     ops = algebra.field.ops
+    add = tuple_adder(c.rank)
 
     def pure_power(e: tuple[int, ...]) -> tuple[int, ...]:
         # one variable: a | beta | gamma | d, with gamma the second half but d
@@ -546,7 +547,7 @@ def rank2_cochain(algebra: WeylAlgebra, c: AntisymMatrix):
                     pair = c.pairing(alpha, beta)
                     if pair != 0:
                         coeff = ops.mul(ops.mul(cf, cg), ops.rational(pair.numerator, pair.denominator))
-                        yield algebra.monomial(1, a=1, gamma=tuple(map(add, alpha, beta))), coeff
+                        yield algebra.monomial(1, a=1, gamma=add(alpha, beta)), coeff
 
         return f._with(add_terms({}, paired_terms(), ops.add))
 

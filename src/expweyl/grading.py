@@ -11,7 +11,6 @@ witnesses instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .algebra import Element, Monomial, _Sparse, add_terms, filtration_order, monomial_sort_key
 from .errors import NotHomogeneous, SignatureMismatch, ZeroElement
@@ -98,15 +97,16 @@ def full_symbol(P: Element) -> GrElement:
 def gr_mul(u: GrElement, v: GrElement) -> GrElement:
     if u.algebra is not v.algebra:
         raise SignatureMismatch("graded elements from different algebras")
-    return u._with(_mul_terms(u.algebra.field.ops, u.terms, v.terms))
+    return u._with(_mul_terms(u.algebra, u.terms, v.terms))
 
 
-def _mul_terms(ops, u: dict, v: dict, out: dict | None = None) -> dict:
-    """gr_mul on {exponent tuple: payload} dicts, accumulated as in
-    WeylAlgebra.mul and added into out (a new dict by default); a zero sum
-    stays for the caller's zero filter."""
+def _mul_terms(algebra, u: dict, v: dict, out: dict | None = None) -> dict:
+    """gr_mul on {exponent tuple: payload} dicts over algebra, accumulated as
+    in WeylAlgebra.mul and added into out (a new dict by default); a zero
+    sum stays for the caller's zero filter."""
+    ops, add = algebra.field.ops, algebra._add_exps
     pmul = ops.mul
-    pairs = ((tuple(map(add, e1, e2)), pmul(c1, c2)) for e1, c1 in u.items() for e2, c2 in v.items())
+    pairs = ((add(e1, e2), pmul(c1, c2)) for e1, c1 in u.items() for e2, c2 in v.items())
     return add_terms({} if out is None else out, pairs, ops.add)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .algebra import Element, WeylAlgebra, add_terms
 from .errors import NotAFunction, SignatureMismatch, UnsupportedElement
@@ -35,7 +34,7 @@ def act(P: Element, f: Element) -> Element:
     algebra._check(f)
     if not f.is_function_element:
         raise NotAFunction("the action is defined on function elements")
-    ops = algebra.field.ops
+    ops, add = algebra.field.ops, algebra._add_exps
     n = algebra.signature.n
     acc: dict[tuple[int, ...], object] = {}
     for e, c in P.terms.items():
@@ -45,7 +44,7 @@ def act(P: Element, f: Element) -> Element:
                 g = algebra.diff_function(g, i0 + 1)
         # the function part of e times each term of g, which has no D: exponents add
         head = e[:-n] + (0,) * n
-        add_terms(acc, ((tuple(map(add, head, eg)), ops.mul(c, cg)) for eg, cg in g.terms.items()), ops.add)
+        add_terms(acc, ((add(head, eg), ops.mul(c, cg)) for eg, cg in g.terms.items()), ops.add)
     return f._with(acc)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import sub
 
 # top level on purpose: perfbench's sympy_import_us needs a top-level sympy import
 from sympy.polys.domains import PythonIntegerRing
@@ -44,7 +44,28 @@ from .errors import (
     SignatureMismatch,
 )
 
-__all__ = ["Scalar", "ScalarField"]
+__all__ = ["Scalar", "ScalarField", "tuple_adder"]
+
+
+# ---------------------------------------------------------------------------
+# Exponent sums
+# ---------------------------------------------------------------------------
+
+# one adder per tuple length, generated on first use
+_ADDERS: dict = {}
+
+
+def tuple_adder(length: int):
+    """The componentwise sum of two int tuples of this length, as one
+    unrolled expression ``(a[0] + b[0], a[1] + b[1], ...)``: it builds no
+    iterator per call, which ``tuple(map(add, a, b))`` does.  Generated
+    once per length from that fixed template, whose only input is
+    ``range(length)``, and cached, so one length gives one function."""
+    adder = _ADDERS.get(length)
+    if adder is None:
+        body = "".join(f"a[{i}] + b[{i}], " for i in range(length))
+        adder = _ADDERS[length] = eval(f"lambda a, b: ({body})", {})
+    return adder
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +231,10 @@ def _prod(p, q):
     if type(q) is int:
         return p if q == 1 else p * q if type(p) is int else _Poly({m: c * q for m, c in p.items()})
     out = {}
+    add = tuple_adder(len(next(iter(p))))
     for n, b in q.items():
         for m, a in p.items():
-            k = tuple(map(add, m, n))
+            k = add(m, n)
             out[k] = out.get(k, 0) + a * b
     return _Poly({m: c for m, c in out.items() if c})
 
@@ -227,6 +249,7 @@ def _quo(p, q):
     lex-leading terms leaves no remainder exactly when q divides p."""
     lm = max(q)
     lc = q[lm]
+    add = tuple_adder(len(lm))
     rest = [(n, b) for n, b in q.items() if n != lm]
     r = dict(p)
     out = {}
@@ -238,7 +261,7 @@ def _quo(p, q):
             return None
         out[e] = k
         for n, b in rest:
-            t = tuple(map(add, e, n))
+            t = add(e, n)
             c = r.get(t, 0) - k * b
             if c:
                 r[t] = c
@@ -635,9 +658,6 @@ class Scalar:
 # Field
 # ---------------------------------------------------------------------------
 
-_PAYLOAD_TYPES = frozenset((int, _Q, _RatPoly, _Series))
-
-
 class ScalarField:
     """Context object: rank, optional hbar truncation order; the generators
     are g_1..g_r."""
@@ -662,6 +682,11 @@ class ScalarField:
         # the one arithmetic on this field's payloads
         self.ops = _slot_ops if hbar_order is None else _SeriesOps(_slot_ops, self.slots)
         self._base = _base
+        # the payload kinds this field's values take: symbols from rank 2, a
+        # _Series only where some power of hbar above 0 has a slot
+        self._payload_types = frozenset(
+            (int, _Q) + (_RatPoly,) * (rank > 1) + (_Series,) * (self.slots > 1)
+        )
         self.zero = Scalar(self, self.ops.zero)
         self.one = Scalar(self, self.ops.one)
         self._embed_cache: dict[tuple[int, ...], Scalar] = {}
@@ -709,14 +734,16 @@ class ScalarField:
         return None
 
     def payload(self, value):
-        """The one entry rule for a sparse value's coefficients: a payload (an
-        int, _Q, _RatPoly or _Series) as it is, another scalar through coerce;
-        a value that is no scalar raises SignatureMismatch."""
-        if type(value) in _PAYLOAD_TYPES:
+        """The one entry rule for a sparse value's coefficients: a payload of
+        a kind this field holds (an int or _Q; a _RatPoly at rank >= 2; a
+        _Series with an hbar slot) as it is, another scalar through coerce; a
+        value that is no scalar, or a payload kind this field cannot hold,
+        raises SignatureMismatch."""
+        if type(value) in self._payload_types:
             return value
         c = self.coerce(value)
         if c is None:
-            raise SignatureMismatch(f"not a scalar: {type(value).__name__}")
+            raise SignatureMismatch(f"not a scalar of this field: {type(value).__name__}")
         return c.pay
 
     def from_rational(self, value: int | Fraction) -> Scalar:

@@ -558,6 +558,89 @@ def test_rank2_generator_triples_associative():
     assert rep.associative
 
 
+def _random_pairing(rng, rank):
+    """A random nonzero antisymmetric int matrix of this rank."""
+    while True:
+        rows = [[0] * rank for _ in range(rank)]
+        for j in range(rank):
+            for k in range(j + 1, rank):
+                rows[j][k] = rng.randint(-3, 3)
+                rows[k][j] = -rows[j][k]
+        if any(map(any, rows)):
+            return rows
+
+
+def _antisymmetrization(m, f, g):
+    return m(f, g) - m(g, f)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_the_rank2_cochain_is_no_coboundary(rank):
+    """Rigidity by rank: on a commutative algebra a Hochschild coboundary has
+    a zero antisymmetrization (see the coboundary test below), so m_1 is no
+    coboundary wherever m_1(f,g) - m_1(g,f) is nonzero; here it is
+    2 c_{alpha,beta} E x^(alpha+beta), nonzero for a nonzero pairing c and
+    zero for c = 0."""
+    rng = random.Random(rank)
+    halg = make_algebra(rank=rank).with_hbar(1)
+    E = full_symbol(halg.E(1))
+    units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+    points = units + [tuple(-u for u in units[0]), tuple(1 for _ in range(rank))]
+    for _ in range(3):
+        rows = _random_pairing(rng, rank)
+        m1 = rank2_cochain(halg, AntisymMatrix(tuple(map(tuple, rows))))
+        nonzero = 0
+        for alpha in points:
+            for beta in points:
+                anti = _antisymmetrization(m1, gr_power(halg, alpha), gr_power(halg, beta))
+                pair = sum(a * b * rows[j][k] for j, a in enumerate(alpha) for k, b in enumerate(beta))
+                total = tuple(a + b for a, b in zip(alpha, beta))
+                assert anti == 2 * pair * (E * gr_power(halg, total))
+                nonzero += not anti.is_zero
+        assert nonzero
+    zero = rank2_cochain(halg, AntisymMatrix(((0,) * rank,) * rank))
+    for alpha in points:
+        for beta in points:
+            assert _antisymmetrization(zero, gr_power(halg, alpha), gr_power(halg, beta)).is_zero
+
+
+def test_the_rank2_cochain_antisymmetrizes_to_twice_the_pairing():
+    halg = make_algebra().with_hbar(1)
+    m1 = rank2_cochain(halg, AntisymMatrix(((0, 3), (-3, 0))))
+    E = full_symbol(halg.E(1))
+    anti = _antisymmetrization(m1, gr_power(halg, (1, 0)), gr_power(halg, (0, 1)))
+    assert anti == 6 * (E * gr_power(halg, (1, 1)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_a_coboundary_on_commutative_symbols_antisymmetrizes_to_zero(rank):
+    """(delta phi)(u, v) = u phi(v) - phi(uv) + phi(u) v for a random linear
+    phi, built from gr_mul and sums alone, so it shares no code with m_1:
+    on the commutative symbol algebra its antisymmetrization is zero."""
+    rng = random.Random(10 + rank)
+    A = make_algebra(rank=rank)
+    images = {}
+
+    def phi(u):
+        out = GrElement(A, {})
+        for mono, coeff in u.sorted_terms():
+            if mono.exps not in images:
+                images[mono.exps] = random_symbol(A, rng, max_terms=3)
+            out = out + images[mono.exps] * coeff
+        return out
+
+    def delta_phi(u, v):
+        return u * phi(v) - phi(u * v) + phi(u) * v
+
+    nonzero = 0
+    for _ in range(6):
+        u, v = random_symbol(A, rng, max_terms=3), random_symbol(A, rng, max_terms=3)
+        assert (delta_phi(u, v) - delta_phi(v, u)).is_zero
+        nonzero += not delta_phi(u, v).is_zero
+    # the coboundaries themselves are not zero, so the check is not empty
+    assert nonzero
+
+
 def test_rank2_cochain_domain_checks():
     A = make_algebra()
     halg = A.with_hbar(1)

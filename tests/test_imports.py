@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import of a package module is referenced in
 that module, every exported name resolves, only scalars.py imports sympy, the
 benchmark's import probe can read ``import expweyl.cli``, its traced runs
-find the functions they wrap, and no line is over 110 characters."""
+find the functions they wrap, no exponent sum builds a map iterator, and no
+line is over 110 characters."""
 
 import ast
 import importlib
@@ -123,6 +124,35 @@ def test_the_traced_benchmark_run_finds_the_product_kernel(monkeypatch):
     assert tracer.counts["algebra.diff_pow.lookups"] > 0
     assert tracer.counts["algebra.diff_pow.hits"] > 0
     assert "algebra.mul" in {tracer.names[i] for i in set(tracer.span_name)}
+
+
+def _is_map_add_tuple(node) -> bool:
+    """Whether node is a call ``tuple(map(add, ...))``, ``add`` by any spelling
+    (``add``, ``operator.add``)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple"):
+        return False
+    inner = node.args[0] if len(node.args) == 1 else None
+    if not (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id == "map"):
+        return False
+    fn = inner.args[0] if inner.args else None
+    return (isinstance(fn, ast.Name) and fn.id == "add") or (isinstance(fn, ast.Attribute) and fn.attr == "add")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "selftest.py"])
+def test_exponent_sums_use_the_unrolled_adder(module):
+    """Exponent tuples are summed by ``scalars.tuple_adder``, which builds no
+    iterator per call; ``tuple(map(add, a, b))`` does, and is kept only in
+    selftest.py, whose lattice check states embed's linearity on its own."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    lines = sorted(node.lineno for node in ast.walk(tree) if _is_map_add_tuple(node))
+    assert not lines, f"{module} sums tuples with tuple(map(add, ...)) on lines {lines}"
+
+
+def test_the_map_add_guard_sees_the_form():
+    assert _is_map_add_tuple(ast.parse("tuple(map(add, a, b))", mode="eval").body)
+    assert _is_map_add_tuple(ast.parse("tuple(map(operator.add, a, b))", mode="eval").body)
+    assert not _is_map_add_tuple(ast.parse("tuple(map(sub, a, b))", mode="eval").body)
+    assert not _is_map_add_tuple(ast.parse("add(a, b)", mode="eval").body)
 
 
 MAX_LINE = 110

@@ -21,7 +21,7 @@ from expweyl.algebra import WeylAlgebra
 from expweyl.expr import parse
 from expweyl.linalg import combination
 from expweyl.sampling import random_element, random_scalar
-from expweyl.scalars import Scalar, _Q, _RatPoly, _Series
+from expweyl.scalars import Scalar, _Q, _RatPoly, _Series, tuple_adder
 from test_term_form import built_by
 
 F1 = ScalarField(rank=1)
@@ -486,3 +486,20 @@ def test_no_sympy_number_escapes_as_a_payload(rank, kinds):
         seen += coeffs
     payloads = [p for s in seen for p in s.coeffs]
     assert payloads and all(type(p) in kinds for p in payloads)
+
+
+def test_tuple_adder_matches_the_map_form():
+    """The unrolled adder against ``tuple(map(operator.add, ...))`` at every
+    length 0..12, on negative ints and ints past 2**63; one length always
+    gives the same function object."""
+    rng = random.Random(12)
+    big = 2**63
+    for length in range(13):
+        adder = tuple_adder(length)
+        assert tuple_adder(length) is adder
+        for _ in range(20):
+            a, b = (tuple(rng.choice((-1, 1)) * rng.randrange(3 * big) for _ in range(length)) for _ in range(2))
+            got = adder(a, b)
+            assert type(got) is tuple and got == tuple(map(operator.add, a, b))
+        assert adder((big,) * length, (big,) * length) == (2 * big,) * length
+        assert adder((-5,) * length, (5,) * length) == (0,) * length

@@ -138,6 +138,22 @@ def test_every_constructor_takes_its_coefficients_through_payload(kind):
         assert two == 2 and type(two) is int
 
 
+def test_a_payload_kind_the_field_cannot_hold_is_refused():
+    """A rank-1 field holds no _RatPoly and an hbar-free one no _Series, so
+    another field's raw payload of either kind is refused on entry, where it
+    was once stored and printed wrong or failed at the next sum."""
+    symbol = A2.field.generator(2).pay
+    hbar = A1.with_hbar(2).field.hbar.pay
+    for build in CONSTRUCTORS.values():
+        for pay in (symbol, hbar):
+            with pytest.raises(SignatureMismatch, match="not a scalar of this field"):
+                build(pay)
+    # each kind is kept where the field holds it
+    assert Element(A2, {A2.one_monomial: symbol}) == A2.scalar_element(A2.field.generator(2))
+    H1 = A1.with_hbar(2)
+    assert Element(H1, {H1.one_monomial: hbar}) == H1.scalar_element(H1.field.hbar)
+
+
 def test_operators_are_not_negated_subtracted_or_scaled():
     """The inherited _Sparse negation and scalings would run payload ops on
     an operator's GrElement coefficients; they raise TypeError instead."""

@@ -551,7 +551,8 @@ class WeylAlgebra:
         the order of k and then of the derivative's rows, each exps with
         d - k in its D slots and each payload with its binomial.  The first
         row is (e with d, ``ops.one``); a first-order table continues with
-        the ``_diff_cache`` rows themselves.  ``mul`` asks only for a nonzero d."""
+        the ``_diff_cache`` rows themselves.  ``_leibniz`` asks only for a
+        nonzero d."""
         hit = self._diff_pow_cache.get((e, d))
         if hit is not None:
             return hit
@@ -614,22 +615,36 @@ class WeylAlgebra:
         series, multiplied by convolution), keyed by exponent tuples."""
         self._check(P)
         self._check(Q)
+        return P._with(self._leibniz({}, P, Q, False, False))
+
+    def _leibniz(self, acc: dict, P: Element, Q: Element, tail: bool, negate: bool) -> dict:
+        """Add into acc the Leibniz rows of every term product P_i * Q_j and
+        return acc.  With tail, only the rows k >= 1 of each pair (a pair
+        with no D on the left or a unit function part on the right has only
+        k = 0 and is skipped); with negate, those rows are subtracted, one
+        ``ops.neg`` per pair.  ``mul`` takes all rows of P * Q, ``commutator``
+        the tails of P * Q and, negated, of Q * P."""
         ops = self.field.ops
         pmul = ops.mul
         padd = ops.add
+        neg = ops.neg
         one = ops.one
         add = self._add_exps
         n = self.signature.n
         no_d = (0,) * n
+        start = 1 if tail else 0
         # each left term's head (all but d) and d, sliced once; d is None without a D part
         left = [(eP, eP[:-n], payP, eP[-n:] if any(eP[-n:]) else None) for eP, payP in P.terms.items()]
-        acc: dict[tuple[int, ...], object] = {}
+        if tail:
+            left = [t for t in left if t[3] is not None]
         for eQ, payQ in Q.terms.items():
             fQ = eQ[:-n] + no_d
             dQ = eQ[-n:]
             # a unit function part on the right or no D on the left: only k = 0
             # of the Leibniz sum contributes
             pure = not any(fQ)
+            if tail and pure:
+                continue
             for eP, headP, payP, d1 in left:
                 c = payQ if payP is one else payP if payQ is one else pmul(payP, payQ)
                 if pure or d1 is None:
@@ -637,14 +652,16 @@ class WeylAlgebra:
                     cur = acc.get(e)
                     acc[e] = c if cur is None else padd(cur, c)
                     continue
+                if negate:
+                    c = neg(c)
                 # each row of D^d1 fQ carries its own D part: add eP's head and dQ
                 base = headP + dQ
-                for de, coef in self._diff_pow_mono(fQ, d1):
+                for de, coef in self._diff_pow_mono(fQ, d1)[start:]:
                     e = add(base, de)
                     v = c if coef is one else coef if c is one else pmul(c, coef)
                     cur = acc.get(e)
                     acc[e] = v if cur is None else padd(cur, v)
-        return P._with(acc)
+        return acc
 
     def _mono_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> Pairs:
         """The product of the unit monomials with exponent tuples a and b, as
@@ -658,7 +675,14 @@ class WeylAlgebra:
         return hit
 
     def commutator(self, P: Element, Q: Element) -> Element:
-        return self.mul(P, Q) + (-self.mul(Q, P))
+        """[P, Q] = P*Q - Q*P in one pass per order, without ``mul``: the
+        k = 0 Leibniz rows f*g*D^(a+b) of P_i*Q_j and Q_j*P_i are equal,
+        since functions and payloads commute, so only the rows k >= 1 of
+        each order are formed (see ``_leibniz``)."""
+        self._check(P)
+        self._check(Q)
+        acc = self._leibniz({}, P, Q, True, False)
+        return P._with(self._leibniz(acc, Q, P, True, True))
 
     def __repr__(self):
         sig = self.signature

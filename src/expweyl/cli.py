@@ -603,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("probe", _cmd_probe, "zero-detection probe through the module action")
     p.add_argument("expr")
     p.add_argument("--maxdeg", type=int, default=4)
-    p = cmd("noetherian", _cmd_noetherian, "ascending-chain witness pair")
+    p = cmd("noetherian", _cmd_noetherian, "certify that A*D^(n+1) lies strictly inside A*D^n")
     p.add_argument("n", type=int)
     p = cmd("liebracket", _cmd_liebracket, "witt bracket of two derivations")
     p.add_argument("left")

@@ -134,7 +134,7 @@ def filtration_diagnostic(P: Element, Q: Element) -> FiltrationReport:
     algebra = P.algebra
     op, oq = order(P), order(Q)
     pq = algebra.mul(P, Q)
-    comm = pq + (-algebra.mul(Q, P))
+    comm = algebra.commutator(P, Q)
     opq = order(pq) if not pq.is_zero else 0
     ocomm = order(comm) if not comm.is_zero else None
     submult = opq <= op + oq

@@ -56,7 +56,8 @@ class DerivationElement(_Sparse):
 
 
 def witt_bracket(u: DerivationElement, v: DerivationElement) -> DerivationElement:
-    """[u, v] = u v - v u in the algebra; the second-order parts cancel."""
+    """[u, v] = u v - v u by the algebra's commutator, which never forms the
+    second-order parts that cancel."""
     if not u._check(v):
         raise TypeError("the witt bracket takes two derivations")
     return DerivationElement(u.algebra.commutator(u.as_element(), v.as_element()))

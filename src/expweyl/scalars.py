@@ -738,13 +738,31 @@ class ScalarField:
         a kind this field holds (an int or _Q; a _RatPoly at rank >= 2; a
         _Series with an hbar slot) as it is, another scalar through coerce; a
         value that is no scalar, or a payload kind this field cannot hold,
-        raises SignatureMismatch."""
+        raises SignatureMismatch, and so does a payload of another field's
+        shape (see ``_shaped``)."""
         if type(value) in self._payload_types:
-            return value
+            if self._shaped(value):
+                return value
+            raise SignatureMismatch("payload of another field's rank or hbar order")
         c = self.coerce(value)
         if c is None:
             raise SignatureMismatch(f"not a scalar of this field: {type(value).__name__}")
         return c.pay
+
+    def _shaped(self, pay) -> bool:
+        """Whether a payload of a kind this field holds has its shape too: a
+        _Series one slot per power of hbar, each slot a payload of the
+        hbar-free kinds; a _RatPoly exponent tuples over g_2..g_r on its
+        _Poly sides."""
+        kind = type(pay)
+        if kind is _Series:
+            return len(pay) == self.slots and all(
+                type(s) is not _Series and type(s) in self._payload_types and self._shaped(s) for s in pay
+            )
+        if kind is _RatPoly:
+            r = self.rank - 1
+            return all(len(m) == r for side in (pay.num, pay.den) if type(side) is _Poly for m in side)
+        return True
 
     def from_rational(self, value: int | Fraction) -> Scalar:
         return Scalar(self, self.ops.rational(value.numerator, value.denominator))

@@ -42,6 +42,37 @@ def test_factorials():
     assert noetherian_witness(A, 3).as_text() == "(6, 0)"
 
 
+def test_the_witness_pair_holds_in_the_polynomial_weyl_algebra():
+    """``noetherian_witness`` certifies D^n notin A*D^(n+1), so the left
+    ideal A*D^(n+1) lies strictly inside A*D^n.  The same pair is certified
+    here in the polynomial Weyl algebra A_1 = Q[x][D; d/dx], acting on Q[x]
+    by plain derivatives without the kernel: D^n and D^(n+1) take x^n to n!
+    and 0, and D^n = a*D^(n+1) would give n! = a(0) = 0.  A_1 is Noetherian
+    on both sides: a differential operator ring R[D; delta] over a right
+    (left) Noetherian ring R is right (left) Noetherian (McConnell and
+    Robson, Noncommutative Noetherian Rings, 1.2).  So the pair witnesses a
+    strict inclusion, not a failure of the ascending chain condition."""
+
+    def derivative(poly):
+        return {k - 1: k * c for k, c in poly.items() if k}
+
+    def apply_d(k, poly):
+        for _ in range(k):
+            poly = derivative(poly)
+        return poly
+
+    A = make_algebra()
+    poly_slots = {A.slot("gamma", 0), A.slot("d", 0)}
+    for n in range(1, 7):
+        # the kernel's operands are polynomial: only the x and D exponents are set
+        for P in (A.x(1, n), A.D(1, n), A.D(1, n + 1)):
+            assert all({i for i, v in enumerate(e) if v} <= poly_slots for e in P.terms)
+        values = tuple(apply_d(k, {n: 1}) for k in (n, n + 1))
+        assert values == ({0: math.factorial(n)}, {})
+        pair = (Fraction(math.factorial(n)), Fraction(0))
+        assert noetherian_witness(A, n).as_pair() == pair
+
+
 def test_act_on_exponential():
     A = make_algebra(rank=2, p=(1,), t=((0, 0),))
     e = A.exp_sym(1, (0, 1))

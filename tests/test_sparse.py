@@ -154,6 +154,39 @@ def test_a_payload_kind_the_field_cannot_hold_is_refused():
     assert Element(H1, {H1.one_monomial: hbar}) == H1.scalar_element(H1.field.hbar)
 
 
+def test_a_symbolic_payload_of_another_rank_is_refused():
+    """A rank-3 _RatPoly holds g_3, a symbol a rank-2 field does not have;
+    it was once stored over a rank-2 algebra and printed as g_3*D_1."""
+    A2r, A3r = rank2(), WeylAlgebra(n=1, rank=3, p=(2,), t=((1, 0, 0),))
+    u = A2r.monomial(1, d=1)
+    g3 = A3r.field.generator(3)
+    for pay in (g3.pay, (1 / (g3 + 1)).pay):
+        with pytest.raises(SignatureMismatch, match="another field's rank"):
+            Element(A2r, {u: pay})
+        with pytest.raises(SignatureMismatch, match="another field's rank"):
+            A2r.from_term(u, pay)
+    # a rank-2 field's own symbols still enter, in every position of a fraction
+    g2 = A2r.field.generator(2)
+    for s in (g2, 1 / (g2 + 1), (g2 - 1) / (g2 + 2)):
+        assert Element(A2r, {u: s.pay}) == A2r.from_term(u, s)
+
+
+def test_a_series_of_another_hbar_order_is_refused():
+    """A 4-slot _Series belongs to an hbar order 3 field; in an order 2
+    element it was once stored and raised only when printed."""
+    H1, H2, H3 = (rank1().with_hbar(order) for order in (1, 2, 3))
+    U2 = H2.one_monomial
+    for pay in (H3.field.hbar.pay, (H3.field.hbar**3).pay, (1 + H1.field.hbar).pay):
+        with pytest.raises(SignatureMismatch, match="another field's rank or hbar order"):
+            Element(H2, {U2: pay})
+    # a series whose slot holds a symbol of a rank the field lacks
+    R2 = rank2().with_hbar(2)
+    foreign = (R2.field.hbar * R2.field.generator(2)).pay
+    with pytest.raises(SignatureMismatch):
+        Element(H2, {U2: foreign})
+    assert Element(H2, {U2: H2.field.hbar.pay}) == H2.scalar_element(H2.field.hbar)
+
+
 def test_operators_are_not_negated_subtracted_or_scaled():
     """The inherited _Sparse negation and scalings would run payload ops on
     an operator's GrElement coefficients; they raise TypeError instead."""

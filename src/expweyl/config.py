@@ -44,12 +44,15 @@ class SessionConfig:
         if not isinstance(self.t_shift, bool):
             raise SignatureMismatch("t_shift must be true or false")
         if self.p is None or self.t is None:
-            if max(self.n, 0) * max(self.rank, 1) > _MAX_DERIVED:
+            # a negative count derives an empty list; clamping first keeps an
+            # overlong negative from overflowing the sequence repeat
+            n, rank = max(self.n, 0), max(self.rank, 0)
+            if n * max(rank, 1) > _MAX_DERIVED:
                 raise SignatureMismatch(f"p and t are derived only for n * rank <= {_MAX_DERIVED}")
             if self.p is None:
-                object.__setattr__(self, "p", (2,) * self.n)
+                object.__setattr__(self, "p", (2,) * n)
             if self.t is None:
-                object.__setattr__(self, "t", ((0,) * self.rank,) * self.n)
+                object.__setattr__(self, "t", ((0,) * rank,) * n)
         if not isinstance(self.p, (list, tuple)) or not isinstance(self.t, (list, tuple)):
             raise SignatureMismatch("p and t must be lists")
         for v in self.p:

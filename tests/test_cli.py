@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import re
 import subprocess
 import sys
 import time
@@ -232,6 +233,19 @@ def test_a_huge_derived_signature_is_refused(tmp_path, capsys):
     status, out, err = run(capsys, "--config", str(cfg), "normalize", "x_1")
     assert (status, out) == (1, "")
     assert err == "error[SignatureMismatch]: p and t are derived only for n * rank <= 10000\n"
+
+
+@pytest.mark.parametrize(
+    "fields", [{"n": -(2**63) - 1, "p": []}, {"rank": -(2**63) - 1}, {"n": -(2**70)}]
+)
+def test_an_overlong_negative_count_is_a_stable_error(fields, tmp_path, capsys):
+    # a negative count derives an empty p or t row; past the index size it
+    # used to overflow the tuple repeat and end in a traceback
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(fields))
+    status, out, err = run(capsys, "--config", str(cfg), "comm", "D_1", "E_1")
+    assert (status, out) == (1, "")
+    assert re.fullmatch(r"error\[SignatureMismatch\]: [^\n]*\n", err), err
 
 
 def test_bad_config_is_a_stable_error(tmp_path, capsys):
